@@ -265,7 +265,7 @@ impl AsicLdpcDecoder {
         for col in 0..mode.block_cols {
             let word: Vec<i32> = channel_llrs[col * z..(col + 1) * z]
                 .iter()
-                .map(|&l| arith.from_channel(l))
+                .map(|&l| i32::from(arith.from_channel(l)))
                 .collect();
             self.l_mem.load_word(col, &word);
         }
@@ -283,8 +283,10 @@ impl AsicLdpcDecoder {
         let mut iterations = 0usize;
         let mut early_terminated = false;
 
-        let mut row_lambdas: Vec<Vec<i32>> = vec![Vec::new(); z];
-        let mut row_out: Vec<i32> = Vec::new();
+        // Memory words hold the codes as `i32`; the datapath arithmetic
+        // carries them as `i16` messages.
+        let mut row_lambdas: Vec<Vec<i16>> = vec![Vec::new(); z];
+        let mut row_out: Vec<i16> = Vec::new();
 
         for _ in 0..self.datapath.max_iterations {
             for (l, layer) in mode.layers.iter().enumerate() {
@@ -300,7 +302,7 @@ impl AsicLdpcDecoder {
                     let shifted = self.shifter.rotate(&word, shift, z);
                     for (lane, lambdas) in row_lambdas.iter_mut().enumerate().take(z) {
                         let old_lambda = self.lambda_mem.read(lane, base_entry + ei);
-                        lambdas.push(arith.sub(shifted[lane], old_lambda));
+                        lambdas.push(arith.sub(shifted[lane] as i16, old_lambda as i16));
                     }
                     shifted_words.push(shifted);
                 }
@@ -310,8 +312,10 @@ impl AsicLdpcDecoder {
                 for lane in 0..z {
                     arith.check_node_update(&row_lambdas[lane], &mut row_out);
                     for (ei, &new_lambda) in row_out.iter().enumerate() {
-                        self.lambda_mem.write(lane, base_entry + ei, new_lambda);
-                        new_l_words[ei][lane] = arith.add(row_lambdas[lane][ei], new_lambda);
+                        self.lambda_mem
+                            .write(lane, base_entry + ei, i32::from(new_lambda));
+                        new_l_words[ei][lane] =
+                            i32::from(arith.add(row_lambdas[lane][ei], new_lambda));
                     }
                 }
                 for (ei, &(col, shift)) in layer.iter().enumerate() {
@@ -358,8 +362,8 @@ impl AsicLdpcDecoder {
         let mut min_abs = f64::INFINITY;
         for word in self.l_mem.snapshot().iter().take(info_cols) {
             for &msg in word.iter().take(z) {
-                decisions.push(arith.hard_bit(msg));
-                min_abs = min_abs.min(arith.magnitude(msg));
+                decisions.push(arith.hard_bit(msg as i16));
+                min_abs = min_abs.min(arith.magnitude(msg as i16));
             }
         }
         (decisions, min_abs)
@@ -371,7 +375,7 @@ impl AsicLdpcDecoder {
         let mut bits = Vec::with_capacity(mode.n());
         for word in self.l_mem.snapshot().iter().take(mode.block_cols) {
             for &msg in word.iter().take(z) {
-                bits.push(arith.hard_bit(msg));
+                bits.push(arith.hard_bit(msg as i16));
             }
         }
         bits

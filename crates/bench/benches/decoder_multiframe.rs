@@ -31,8 +31,8 @@
 //!   [`SimdLevel::Scalar`] (the auto-vectorised panel loops, i.e. the PR 4
 //!   code path);
 //! * `…_mf_simd`   — the same engine following the process-wide runtime
-//!   dispatch (AVX2 with `vpgatherdd` LUT gathers on the recording
-//!   container; degrades to the identical scalar kernels on hosts without
+//!   dispatch (AVX2 on the recording container: `vpgatherdd` LUT gathers
+//!   when `BENCH_simd.json` was recorded, `pshufb` lookups since; degrades to the identical scalar kernels on hosts without
 //!   SIMD, making the pair a self-comparison there).
 //!
 //! The two sides decode bit-identically — the pair isolates exactly the

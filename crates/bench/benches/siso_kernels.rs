@@ -17,7 +17,7 @@ fn row_f64(degree: usize) -> Vec<f64> {
         .collect()
 }
 
-fn row_codes(arith: &FixedBpArithmetic, degree: usize) -> Vec<i32> {
+fn row_codes(arith: &FixedBpArithmetic, degree: usize) -> Vec<i16> {
     row_f64(degree)
         .iter()
         .map(|&x| arith.from_channel(x))
@@ -90,7 +90,7 @@ fn bench_lane_kernels(c: &mut Criterion) {
     let lanes_f64: Vec<f64> = (0..degree * z)
         .map(|i| ((i * 37 % 23) as f64 - 11.0) * 0.7 + 0.35)
         .collect();
-    let lanes_codes: Vec<i32> = lanes_f64
+    let lanes_codes: Vec<i16> = lanes_f64
         .iter()
         .map(|&x| fixed_bp.from_channel(x))
         .collect();
@@ -119,7 +119,7 @@ fn bench_lane_kernels(c: &mut Criterion) {
         ("fixed_bp_fwd_bwd", &fixed_fb),
     ] {
         group.bench_function(format!("{name}_scalar"), |b| {
-            let mut out = vec![0i32; degree * z];
+            let mut out = vec![0i16; degree * z];
             let (mut row_in, mut row_out) = (Vec::new(), Vec::new());
             b.iter(|| {
                 scalar(
@@ -134,7 +134,7 @@ fn bench_lane_kernels(c: &mut Criterion) {
             })
         });
         group.bench_function(format!("{name}_lane"), |b| {
-            let mut out = vec![0i32; degree * z];
+            let mut out = vec![0i16; degree * z];
             let mut scratch = LaneScratch::new();
             scratch.reserve(degree, z);
             b.iter(|| {
@@ -144,7 +144,7 @@ fn bench_lane_kernels(c: &mut Criterion) {
     }
 
     group.bench_function("fixed_min_sum_scalar", |b| {
-        let mut out = vec![0i32; degree * z];
+        let mut out = vec![0i16; degree * z];
         let (mut row_in, mut row_out) = (Vec::new(), Vec::new());
         b.iter(|| {
             scalar(
@@ -159,7 +159,7 @@ fn bench_lane_kernels(c: &mut Criterion) {
         })
     });
     group.bench_function("fixed_min_sum_lane", |b| {
-        let mut out = vec![0i32; degree * z];
+        let mut out = vec![0i16; degree * z];
         let mut scratch = LaneScratch::new();
         scratch.reserve(degree, z);
         b.iter(|| {
@@ -204,7 +204,8 @@ fn bench_lut_gather(c: &mut Criterion) {
 /// inputs — the `…_scalar` side pins [`SimdLevel::Scalar`] per instance
 /// (the auto-vectorised branch-free loops, exactly the pre-SIMD code path)
 /// and the `…_simd` side follows the process-wide dispatch (AVX2 with
-/// hardware LUT gathers on the recording container). Gated in CI by
+/// `pshufb` LUT lookups on the recording container; `BENCH_simd.json` was
+/// recorded with the earlier `i32`/`vpgatherdd` kernels). Gated in CI by
 /// `compare_bench --require-simd-not-slower` on fresh runs (any host: both
 /// sides dispatch identically without AVX2) and by
 /// `--require-simd-speedup` on the committed recording. One layer of
@@ -213,25 +214,25 @@ fn bench_simd_panels(c: &mut Criterion) {
     let mut group = c.benchmark_group("simd_panels_z96_d7");
     let (z, degree) = (96usize, 7usize);
     let reference = FixedBpArithmetic::default();
-    let lanes_codes: Vec<i32> = (0..degree * z)
+    let lanes_codes: Vec<i16> = (0..degree * z)
         .map(|i| {
             let x = ((i * 37 % 23) as f64 - 11.0) * 0.7 + 0.35;
             reference.from_channel(x)
         })
         .collect();
 
-    fn bench_lanes_pair<A: LaneKernel<Msg = i32>>(
+    fn bench_lanes_pair<A: LaneKernel<Msg = i16>>(
         group: &mut criterion::BenchmarkGroup<'_>,
         name: &str,
         scalar: A,
         simd: A,
         z: usize,
         degree: usize,
-        lanes_codes: &[i32],
+        lanes_codes: &[i16],
     ) {
         for (tier, arith) in [("scalar", &scalar), ("simd", &simd)] {
             group.bench_function(format!("{name}_{tier}"), |b| {
-                let mut out = vec![0i32; degree * z];
+                let mut out = vec![0i16; degree * z];
                 let mut scratch = LaneScratch::new();
                 scratch.reserve(degree, z);
                 b.iter(|| {
@@ -269,9 +270,9 @@ fn bench_simd_panels(c: &mut Criterion) {
         &lanes_codes,
     );
 
-    // The LUT gather pass alone: scalar clamped-index loop vs the AVX2
-    // `vpgatherdd` through the same dense table.
-    let magnitudes: Vec<i32> = lanes_codes.iter().map(|&x| x.abs()).collect();
+    // The LUT lookup pass alone: scalar clamped-index loop vs the `pshufb`
+    // lookup through the same table.
+    let magnitudes: Vec<i16> = lanes_codes.iter().map(|&x| x.abs()).collect();
     for (name, lut) in [
         ("lut_plus", reference.lut_plus()),
         ("lut_minus", reference.lut_minus()),
@@ -284,20 +285,20 @@ fn bench_simd_panels(c: &mut Criterion) {
             ("simd", ldpc_core::arith::simd::active_level()),
         ] {
             group.bench_function(format!("{name}_{suffix}"), |b| {
-                let mut out = vec![0i32; magnitudes.len()];
+                let mut out = vec![0i16; magnitudes.len()];
                 b.iter(|| lut.lookup_slice_with(tier, black_box(&magnitudes), &mut out))
             });
         }
     }
 
     // The λ/L panel clamps (APP subtraction with zero remap, APP addition).
-    let upd: Vec<i32> = lanes_codes.iter().rev().copied().collect();
+    let upd: Vec<i16> = lanes_codes.iter().rev().copied().collect();
     let sub_add_scalar = FixedBpArithmetic::default().with_simd_level(SimdLevel::Scalar);
     let sub_add_simd = FixedBpArithmetic::default();
     for (tier, arith) in [("scalar", &sub_add_scalar), ("simd", &sub_add_simd)] {
         group.bench_function(format!("fixed_bp_sub_add_{tier}"), |b| {
-            let mut lam = vec![0i32; lanes_codes.len()];
-            let mut app = vec![0i32; lanes_codes.len()];
+            let mut lam = vec![0i16; lanes_codes.len()];
+            let mut app = vec![0i16; lanes_codes.len()];
             b.iter(|| {
                 arith.sub_lanes(black_box(&lanes_codes), &upd, &mut lam);
                 arith.add_lanes(&lam, &upd, &mut app);

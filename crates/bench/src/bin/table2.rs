@@ -28,7 +28,7 @@ fn measured_speedup() -> f64 {
     let mut cycles_r2 = 0usize;
     let mut cycles_r4 = 0usize;
     for layer in code.layers() {
-        let lambdas: Vec<i32> = (0..layer.weight()).map(|i| 10 + i as i32).collect();
+        let lambdas: Vec<i16> = (0..layer.weight()).map(|i| 10 + i as i16).collect();
         cycles_r2 += r2.process_row(&lambdas).pipelined_cycles();
         cycles_r4 += r4.process_row(&lambdas).pipelined_cycles();
     }

@@ -3,12 +3,14 @@
 //! Messages are 8-bit two's-complement codes (Fig. 3) and the non-linear
 //! correction terms of Eq. (2) come from 3-bit lookup tables. This back-end is
 //! the bit-accurate software model of the hardware SISO datapath: the R2/R4
-//! SISO decoder models in [`crate::siso`] produce identical messages.
+//! SISO decoder models in [`crate::siso`] produce identical messages. The
+//! codes travel through the decoder as `i16` (messages of up to 14 bits, the
+//! APP memory two bits wider), 16 lanes per AVX2 operation.
 
 use super::lanes::{LaneKernel, LaneScratch};
 use super::simd::{self, SimdLevel};
 use super::DecoderArithmetic;
-use crate::fixedpoint::FixedFormat;
+use crate::fixedpoint::{FixedFormat, MAX_MESSAGE_BITS};
 use crate::lut::{CorrectionKind, CorrectionLut};
 
 /// How the fixed-point check-node update extracts the extrinsic messages.
@@ -69,15 +71,29 @@ impl FixedBpArithmetic {
     }
 
     /// Creates the arithmetic with an explicit check-node mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `format` is wider than [`MAX_MESSAGE_BITS`] (14) bits — the
+    /// decoder carries messages and the two-bit-wider APP values in `i16`
+    /// panels — or if a correction table has an entry outside `i16` (only
+    /// reachable with 13 fractional bits and 7+ address bits). Panics as
+    /// [`CorrectionLut::new`] does for a bad `lut_address_bits`.
     #[must_use]
     pub fn with_mode(format: FixedFormat, lut_address_bits: u32, mode: CheckNodeMode) -> Self {
-        let app_format = FixedFormat::new((format.word_bits() + 2).min(24), format.frac_bits());
+        let app_format = app_format_for(format);
+        let lut_plus = CorrectionLut::new(CorrectionKind::Plus, format, lut_address_bits);
+        let lut_minus = CorrectionLut::new(CorrectionKind::Minus, format, lut_address_bits);
+        assert!(
+            !lut_plus.dense_table().is_empty() && !lut_minus.dense_table().is_empty(),
+            "{format} with {lut_address_bits}-bit LUTs has corrections outside i16"
+        );
         FixedBpArithmetic {
             format,
             app_format,
             mode,
-            lut_plus: CorrectionLut::new(CorrectionKind::Plus, format, lut_address_bits),
-            lut_minus: CorrectionLut::new(CorrectionKind::Minus, format, lut_address_bits),
+            lut_plus,
+            lut_minus,
             simd: None,
         }
     }
@@ -171,16 +187,26 @@ impl FixedBpArithmetic {
     }
 }
 
+/// The APP format of a message format (two extra integer bits), after
+/// checking the message format fits the `i16` panels.
+pub(super) fn app_format_for(format: FixedFormat) -> FixedFormat {
+    assert!(
+        format.word_bits() <= MAX_MESSAGE_BITS,
+        "message format {format} is wider than {MAX_MESSAGE_BITS} bits (the decoder's i16 panels)"
+    );
+    FixedFormat::new(format.word_bits() + 2, format.frac_bits())
+}
+
 impl DecoderArithmetic for FixedBpArithmetic {
-    type Msg = i32;
+    type Msg = i16;
 
     /// Channel LLRs are quantised to the message format; the all-zero code is
     /// remapped to ±1 LSB so the sign survives (sign-magnitude datapath — an
     /// exact zero would otherwise erase its check rows in the ⊞ recursion).
-    fn from_channel(&self, llr: f64) -> i32 {
+    fn from_channel(&self, llr: f64) -> i16 {
         let q = self.format.quantize(llr);
         if q != 0 {
-            q
+            q as i16
         } else if llr < 0.0 {
             -1
         } else {
@@ -188,27 +214,35 @@ impl DecoderArithmetic for FixedBpArithmetic {
         }
     }
 
-    fn to_llr(&self, m: i32) -> f64 {
-        self.format.dequantize(m)
+    /// One kernel-tier quantisation pass, bit-identical to
+    /// [`DecoderArithmetic::from_channel`] per element.
+    fn from_channel_slice(&self, llrs: &[f64], out: &mut [i16]) {
+        let max = self.format.max_code() as i16;
+        simd::quantize_codes(self.simd_level(), self.format.scale(), max, true, llrs, out);
     }
 
-    fn zero(&self) -> i32 {
+    fn to_llr(&self, m: i16) -> f64 {
+        self.format.dequantize(i32::from(m))
+    }
+
+    fn zero(&self) -> i16 {
         0
     }
 
-    fn add(&self, a: i32, b: i32) -> i32 {
-        self.app_format.add(a, b)
+    fn add(&self, a: i16, b: i16) -> i16 {
+        self.app_format.add(i32::from(a), i32::from(b)) as i16
     }
 
     /// `λ = L − Λ`, saturated to the message format, with the zero code
     /// remapped to ±1 LSB (sign of the unsaturated difference, or of `L` when
     /// the difference is exactly zero).
-    fn sub(&self, a: i32, b: i32) -> i32 {
+    fn sub(&self, a: i16, b: i16) -> i16 {
+        let (a, b) = (i32::from(a), i32::from(b));
         let r = self.format.sub(a, b);
         if r != 0 {
-            return r;
+            return r as i16;
         }
-        let raw = a as i64 - b as i64;
+        let raw = a - b;
         if raw < 0 || (raw == 0 && a < 0) {
             -1
         } else {
@@ -216,45 +250,62 @@ impl DecoderArithmetic for FixedBpArithmetic {
         }
     }
 
-    fn check_node_update(&self, lambdas: &[i32], out: &mut Vec<i32>) {
+    fn hard_bit(&self, m: i16) -> u8 {
+        u8::from(m < 0)
+    }
+
+    fn termination_threshold(&self, threshold: f64) -> i16 {
+        self.format.threshold_code(threshold)
+    }
+
+    fn exceeds(&self, m: i16, t: i16) -> bool {
+        m.saturating_abs() > t
+    }
+
+    fn check_node_update(&self, lambdas: &[i16], out: &mut Vec<i16>) {
         out.clear();
         if lambdas.is_empty() {
             return;
         }
+        let plus = |a: i32, b: i16| self.boxplus_codes(a, i32::from(b));
         match self.mode {
             CheckNodeMode::SumExtract => {
                 // Serial f(·) recursion to form S_m …
-                let mut total = lambdas[0];
-                for &l in &lambdas[1..] {
-                    total = self.boxplus_codes(total, l);
-                }
+                let total = lambdas[1..]
+                    .iter()
+                    .fold(i32::from(lambdas[0]), |t, &l| plus(t, l));
                 // … then g(·) extraction of each Λ_mn (Eq. 1).
-                out.extend(lambdas.iter().map(|&l| self.boxminus_codes(total, l)));
+                out.extend(
+                    lambdas
+                        .iter()
+                        .map(|&l| self.boxminus_codes(total, i32::from(l)) as i16),
+                );
             }
             CheckNodeMode::ForwardBackward => {
                 let d = lambdas.len();
                 if d == 1 {
-                    out.push(self.format.max_code());
+                    out.push(self.format.max_code() as i16);
                     return;
                 }
                 let mut fwd = vec![0i32; d];
                 let mut bwd = vec![0i32; d];
-                fwd[0] = lambdas[0];
+                fwd[0] = i32::from(lambdas[0]);
                 for i in 1..d {
-                    fwd[i] = self.boxplus_codes(fwd[i - 1], lambdas[i]);
+                    fwd[i] = plus(fwd[i - 1], lambdas[i]);
                 }
-                bwd[d - 1] = lambdas[d - 1];
+                bwd[d - 1] = i32::from(lambdas[d - 1]);
                 for i in (0..d - 1).rev() {
-                    bwd[i] = self.boxplus_codes(bwd[i + 1], lambdas[i]);
+                    bwd[i] = plus(bwd[i + 1], lambdas[i]);
                 }
                 for i in 0..d {
-                    out.push(if i == 0 {
+                    let m = if i == 0 {
                         bwd[1]
                     } else if i == d - 1 {
                         fwd[d - 2]
                     } else {
                         self.boxplus_codes(fwd[i - 1], bwd[i + 1])
-                    });
+                    };
+                    out.push(m as i16);
                 }
             }
         }
@@ -273,53 +324,49 @@ impl DecoderArithmetic for FixedBpArithmetic {
 /// Both check-node modes run the *same recursion in the same order* as the
 /// scalar [`DecoderArithmetic::check_node_update`], but with the slot loop
 /// outside and the lane loop inside, so every inner loop is a stride-1 sweep
-/// of independent `i32` codes (one per SISO lane; the frame-major engine
+/// of independent `i16` codes (one per SISO lane; the frame-major engine
 /// passes `z · F` lanes per panel). Each ⊞/⊟ step over a panel is one
 /// [`simd::boxplus_panel`] / [`simd::boxminus_panel`] call, dispatched to
-/// the instance's kernel tier ([`FixedBpArithmetic::simd_level`]): on AVX2
-/// the whole operator runs as a single fused register-resident pass with
-/// hardware LUT gathers (`vpgatherdd`); lower tiers run the three
-/// branch-free passes — magnitude decomposition, the clamped-index
-/// [`CorrectionLut`] gather (no per-element region branch, no division for
-/// practical formats) and the sign/saturate combine — through the scratch
-/// panels at their own vector width. All tiers replace the former
-/// per-element [`FixedBpArithmetic::boxplus_codes`] calls, whose region
-/// branches and divisions dominated the decode profile; the scalar
-/// operators remain the bit-identity reference. Unlike the scalar
-/// forward/backward update, which allocates two transient row buffers per
-/// check row, the lane kernel runs entirely out of the caller's
-/// [`LaneScratch`].
+/// the instance's kernel tier ([`FixedBpArithmetic::simd_level`]): on the
+/// SIMD tiers, when the correction table fits 16 bytes (the paper's 3-bit
+/// tables do), the whole operator runs as a single fused register-resident
+/// pass with `pshufb` LUT lookups; otherwise it runs three branch-free
+/// passes — magnitude decomposition, the clamped-index [`CorrectionLut`]
+/// lookup and the sign/saturate combine — through the scratch panels. The
+/// scalar operators ([`FixedBpArithmetic::boxplus_codes`]) remain the
+/// bit-identity reference. Unlike the scalar forward/backward update, which
+/// allocates two transient row buffers per check row, the lane kernel runs
+/// entirely out of the caller's [`LaneScratch`].
 impl LaneKernel for FixedBpArithmetic {
     fn prefers_frame_groups(&self) -> bool {
         true
     }
 
-    /// `λ = L − Λ` over a panel in pure `i32`, with the zero code remapped to
-    /// ±1 LSB in select form. The operands are in-range APP/message codes
-    /// (far below `i32` overflow), so the scalar path's widen-to-`i64`
-    /// saturate reduces to a clamp, and the clamped difference is zero only
-    /// when the exact difference is zero — where the scalar rule falls back
-    /// to the sign of `L`. Branch-free, bit-identical to
-    /// [`DecoderArithmetic::sub`] per element; dispatched to the instance's
-    /// kernel tier.
-    fn sub_lanes(&self, app: &[i32], lambda: &[i32], out: &mut [i32]) {
-        let (lo, hi) = (self.format.min_code(), self.format.max_code());
-        simd::sub_lanes_remap(self.simd_level(), lo, hi, app, lambda, out);
+    /// `λ = L − Λ` over a panel in `i16`, with the zero code remapped to
+    /// ±1 LSB in select form. A 16-bit APP code minus a 14-bit message can
+    /// leave `i16`, so the subtraction saturates (never wraps) before the
+    /// clamp to the message range; the result is zero only when the exact
+    /// difference is zero — where the scalar rule falls back to the sign of
+    /// `L`. Branch-free, bit-identical to [`DecoderArithmetic::sub`] per
+    /// element; dispatched to the instance's kernel tier.
+    fn sub_lanes(&self, app: &[i16], lambda: &[i16], out: &mut [i16]) {
+        let hi = self.format.max_code() as i16;
+        simd::sub_lanes_remap(self.simd_level(), -hi, hi, app, lambda, out);
     }
 
-    /// `L = λ + Λ′` over a panel, `i32`-only (clamped to the wider APP
-    /// format), dispatched to the instance's kernel tier.
-    fn add_lanes(&self, lam: &[i32], upd: &[i32], out: &mut [i32]) {
-        let (lo, hi) = (self.app_format.min_code(), self.app_format.max_code());
-        simd::add_lanes_clamp(self.simd_level(), lo, hi, lam, upd, out);
+    /// `L = λ + Λ′` over a panel (clamped to the wider APP format),
+    /// dispatched to the instance's kernel tier.
+    fn add_lanes(&self, lam: &[i16], upd: &[i16], out: &mut [i16]) {
+        let hi = self.app_format.max_code() as i16;
+        simd::add_lanes_clamp(self.simd_level(), -hi, hi, lam, upd, out);
     }
 
     fn check_node_update_lanes(
         &self,
         z: usize,
-        lanes_in: &[i32],
-        lanes_out: &mut [i32],
-        scratch: &mut LaneScratch<i32>,
+        lanes_in: &[i16],
+        lanes_out: &mut [i16],
+        scratch: &mut LaneScratch<i16>,
     ) {
         debug_assert_eq!(lanes_in.len(), lanes_out.len());
         debug_assert!(z > 0 && lanes_in.len().is_multiple_of(z));
@@ -327,13 +374,14 @@ impl LaneKernel for FixedBpArithmetic {
         if degree == 0 {
             return;
         }
-        let max_code = self.format.max_code();
+        let max_code = self.format.max_code() as i16;
         let level = self.simd_level();
         match self.mode {
             CheckNodeMode::SumExtract => {
                 // Serial f(·) recursion across slots to form the lane of total
-                // sums S_m — one ⊞ panel step per slot (fused on AVX2,
-                // three branch-free passes below it) …
+                // sums S_m — one ⊞ panel step per slot (fused on the SIMD
+                // tiers for 16-byte tables, three branch-free passes
+                // otherwise) …
                 let buf = scratch.lanes_mut(4 * z, 0);
                 let (total, rest) = buf.split_at_mut(z);
                 let (mins, rest) = rest.split_at_mut(z);
@@ -514,13 +562,13 @@ mod tests {
             &[1.0, 1.0, -1.0],
         ];
         for row in rows {
-            let codes: Vec<i32> = row.iter().map(|&x| fmt.quantize(x)).collect();
+            let codes: Vec<i16> = row.iter().map(|&x| fmt.quantize(x) as i16).collect();
             let mut fixed_out = Vec::new();
             let mut float_out = Vec::new();
             fx.check_node_update(&codes, &mut fixed_out);
             fl.check_node_update(row, &mut float_out);
             for (i, (&fo, &flo)) in fixed_out.iter().zip(&float_out).enumerate() {
-                let fo = fmt.dequantize(fo);
+                let fo = fmt.dequantize(i32::from(fo));
                 assert_eq!(
                     fo < 0.0,
                     flo < 0.0,
@@ -537,18 +585,16 @@ mod tests {
     #[test]
     fn saturation_is_respected_everywhere() {
         let fx = FixedBpArithmetic::default();
-        let max = fx.format().max_code();
+        let max = fx.format().max_code() as i16;
+        let app_max = fx.app_format().max_code() as i16;
         // g of equal magnitudes saturates instead of overflowing.
         let v = fx.boxminus_codes(20, 20);
-        assert!(v <= max && v > 20);
+        assert!(v <= i32::from(max) && v > 20);
         // The APP adder has two extra integer bits of headroom.
         assert_eq!(fx.add(max, max), 2 * max);
-        assert_eq!(
-            fx.add(fx.app_format().max_code(), max),
-            fx.app_format().max_code()
-        );
+        assert_eq!(fx.add(app_max, max), app_max);
         // λ = L − Λ saturates back to the message range.
-        assert_eq!(fx.sub(fx.app_format().max_code(), -max), max);
+        assert_eq!(fx.sub(app_max, -max), max);
         assert_eq!(fx.from_channel(1e9), max);
         assert_eq!(fx.from_channel(-1e9), -max);
     }
@@ -565,13 +611,13 @@ mod tests {
             &[1.0, 1.0, -1.0, 2.5],
         ];
         for row in rows {
-            let codes: Vec<i32> = row.iter().map(|&x| fmt.quantize(x)).collect();
+            let codes: Vec<i16> = row.iter().map(|&x| fmt.quantize(x) as i16).collect();
             let (mut out_fx, mut out_fl) = (Vec::new(), Vec::new());
             fx.check_node_update(&codes, &mut out_fx);
             fl.check_node_update(row, &mut out_fl);
             assert_eq!(out_fx.len(), row.len());
             for (c, f) in out_fx.iter().zip(&out_fl) {
-                let v = fmt.dequantize(*c);
+                let v = fmt.dequantize(i32::from(*c));
                 assert_eq!(v < 0.0, *f < 0.0, "sign mismatch: {v} vs {f}");
                 assert!((v - f).abs() < 1.0, "fwd/bwd drifted: {v} vs {f}");
             }
@@ -580,7 +626,7 @@ mod tests {
         // and saturates positive (parity trivially satisfiable).
         let mut out = Vec::new();
         fx.check_node_update(&[7], &mut out);
-        assert_eq!(out, vec![fmt.max_code()]);
+        assert_eq!(out, vec![fmt.max_code() as i16]);
     }
 
     #[test]
@@ -602,7 +648,7 @@ mod tests {
     #[test]
     fn lane_kernels_match_scalar_rows_in_both_modes() {
         // Messages covering saturation, near-zero codes and sign changes.
-        let msg = |i: usize| ((i as i32 * 37) % 255) - 127;
+        let msg = |i: usize| ((i as i16 * 37) % 255) - 127;
         for arith in [
             FixedBpArithmetic::default(),
             FixedBpArithmetic::forward_backward(),
@@ -618,9 +664,23 @@ mod tests {
         let fx = FixedBpArithmetic::forward_backward();
         let mut scratch = crate::arith::LaneScratch::new();
         scratch.reserve(1, 4);
-        let mut out = [0i32; 4];
+        let mut out = [0i16; 4];
         fx.check_node_update_lanes(4, &[7, -3, 1, 127], &mut out, &mut scratch);
-        assert_eq!(out, [fx.format().max_code(); 4]);
+        assert_eq!(out, [fx.format().max_code() as i16; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than 14 bits")]
+    fn rejects_message_formats_wider_than_the_i16_panels() {
+        let _ = FixedBpArithmetic::new(FixedFormat::new(15, 4), 3);
+    }
+
+    #[test]
+    fn accepts_every_message_width_up_to_14_bits() {
+        for w in 2..=14 {
+            let fx = FixedBpArithmetic::new(FixedFormat::new(w, w / 3), 3);
+            assert_eq!(fx.app_format().word_bits(), w + 2);
+        }
     }
 
     #[test]

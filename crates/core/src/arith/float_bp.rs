@@ -71,6 +71,14 @@ impl DecoderArithmetic for FloatBpArithmetic {
         m
     }
 
+    fn termination_threshold(&self, threshold: f64) -> f64 {
+        threshold
+    }
+
+    fn exceeds(&self, m: f64, t: f64) -> bool {
+        m.abs() > t || m.is_nan()
+    }
+
     fn zero(&self) -> f64 {
         0.0
     }

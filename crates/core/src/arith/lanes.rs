@@ -20,10 +20,10 @@
 //!
 //! Underneath the slice kernels sits a third tier: the fixed-point
 //! overrides dispatch their panel passes through
-//! [`crate::arith::simd`] — explicit AVX2/SSE4.1 intrinsics (with hardware
-//! LUT gathers and fused ⊞/⊟ on AVX2) selected once per process at
-//! runtime, with these scalar panel loops as the universal, bit-identical
-//! fallback (`LDPC_FORCE_SCALAR=1` pins it). The row-serial fallback in
+//! [`crate::arith::simd`] — explicit AVX2/SSE4.1 intrinsics on 16-bit
+//! panels (with `pshufb` LUT lookups and fused ⊞/⊟) selected once per
+//! process at runtime, with scalar panel loops as the universal,
+//! bit-identical fallback (`LDPC_FORCE_SCALAR=1` pins it). The row-serial fallback in
 //! this module remains the reference above both.
 //!
 //! Layout invariant: `lanes_in` and `lanes_out` hold `degree · z` messages,
@@ -54,7 +54,7 @@ impl<M: Copy> LaneScratch<M> {
     /// as a function of the maximum check-node degree: the forward/backward
     /// fixed-BP kernel needs `2 · degree` lanes (prefix and suffix ⊞ sums)
     /// plus 3 transient panels for the branch-free ⊞ decomposition
-    /// (min/sum/diff magnitudes feeding the LUT gather); the Min-Sum kernel
+    /// (min/sum/diff magnitudes feeding the LUT lookup); the Min-Sum kernel
     /// needs 4 (min1/min2/argmin/parity), covered by the same bound.
     #[must_use]
     pub fn lane_factor(max_degree: usize) -> usize {

@@ -109,6 +109,14 @@ impl DecoderArithmetic for FloatMinSumArithmetic {
         m
     }
 
+    fn termination_threshold(&self, threshold: f64) -> f64 {
+        threshold
+    }
+
+    fn exceeds(&self, m: f64, t: f64) -> bool {
+        m.abs() > t || m.is_nan()
+    }
+
     fn zero(&self) -> f64 {
         0.0
     }
@@ -168,11 +176,18 @@ impl Default for FixedMinSumArithmetic {
 
 impl FixedMinSumArithmetic {
     /// Creates the arithmetic for a given message format.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `format` is wider than
+    /// [`MAX_MESSAGE_BITS`](crate::fixedpoint::MAX_MESSAGE_BITS) (14) bits:
+    /// the decoder carries messages and the two-bit-wider APP values in
+    /// `i16` panels.
     #[must_use]
     pub fn new(format: FixedFormat) -> Self {
         FixedMinSumArithmetic {
             format,
-            app_format: FixedFormat::new((format.word_bits() + 2).min(24), format.frac_bits()),
+            app_format: super::fixed_bp::app_format_for(format),
             simd: None,
         }
     }
@@ -214,36 +229,62 @@ impl FixedMinSumArithmetic {
 }
 
 impl DecoderArithmetic for FixedMinSumArithmetic {
-    type Msg = i32;
+    type Msg = i16;
 
-    fn from_channel(&self, llr: f64) -> i32 {
-        self.format.quantize(llr)
+    fn from_channel(&self, llr: f64) -> i16 {
+        self.format.quantize(llr) as i16
     }
 
-    fn to_llr(&self, m: i32) -> f64 {
-        self.format.dequantize(m)
+    /// One kernel-tier quantisation pass, bit-identical to
+    /// [`DecoderArithmetic::from_channel`] per element.
+    fn from_channel_slice(&self, llrs: &[f64], out: &mut [i16]) {
+        let max = self.format.max_code() as i16;
+        simd::quantize_codes(
+            self.simd_level(),
+            self.format.scale(),
+            max,
+            false,
+            llrs,
+            out,
+        );
     }
 
-    fn zero(&self) -> i32 {
+    fn to_llr(&self, m: i16) -> f64 {
+        self.format.dequantize(i32::from(m))
+    }
+
+    fn zero(&self) -> i16 {
         0
     }
 
-    fn add(&self, a: i32, b: i32) -> i32 {
-        self.app_format.add(a, b)
+    fn add(&self, a: i16, b: i16) -> i16 {
+        self.app_format.add(i32::from(a), i32::from(b)) as i16
     }
 
-    fn sub(&self, a: i32, b: i32) -> i32 {
-        self.format.sub(a, b)
+    fn sub(&self, a: i16, b: i16) -> i16 {
+        self.format.sub(i32::from(a), i32::from(b)) as i16
     }
 
-    fn check_node_update(&self, lambdas: &[i32], out: &mut Vec<i32>) {
+    fn hard_bit(&self, m: i16) -> u8 {
+        u8::from(m < 0)
+    }
+
+    fn termination_threshold(&self, threshold: f64) -> i16 {
+        self.format.threshold_code(threshold)
+    }
+
+    fn exceeds(&self, m: i16, t: i16) -> bool {
+        m.saturating_abs() > t
+    }
+
+    fn check_node_update(&self, lambdas: &[i16], out: &mut Vec<i16>) {
         out.clear();
         if lambdas.is_empty() {
             return;
         }
-        let (core, _) = min_sum_core(lambdas, |x: i32| x.abs() as f64, |x| x < 0);
+        let (core, _) = min_sum_core(lambdas, |x: i16| f64::from(x).abs(), |x| x < 0);
         out.extend(core.into_iter().map(|(mag, neg)| {
-            let mag = self.normalize(self.format.saturate(mag as i64));
+            let mag = self.normalize(self.format.saturate(mag as i64)) as i16;
             if neg {
                 -mag
             } else {
@@ -258,7 +299,7 @@ impl DecoderArithmetic for FixedMinSumArithmetic {
 }
 
 /// Hand-written lane kernel for the fixed-point Min-Sum datapath: the
-/// two-minima trick tracked per lane in four integer scratch lanes
+/// two-minima trick tracked per lane in four `i16` scratch lanes
 /// (min1/min2/argmin-slot/sign-parity), every inner loop a stride-1 sweep of
 /// the `z` lanes (the frame-major engine passes `z · F` lanes per panel).
 /// The minima updates are written in *select* form — `min`/conditional moves
@@ -266,7 +307,7 @@ impl DecoderArithmetic for FixedMinSumArithmetic {
 /// branches, which mispredict heavily on noisy messages — so the whole sweep
 /// is branch-free and vectorises. Bit-identical to the scalar `min_sum_core`
 /// path — the magnitudes are small non-negative integers, on which the scalar
-/// path's `f64` comparisons are exact, and the `i32::MAX` sentinel saturates
+/// path's `f64` comparisons are exact, and the `i16::MAX` sentinel saturates
 /// to `max_code` exactly as the scalar path's `f64::INFINITY` does — while
 /// allocating nothing (the scalar path builds a transient row `Vec` per
 /// check row).
@@ -275,27 +316,27 @@ impl LaneKernel for FixedMinSumArithmetic {
         true
     }
 
-    /// `λ = L − Λ` over a panel, in pure `i32`: the operands are in-range
-    /// APP/message codes (|L| ≤ app max, |Λ| ≤ message max, both far below
-    /// `i32` overflow), so the scalar path's widen-to-`i64`-and-saturate
-    /// reduces to a clamp — dispatched to the instance's kernel tier.
-    fn sub_lanes(&self, app: &[i32], lambda: &[i32], out: &mut [i32]) {
-        let (lo, hi) = (self.format.min_code(), self.format.max_code());
-        simd::sub_lanes_clamp(self.simd_level(), lo, hi, app, lambda, out);
+    /// `λ = L − Λ` over a panel in `i16`: the subtraction saturates (a
+    /// 16-bit APP code minus a message can leave `i16`) before the clamp to
+    /// the message range, which reproduces the scalar path's widened
+    /// saturate — dispatched to the instance's kernel tier.
+    fn sub_lanes(&self, app: &[i16], lambda: &[i16], out: &mut [i16]) {
+        let hi = self.format.max_code() as i16;
+        simd::sub_lanes_clamp(self.simd_level(), -hi, hi, app, lambda, out);
     }
 
-    /// `L = λ + Λ′` over a panel, `i32`-only for the same reason.
-    fn add_lanes(&self, lam: &[i32], upd: &[i32], out: &mut [i32]) {
-        let (lo, hi) = (self.app_format.min_code(), self.app_format.max_code());
-        simd::add_lanes_clamp(self.simd_level(), lo, hi, lam, upd, out);
+    /// `L = λ + Λ′` over a panel (saturating add, clamped to the APP range).
+    fn add_lanes(&self, lam: &[i16], upd: &[i16], out: &mut [i16]) {
+        let hi = self.app_format.max_code() as i16;
+        simd::add_lanes_clamp(self.simd_level(), -hi, hi, lam, upd, out);
     }
 
     fn check_node_update_lanes(
         &self,
         z: usize,
-        lanes_in: &[i32],
-        lanes_out: &mut [i32],
-        scratch: &mut LaneScratch<i32>,
+        lanes_in: &[i16],
+        lanes_out: &mut [i16],
+        scratch: &mut LaneScratch<i16>,
     ) {
         debug_assert_eq!(lanes_in.len(), lanes_out.len());
         debug_assert!(z > 0 && lanes_in.len().is_multiple_of(z));
@@ -308,8 +349,8 @@ impl LaneKernel for FixedMinSumArithmetic {
         let (min1, rest) = buf.split_at_mut(z);
         let (min2, rest) = rest.split_at_mut(z);
         let (argmin, parity) = rest.split_at_mut(z);
-        min1.fill(i32::MAX);
-        min2.fill(i32::MAX);
+        min1.fill(i16::MAX);
+        min2.fill(i16::MAX);
         argmin.fill(0);
         parity.fill(0);
         // Select form of: if a < m1 { m2 = m1; m1 = a; am = slot }
@@ -317,7 +358,7 @@ impl LaneKernel for FixedMinSumArithmetic {
         // (a == m1 keeps the earlier argmin), no branches; one
         // tier-dispatched panel sweep per slot.
         for (slot, inc) in lanes_in.chunks_exact(z).enumerate() {
-            simd::min_sum_track(level, slot as i32, inc, min1, min2, argmin, parity);
+            simd::min_sum_track(level, slot as i16, inc, min1, min2, argmin, parity);
         }
         // Output pass: second minimum at the argmin, first elsewhere. The
         // magnitudes are non-negative (abs codes or the MAX sentinel), so
@@ -330,8 +371,8 @@ impl LaneKernel for FixedMinSumArithmetic {
         {
             simd::min_sum_emit(
                 level,
-                slot as i32,
-                self.format.max_code(),
+                slot as i16,
+                self.format.max_code() as i16,
                 inc,
                 min1,
                 min2,
@@ -432,7 +473,7 @@ mod tests {
         // Includes ties in magnitude (the argmin must keep first-wins
         // semantics) and saturated codes.
         let msg = |i: usize| {
-            let v = ((i as i32 * 29) % 255) - 127;
+            let v = ((i as i16 * 29) % 255) - 127;
             if i.is_multiple_of(11) {
                 v.signum().max(1) * 127
             } else {
@@ -451,6 +492,12 @@ mod tests {
                 -12
             }
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than 14 bits")]
+    fn fixed_min_sum_rejects_message_formats_wider_than_14_bits() {
+        let _ = FixedMinSumArithmetic::new(FixedFormat::new(16, 2));
     }
 
     #[test]
@@ -473,14 +520,14 @@ mod tests {
         let fmt = fx.format();
         let fl = FloatMinSumArithmetic::default();
         let row_f = [2.0, -3.0, 1.0, 4.0];
-        let row_c: Vec<i32> = row_f.iter().map(|&x| fmt.quantize(x)).collect();
+        let row_c: Vec<i16> = row_f.iter().map(|&x| fmt.quantize(x) as i16).collect();
         let (mut out_c, mut out_f) = (Vec::new(), Vec::new());
         fx.check_node_update(&row_c, &mut out_c);
         fl.check_node_update(&row_f, &mut out_f);
         for (c, f) in out_c.iter().zip(&out_f) {
             // α = 0.75 on exact multiples of 0.25 stays exact unless the
             // shift-and-subtract rounding differs by one LSB.
-            assert!((fmt.dequantize(*c) - f).abs() <= 0.25 + 1e-12);
+            assert!((fmt.dequantize(i32::from(*c)) - f).abs() <= 0.25 + 1e-12);
         }
     }
 }

@@ -45,6 +45,21 @@ pub trait DecoderArithmetic {
     #[allow(clippy::wrong_self_convention)]
     fn from_channel(&self, llr: f64) -> Self::Msg;
 
+    /// [`DecoderArithmetic::from_channel`] over a slice:
+    /// `out[i] = from_channel(llrs[i])`. The fixed-point back-ends override
+    /// it with one kernel-tier quantisation pass.
+    ///
+    /// # Panics
+    ///
+    /// May panic if the slices differ in length.
+    #[allow(clippy::wrong_self_convention)]
+    fn from_channel_slice(&self, llrs: &[f64], out: &mut [Self::Msg]) {
+        debug_assert_eq!(llrs.len(), out.len());
+        for (o, &l) in out.iter_mut().zip(llrs) {
+            *o = self.from_channel(l);
+        }
+    }
+
     /// Converts a message back into an LLR value (for thresholds, reporting
     /// and hard decisions).
     fn to_llr(&self, m: Self::Msg) -> f64;
@@ -69,11 +84,23 @@ pub trait DecoderArithmetic {
         u8::from(self.to_llr(m) < 0.0)
     }
 
-    /// Absolute LLR value of a message (drives the early-termination
-    /// threshold test).
+    /// Absolute LLR value of a message.
     fn magnitude(&self, m: Self::Msg) -> f64 {
         self.to_llr(m).abs()
     }
+
+    /// An early-termination LLR threshold converted once into the message
+    /// domain: the value `t` for which [`DecoderArithmetic::exceeds`]`(m, t)`
+    /// holds exactly when `magnitude(m) > threshold`, for every message `m`.
+    /// Only called with thresholds below `+∞` (a larger or NaN threshold can
+    /// never be exceeded, and the decode drivers skip the test).
+    fn termination_threshold(&self, threshold: f64) -> Self::Msg;
+
+    /// The early-termination magnitude test `magnitude(m) > threshold`, in
+    /// the message domain (`t` from
+    /// [`DecoderArithmetic::termination_threshold`]). A NaN message passes,
+    /// as it never lowers the minimum `|LLR|` the rule compares.
+    fn exceeds(&self, m: Self::Msg, t: Self::Msg) -> bool;
 
     /// Check-node update (Eq. 1 of the paper for BP): given the incoming
     /// variable-to-check messages `λ_mj` of one check row, computes the
@@ -112,5 +139,24 @@ pub(crate) mod test_support {
         assert_eq!(out.len(), 2);
         assert_eq!(arith.hard_bit(out[0]), arith.hard_bit(b));
         assert_eq!(arith.hard_bit(out[1]), arith.hard_bit(a));
+        // The message-domain threshold test agrees with the LLR-domain one.
+        for threshold in [0.0, 1.0, 2.9, 3.0, 3.1] {
+            let t = arith.termination_threshold(threshold);
+            for m in [a, b, zero, sum] {
+                assert_eq!(arith.exceeds(m, t), arith.magnitude(m) > threshold);
+            }
+        }
+        // The slice conversion matches the element conversion.
+        let llrs = [3.0, -1.5, 0.0, -0.0, 0.01, -40.0, f64::NAN];
+        let mut slice = vec![zero; llrs.len()];
+        arith.from_channel_slice(&llrs, &mut slice);
+        for (&l, &m) in llrs.iter().zip(&slice) {
+            // Debug formatting compares NaN messages equal.
+            assert_eq!(
+                format!("{m:?}"),
+                format!("{:?}", arith.from_channel(l)),
+                "{l}"
+            );
+        }
     }
 }

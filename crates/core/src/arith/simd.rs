@@ -1,29 +1,33 @@
 //! Explicit-SIMD panel kernels with once-per-process runtime dispatch.
 //!
-//! The [`LaneKernel`](super::LaneKernel) slice kernels process
-//! `z · F`-lane panels through
-//! branch-free scalar `i32` loops and rely on the compiler to auto-vectorise
-//! them. This module is the tier below: hand-written `std::arch` intrinsics
-//! for the fixed-point panel hot loops, selected **once per process** by
-//! [`active_level`] (runtime CPU feature detection on stable Rust — no
-//! nightly, no compile-time `-C target-cpu` requirement) and always
-//! bit-identical to the scalar panel reference:
+//! The fixed-point [`LaneKernel`](super::LaneKernel) slice kernels process
+//! `z · F`-lane panels of **`i16` codes** (every message format up to
+//! 14 bits, and its 16-bit APP memory, fits). This module is the tier below:
+//! hand-written `std::arch` intrinsics for the panel hot loops, selected
+//! **once per process** by [`active_level`] (runtime CPU feature detection
+//! on stable Rust — no nightly, no compile-time `-C target-cpu`
+//! requirement) and always bit-identical to the scalar panel reference:
 //!
-//! * **AVX2** — 8-lane `i32` vectors, and the one thing auto-vectorisation
-//!   can never produce from the scalar loops: true hardware gathers
-//!   (`vpgatherdd`, [`_mm256_i32gather_epi32`]) through the dense
-//!   [`CorrectionLut`] table. At this width the whole ⊞/⊟ operator *fuses*
-//!   into a single register-resident pass ([`boxplus_panel`] /
-//!   [`boxminus_panel`]): magnitude split, both LUT gathers and the
-//!   sign/saturate combine with no round-trips through the `LaneScratch`
-//!   panels.
-//! * **SSE4.1** — 4-lane vectors for the split/combine/minima/`sub`/`add`
-//!   passes. SSE has no gather, so the LUT pass stays the scalar
-//!   clamped-index loop and the three-pass structure is kept.
-//! * **Scalar** — the universal fallback: exactly the branch-free loops the
-//!   auto-vectorised panel tier has always run (kept in [`mod@self`] as the
+//! * **AVX2** — 16-lane `epi16` vectors. When a correction table's dense
+//!   form fits in 16 bytes (the paper's Q6.2/3-bit tables have 9 entries)
+//!   the LUT fetch is one `vpshufb` ([`_mm256_shuffle_epi8`]) per vector,
+//!   so the whole ⊞/⊟ operator *fuses* into a single register-resident
+//!   pass ([`boxplus_panel`] / [`boxminus_panel`]): magnitude split, both
+//!   table lookups and the sign/saturate combine with no round-trips
+//!   through the `LaneScratch` panels. Channel quantisation
+//!   ([`quantize_codes`]) runs four `f64` lanes at a time.
+//! * **SSE4.1** — the same kernels on 8-lane `epi16` vectors; `pshufb`
+//!   ([`_mm_shuffle_epi8`]) is available here too, so this tier fuses as
+//!   well.
+//! * **Scalar** — the universal fallback: branch-free loops that mirror
+//!   the vector instructions lane by lane (kept in [`mod@self`] as the
 //!   bit-identity reference), used on non-x86 targets, on CPUs without
 //!   SSE4.1, and whenever `LDPC_FORCE_SCALAR` is set.
+//!
+//! Formats whose dense table is larger than 16 entries (and the scalar
+//! tier) keep the three-pass structure: magnitude split, clamped-index
+//! lookup through the dense `i16` table, sign/saturate combine — branch-free
+//! scalar loops the compiler vectorises around the lookup.
 //!
 //! # Dispatch
 //!
@@ -49,27 +53,34 @@
 //!    at [`detected_level`], so the ISA extension is guaranteed present.
 //! 2. **Raw-pointer panel loads/stores** — every kernel asserts all its
 //!    slices share one length `n` on entry, and every pointer access is at
-//!    offset `i + WIDTH ≤ n`; ragged tails (`n mod WIDTH`) are delegated to
-//!    the safe scalar reference on sub-slices.
+//!    offset `i + WIDTH ≤ n`: a ragged end is covered by one overlapping
+//!    vector at `n − WIDTH`, and panels shorter than one vector go to the
+//!    safe scalar reference. The 16-byte shuffle table is a `&[u8; 16]`, so
+//!    its one load is in-bounds by type.
 //!
-//! The gather index vector is clamped with an **unsigned** min against
-//! `dense.len() − 1` before every `vpgatherdd`, so each gathered address is
-//! in-bounds for any `i32` input, exactly mirroring the scalar
-//! `dense[(x as usize).min(last)]` (negative codes wrap to huge unsigned
-//! values and clamp to the saturation entry on both paths).
+//! `pshufb` never reads memory: each lane's shuffle index is clamped with
+//! an **unsigned** 16-bit min against 15 and its high byte forced to `0x80`
+//! (which zeroes the high result byte), so every lane selects a table byte
+//! `0..=15` — mirroring the scalar `table[min(x as u16, 15)]` (the table is
+//! padded with its saturation entry, so this equals
+//! `dense[min(x, dense.len() − 1)]`).
 //!
 //! # Bit-identity contract
 //!
 //! Every kernel here produces, for every lane, exactly the bytes the scalar
-//! panel reference produces — same clamps in the same order, same sign rule,
-//! same tie semantics in the minima tracking. The contract is pinned by the
-//! unit tests below, by `tests/integration_simd.rs` (exhaustive dense-LUT
-//! domain sweep, boundary/saturation sweeps, ragged tails, full-decoder
-//! bit-identity across levels) and by the `LDPC_FORCE_SCALAR=1` CI leg
-//! running the whole suite on the fallback path.
+//! panel reference produces: the scalar loops use the lane semantics of the
+//! vector instructions (wrapping adds, saturating `L − Λ`, unsigned index
+//! clamps, the same first-wins tie rule in the minima tracking). On the
+//! decoder's domain (message codes up to 14 bits, APP codes up to 16) they
+//! also equal the `i32` row-serial arithmetic. The contract is pinned by the
+//! unit tests below, by `tests/integration_simd.rs` (an exhaustive sweep of
+//! the code domain per format, boundary/saturation sweeps, ragged tails,
+//! full-decoder bit-identity across levels) and by the
+//! `LDPC_FORCE_SCALAR=1` CI leg running the whole suite on the fallback
+//! path.
 //!
-//! [`_mm256_i32gather_epi32`]: core::arch::x86_64::_mm256_i32gather_epi32
-//! [`CorrectionLut`]: crate::lut::CorrectionLut
+//! [`_mm256_shuffle_epi8`]: core::arch::x86_64::_mm256_shuffle_epi8
+//! [`_mm_shuffle_epi8`]: core::arch::x86_64::_mm_shuffle_epi8
 
 #![allow(clippy::too_many_arguments)]
 
@@ -86,10 +97,9 @@ use std::sync::OnceLock;
 pub enum SimdLevel {
     /// The branch-free scalar panel loops (auto-vectorised by the compiler).
     Scalar,
-    /// 4-lane `i32` SSE4.1 kernels (scalar LUT gather — SSE has none).
+    /// 8-lane `i16` SSE4.1 kernels with `pshufb` LUT lookups.
     Sse41,
-    /// 8-lane `i32` AVX2 kernels with `vpgatherdd` LUT gathers and fused
-    /// ⊞/⊟ panels.
+    /// 16-lane `i16` AVX2 kernels with `vpshufb` LUT lookups.
     Avx2,
 }
 
@@ -188,27 +198,54 @@ macro_rules! assert_same_len {
     };
 }
 
+/// `pred(0.5)`: adding it with the operand's sign and truncating rounds to
+/// the nearest integer with ties away from zero (`f64::round`) for every
+/// `|x| < 2^52`, without a libm call.
+const HALF_DOWN: f64 = 0.499_999_999_999_999_94;
+
 // ---------------------------------------------------------------------------
 // Scalar reference implementations
 // ---------------------------------------------------------------------------
 
 /// The branch-free scalar panel loops — the bit-identity reference every
 /// vector kernel is pinned against, and the universal dispatch fallback.
-/// These are exactly the loops the auto-vectorised panel tier has always
-/// run (moved here from `fixed_bp.rs`/`min_sum.rs` when the explicit-SIMD
-/// tier landed).
+/// Each loop applies, per lane, the lane semantics of the vector
+/// instructions the SIMD tiers use.
 pub(crate) mod scalar {
+    use super::HALF_DOWN;
+
+    /// The fused ⊞/⊟ core of one lane: `lut` maps a magnitude to its
+    /// correction. `MINUS` selects ⊟ (corrections swapped, floor 0, the
+    /// correction difference added with saturation).
+    #[inline(always)]
+    fn box_lane<const MINUS: bool>(max_code: i16, a: i16, b: i16, lut: impl Fn(i16) -> i16) -> i16 {
+        let (aa, ab) = (a.wrapping_abs(), b.wrapping_abs());
+        let mn = aa.min(ab);
+        let sm = aa.wrapping_add(ab).min(max_code);
+        let df = aa.wrapping_sub(ab).wrapping_abs();
+        let (cs, cd) = (lut(sm), lut(df));
+        let mag = if MINUS {
+            mn.saturating_add(cd.wrapping_sub(cs)).clamp(0, max_code)
+        } else {
+            mn.wrapping_add(cs).wrapping_sub(cd).clamp(1, max_code)
+        };
+        if (a ^ b) < 0 {
+            -mag
+        } else {
+            mag
+        }
+    }
+
     /// Pass 1 of the ⊞/⊟ decomposition: per lane, the minimum, the
     /// format-saturated sum and the absolute difference of the two input
-    /// magnitudes. Inputs are in-range message codes (`|x| ≤ max_code`), so
-    /// `aa + ab` cannot overflow and the sum saturation reduces to a `min`.
+    /// magnitudes.
     pub(crate) fn magnitude_split(
-        max_code: i32,
-        a: &[i32],
-        b: &[i32],
-        mins: &mut [i32],
-        sums: &mut [i32],
-        diffs: &mut [i32],
+        max_code: i16,
+        a: &[i16],
+        b: &[i16],
+        mins: &mut [i16],
+        sums: &mut [i16],
+        diffs: &mut [i16],
     ) {
         for ((((&a, &b), mn), sm), df) in a
             .iter()
@@ -217,24 +254,23 @@ pub(crate) mod scalar {
             .zip(sums.iter_mut())
             .zip(diffs.iter_mut())
         {
-            let (aa, ab) = (a.abs(), b.abs());
+            let (aa, ab) = (a.wrapping_abs(), b.wrapping_abs());
             *mn = aa.min(ab);
-            *sm = (aa + ab).min(max_code);
-            *df = (aa - ab).abs();
+            *sm = aa.wrapping_add(ab).min(max_code);
+            *df = aa.wrapping_sub(ab).wrapping_abs();
         }
     }
 
     /// Pass 3 of the ⊞: combines the min lane with the LUT-corrected
-    /// sum/diff lanes, magnitude floored at one LSB, sign applied as
-    /// `((a ^ b) >> 31) | 1` (±1) — no per-element branch.
+    /// sum/diff lanes, magnitude floored at one LSB, sign of `a ^ b`.
     pub(crate) fn combine_plus(
-        max_code: i32,
-        a: &[i32],
-        b: &[i32],
-        mins: &[i32],
-        corr_sums: &[i32],
-        corr_diffs: &[i32],
-        out: &mut [i32],
+        max_code: i16,
+        a: &[i16],
+        b: &[i16],
+        mins: &[i16],
+        corr_sums: &[i16],
+        corr_diffs: &[i16],
+        out: &mut [i16],
     ) {
         for (((((&a, &b), &mn), &cs), &cd), o) in a
             .iter()
@@ -244,20 +280,20 @@ pub(crate) mod scalar {
             .zip(corr_diffs)
             .zip(out.iter_mut())
         {
-            let magnitude = (mn + cs - cd).clamp(1, max_code);
-            *o = (((a ^ b) >> 31) | 1) * magnitude;
+            let mag = mn.wrapping_add(cs).wrapping_sub(cd).clamp(1, max_code);
+            *o = if (a ^ b) < 0 { -mag } else { mag };
         }
     }
 
     /// In-place [`combine_plus`] for the running ⊞ accumulator
     /// (`acc = acc ⊞ b`; the sign still reads the pre-update `acc`).
     pub(crate) fn combine_plus_assign(
-        max_code: i32,
-        acc: &mut [i32],
-        b: &[i32],
-        mins: &[i32],
-        corr_sums: &[i32],
-        corr_diffs: &[i32],
+        max_code: i16,
+        acc: &mut [i16],
+        b: &[i16],
+        mins: &[i16],
+        corr_sums: &[i16],
+        corr_diffs: &[i16],
     ) {
         for ((((acc, &b), &mn), &cs), &cd) in acc
             .iter_mut()
@@ -266,20 +302,22 @@ pub(crate) mod scalar {
             .zip(corr_sums)
             .zip(corr_diffs)
         {
-            let magnitude = (mn + cs - cd).clamp(1, max_code);
-            *acc = (((*acc ^ b) >> 31) | 1) * magnitude;
+            let mag = mn.wrapping_add(cs).wrapping_sub(cd).clamp(1, max_code);
+            *acc = if (*acc ^ b) < 0 { -mag } else { mag };
         }
     }
 
-    /// Pass 3 of the ⊟ (magnitude floored at 0, not 1).
+    /// Pass 3 of the ⊟: magnitude floored at 0, and the correction
+    /// difference `cd − cs` (non-negative for the monotone tables) added
+    /// with saturation, so a 16-bit correction never wraps the sum.
     pub(crate) fn combine_minus(
-        max_code: i32,
-        a: &[i32],
-        b: &[i32],
-        mins: &[i32],
-        corr_sums: &[i32],
-        corr_diffs: &[i32],
-        out: &mut [i32],
+        max_code: i16,
+        a: &[i16],
+        b: &[i16],
+        mins: &[i16],
+        corr_sums: &[i16],
+        corr_diffs: &[i16],
+        out: &mut [i16],
     ) {
         for (((((&a, &b), &mn), &cs), &cd), o) in a
             .iter()
@@ -289,106 +327,102 @@ pub(crate) mod scalar {
             .zip(corr_diffs)
             .zip(out.iter_mut())
         {
-            let magnitude = (mn - cs + cd).clamp(0, max_code);
-            *o = (((a ^ b) >> 31) | 1) * magnitude;
+            let mag = mn.saturating_add(cd.wrapping_sub(cs)).clamp(0, max_code);
+            *o = if (a ^ b) < 0 { -mag } else { mag };
         }
     }
 
-    /// Dense-table LUT gather: `out[i] = dense[min(xs[i], last)]` with the
-    /// index clamp in unsigned/`usize` space (negative codes clamp to the
-    /// saturation entry).
-    pub(crate) fn lut_gather_dense(dense: &[i32], xs: &[i32], out: &mut [i32]) {
-        let last = dense.len() - 1;
-        for (o, &x) in out.iter_mut().zip(xs) {
-            *o = dense[(x as usize).min(last)];
-        }
-    }
-
-    /// In-place [`lut_gather_dense`].
-    pub(crate) fn lut_map_dense(dense: &[i32], xs: &mut [i32]) {
+    /// Dense-table lookup in place: `xs[i] = dense[min(xs[i] as u16, last)]`
+    /// (index clamp in unsigned space).
+    pub(crate) fn lut_map_dense(dense: &[i16], xs: &mut [i16]) {
         let last = dense.len() - 1;
         for x in xs.iter_mut() {
-            *x = dense[(*x as usize).min(last)];
+            *x = dense[usize::from(*x as u16).min(last)];
         }
     }
 
-    /// Fused dense-LUT ⊞ over a panel — the scalar twin of the AVX2 gather
-    /// kernel, used for its ragged tail. Bit-identical to
-    /// `magnitude_split` + two `lut_gather_dense` + `combine_plus`.
-    pub(crate) fn boxplus_dense(
-        dense: &[i32],
-        max_code: i32,
-        a: &[i32],
-        b: &[i32],
-        out: &mut [i32],
+    /// One lane of the 16-byte shuffle-table lookup.
+    #[inline(always)]
+    fn shuffle_lane(table: &[u8; 16], x: i16) -> i16 {
+        i16::from(table[usize::from((x as u16).min(15))])
+    }
+
+    /// Shuffle-table lookup in place: `xs[i] = table[min(xs[i] as u16, 15)]`.
+    pub(crate) fn lut_shuffle_map(table: &[u8; 16], xs: &mut [i16]) {
+        for x in xs.iter_mut() {
+            *x = shuffle_lane(table, *x);
+        }
+    }
+
+    /// Fused shuffle-table ⊞ over a panel — the scalar twin of the vector
+    /// kernel, used for panels shorter than one vector.
+    pub(crate) fn boxplus_shuffle(
+        table: &[u8; 16],
+        max_code: i16,
+        a: &[i16],
+        b: &[i16],
+        out: &mut [i16],
     ) {
-        let last = dense.len() - 1;
         for ((&a, &b), o) in a.iter().zip(b).zip(out.iter_mut()) {
-            let (aa, ab) = (a.abs(), b.abs());
-            let mn = aa.min(ab);
-            let sm = (aa + ab).min(max_code);
-            let df = (aa - ab).abs();
-            let magnitude = (mn + dense[(sm as usize).min(last)] - dense[(df as usize).min(last)])
-                .clamp(1, max_code);
-            *o = (((a ^ b) >> 31) | 1) * magnitude;
+            *o = box_lane::<false>(max_code, a, b, |x| shuffle_lane(table, x));
         }
     }
 
-    /// In-place fused dense-LUT ⊞ (`acc = acc ⊞ b`).
-    pub(crate) fn boxplus_assign_dense(dense: &[i32], max_code: i32, acc: &mut [i32], b: &[i32]) {
-        let last = dense.len() - 1;
+    /// In-place fused shuffle-table ⊞ (`acc = acc ⊞ b`).
+    pub(crate) fn boxplus_assign_shuffle(
+        table: &[u8; 16],
+        max_code: i16,
+        acc: &mut [i16],
+        b: &[i16],
+    ) {
         for (acc, &b) in acc.iter_mut().zip(b) {
-            let a = *acc;
-            let (aa, ab) = (a.abs(), b.abs());
-            let mn = aa.min(ab);
-            let sm = (aa + ab).min(max_code);
-            let df = (aa - ab).abs();
-            let magnitude = (mn + dense[(sm as usize).min(last)] - dense[(df as usize).min(last)])
-                .clamp(1, max_code);
-            *acc = (((a ^ b) >> 31) | 1) * magnitude;
+            *acc = box_lane::<false>(max_code, *acc, b, |x| shuffle_lane(table, x));
         }
     }
 
-    /// Fused dense-LUT ⊟ over a panel (corrections swapped, floor 0).
-    pub(crate) fn boxminus_dense(
-        dense: &[i32],
-        max_code: i32,
-        a: &[i32],
-        b: &[i32],
-        out: &mut [i32],
+    /// Fused shuffle-table ⊟ over a panel.
+    pub(crate) fn boxminus_shuffle(
+        table: &[u8; 16],
+        max_code: i16,
+        a: &[i16],
+        b: &[i16],
+        out: &mut [i16],
     ) {
-        let last = dense.len() - 1;
         for ((&a, &b), o) in a.iter().zip(b).zip(out.iter_mut()) {
-            let (aa, ab) = (a.abs(), b.abs());
-            let mn = aa.min(ab);
-            let sm = (aa + ab).min(max_code);
-            let df = (aa - ab).abs();
-            let magnitude = (mn - dense[(sm as usize).min(last)] + dense[(df as usize).min(last)])
-                .clamp(0, max_code);
-            *o = (((a ^ b) >> 31) | 1) * magnitude;
+            *o = box_lane::<true>(max_code, a, b, |x| shuffle_lane(table, x));
         }
     }
 
-    /// `λ = L − Λ` clamp with the fixed-BP ±1-LSB zero remap in select form.
-    pub(crate) fn sub_lanes_remap(lo: i32, hi: i32, app: &[i32], lambda: &[i32], out: &mut [i32]) {
+    /// `λ = L − Λ` with saturating subtraction (a 16-bit APP code minus a
+    /// message code can leave `i16`), clamped to `[lo, hi]`, with the
+    /// fixed-BP ±1-LSB zero remap in select form.
+    pub(crate) fn sub_lanes_remap(lo: i16, hi: i16, app: &[i16], lambda: &[i16], out: &mut [i16]) {
         for ((o, &a), &b) in out.iter_mut().zip(app).zip(lambda) {
-            let r = (a - b).clamp(lo, hi);
-            let zero_remap = (a >> 31) | 1;
+            let r = a.saturating_sub(b).clamp(lo, hi);
+            let zero_remap = (a >> 15) | 1;
             *o = if r == 0 { zero_remap } else { r };
         }
     }
 
-    /// Plain `λ = L − Λ` clamp (fixed Min-Sum).
-    pub(crate) fn sub_lanes_clamp(lo: i32, hi: i32, app: &[i32], lambda: &[i32], out: &mut [i32]) {
+    /// Plain saturating `λ = L − Λ` clamp (fixed Min-Sum).
+    pub(crate) fn sub_lanes_clamp(lo: i16, hi: i16, app: &[i16], lambda: &[i16], out: &mut [i16]) {
         for ((o, &a), &b) in out.iter_mut().zip(app).zip(lambda) {
-            *o = (a - b).clamp(lo, hi);
+            *o = a.saturating_sub(b).clamp(lo, hi);
         }
     }
 
-    /// `L = λ + Λ′` clamp to the (wider) APP range.
-    pub(crate) fn add_lanes_clamp(lo: i32, hi: i32, lam: &[i32], upd: &[i32], out: &mut [i32]) {
+    /// Saturating `L = λ + Λ′` clamp to the (wider) APP range.
+    pub(crate) fn add_lanes_clamp(lo: i16, hi: i16, lam: &[i16], upd: &[i16], out: &mut [i16]) {
         for ((o, &a), &b) in out.iter_mut().zip(lam).zip(upd) {
-            *o = (a + b).clamp(lo, hi);
+            *o = a.saturating_add(b).clamp(lo, hi);
+        }
+    }
+
+    /// `i32` add-clamp (`out = clamp(a + b, lo, hi)`, wrapping add) — the
+    /// HARQ combiner's saturate-on-read pass.
+    pub(crate) fn add_lanes_clamp_i32(lo: i32, hi: i32, lam: &[i32], upd: &[i32], out: &mut [i32]) {
+        for ((o, &a), &b) in out.iter_mut().zip(lam).zip(upd) {
+            *o = a.wrapping_add(b).clamp(lo, hi);
         }
     }
 
@@ -396,12 +430,12 @@ pub(crate) mod scalar {
     /// first-wins tie semantics as the row-serial reference (`a == m1`
     /// keeps the earlier argmin), no branches.
     pub(crate) fn min_sum_track(
-        slot: i32,
-        inc: &[i32],
-        min1: &mut [i32],
-        min2: &mut [i32],
-        argmin: &mut [i32],
-        parity: &mut [i32],
+        slot: i16,
+        inc: &[i16],
+        min1: &mut [i16],
+        min2: &mut [i16],
+        argmin: &mut [i16],
+        parity: &mut [i16],
     ) {
         for ((((&l, m1), m2), am), p) in inc
             .iter()
@@ -410,12 +444,12 @@ pub(crate) mod scalar {
             .zip(argmin.iter_mut())
             .zip(parity.iter_mut())
         {
-            let a = l.abs();
+            let a = l.wrapping_abs();
             let displaces = a < *m1;
             *m2 = if displaces { *m1 } else { a.min(*m2) };
             *am = if displaces { slot } else { *am };
             *m1 = a.min(*m1);
-            *p ^= i32::from(l < 0);
+            *p ^= i16::from(l < 0);
         }
     }
 
@@ -424,14 +458,14 @@ pub(crate) mod scalar {
     /// `α = 0.75` shift-and-subtract (`x − (x >> 2)`, matching
     /// `FixedMinSumArithmetic::normalize`), sign = row parity ⊕ own sign.
     pub(crate) fn min_sum_emit(
-        slot: i32,
-        max_code: i32,
-        inc: &[i32],
-        min1: &[i32],
-        min2: &[i32],
-        argmin: &[i32],
-        parity: &[i32],
-        out: &mut [i32],
+        slot: i16,
+        max_code: i16,
+        inc: &[i16],
+        min1: &[i16],
+        min2: &[i16],
+        argmin: &[i16],
+        parity: &[i16],
+        out: &mut [i16],
     ) {
         for (((((o, &l), &m1), &m2), &am), &p) in out
             .iter_mut()
@@ -444,11 +478,47 @@ pub(crate) mod scalar {
             let raw = if am == slot { m2 } else { m1 };
             let mag0 = raw.min(max_code);
             let mag = mag0 - (mag0 >> 2);
-            *o = if (p ^ i32::from(l < 0)) != 0 {
+            *o = if (p ^ i16::from(l < 0)) != 0 {
                 -mag
             } else {
                 mag
             };
+        }
+    }
+
+    /// One channel LLR to a code, exactly `FixedFormat::quantize` (ties away
+    /// from zero, saturation, NaN → 0) followed, when `remap_zero` is set,
+    /// by the fixed-BP zero remap (code 0 → −1 for negative LLRs, +1
+    /// otherwise). `x · 2^F` equals the reference's `x / 2^-F` bit for bit.
+    #[inline(always)]
+    pub(crate) fn quantize_one(scale: f64, max_code: i16, remap_zero: bool, llr: f64) -> i16 {
+        let x = llr * scale;
+        // `as` truncates toward zero, saturates ±∞ and huge values and maps
+        // NaN to 0; the rounding trick is exact below 2^52 and leaves the
+        // integers above it unchanged.
+        let max = i32::from(max_code);
+        let q = ((x + HALF_DOWN.copysign(x)) as i32).clamp(-max, max) as i16;
+        if q == 0 && remap_zero {
+            if llr < 0.0 {
+                -1
+            } else {
+                1
+            }
+        } else {
+            q
+        }
+    }
+
+    /// [`quantize_one`] over a slice.
+    pub(crate) fn quantize_codes(
+        scale: f64,
+        max_code: i16,
+        remap_zero: bool,
+        llrs: &[f64],
+        out: &mut [i16],
+    ) {
+        for (o, &l) in out.iter_mut().zip(llrs) {
+            *o = quantize_one(scale, max_code, remap_zero, l);
         }
     }
 }
@@ -460,244 +530,297 @@ pub(crate) mod scalar {
 /// Stamps out one width-specific x86 kernel module. Every function carries
 /// `#[target_feature(enable = …)]` and is `unsafe` with the single safety
 /// requirement *"the CPU supports this feature"*: all slice lengths are
-/// hard-asserted equal on entry, every raw-pointer access is bounded by
-/// `i + WIDTH ≤ n`, and ragged tails go through the safe scalar reference.
+/// hard-asserted equal on entry and every raw-pointer access is bounded by
+/// `i + WIDTH ≤ n`. Panels shorter than one vector go through the safe
+/// scalar reference; a ragged end is covered by one last vector at
+/// `n − WIDTH`, overlapping the previous one. That vector is computed from
+/// the inputs *before* the main loop runs and stored after it, so it is
+/// exact for the in-place kernels too (every lane depends only on its own
+/// inputs, and the overlapped lanes get the same values twice).
 #[cfg(target_arch = "x86_64")]
 macro_rules! x86_panel_kernels {
     (
         $modname:ident, $feature:literal, $vec:ty, $width:expr,
         $loadu:ident, $storeu:ident, $set1:ident, $setzero:ident,
-        $abs:ident, $min:ident, $max:ident,
-        $add:ident, $sub:ident, $xor:ident, $or:ident,
-        $srli:ident, $srai:ident, $cmpeq:ident, $cmpgt:ident,
-        $blendv:ident, $sign:ident
+        $abs:ident, $min:ident, $max:ident, $minu:ident,
+        $add:ident, $sub:ident, $adds:ident, $subs:ident,
+        $xor:ident, $or:ident, $srli:ident, $srai:ident,
+        $cmpeq:ident, $cmpgt:ident, $blendv:ident, $sign:ident, $shuffle:ident,
+        $table:expr,
+        $set1_32:ident, $add32:ident, $min32:ident, $max32:ident
     ) => {
         mod $modname {
             use super::scalar;
             use core::arch::x86_64::*;
 
             pub(super) const WIDTH: usize = $width;
+            const WIDTH32: usize = $width / 2;
 
+            /// Unaligned vector load of `s[i..i + WIDTH]` (16-bit lanes) or
+            /// `s[i..i + WIDTH32]` (32-bit lanes).
+            ///
             /// # Safety
-            /// The CPU must support the module's target feature.
+            /// The span must be in-bounds and the CPU must support the
+            /// module's target feature.
             #[target_feature(enable = $feature)]
-            pub(super) unsafe fn magnitude_split(
-                max_code: i32,
-                a: &[i32],
-                b: &[i32],
-                mins: &mut [i32],
-                sums: &mut [i32],
-                diffs: &mut [i32],
-            ) {
-                assert_same_len!(a, b, mins, sums, diffs);
-                let n = a.len();
-                let vmax = $set1(max_code);
-                let mut i = 0;
-                while i + WIDTH <= n {
-                    // SAFETY: i + WIDTH ≤ n and all slices have length n.
-                    let va = $loadu(a.as_ptr().add(i).cast());
-                    let vb = $loadu(b.as_ptr().add(i).cast());
-                    let aa = $abs(va);
-                    let ab = $abs(vb);
-                    $storeu(mins.as_mut_ptr().add(i).cast(), $min(aa, ab));
-                    $storeu(sums.as_mut_ptr().add(i).cast(), $min($add(aa, ab), vmax));
-                    $storeu(diffs.as_mut_ptr().add(i).cast(), $abs($sub(aa, ab)));
-                    i += WIDTH;
-                }
-                scalar::magnitude_split(
-                    max_code,
-                    &a[i..],
-                    &b[i..],
-                    &mut mins[i..],
-                    &mut sums[i..],
-                    &mut diffs[i..],
-                );
+            unsafe fn ld<T>(s: &[T], i: usize) -> $vec {
+                $loadu(s.as_ptr().add(i).cast())
             }
 
+            /// Unaligned vector store to `s[i..]`.
+            ///
+            /// # Safety
+            /// As [`ld`].
+            #[target_feature(enable = $feature)]
+            unsafe fn st<T>(s: &mut [T], i: usize, v: $vec) {
+                $storeu(s.as_mut_ptr().add(i).cast(), v)
+            }
+
+            /// The 16-byte table in every 128-bit lane.
+            ///
             /// # Safety
             /// The CPU must support the module's target feature.
             #[target_feature(enable = $feature)]
-            pub(super) unsafe fn combine_plus(
-                max_code: i32,
-                a: &[i32],
-                b: &[i32],
-                mins: &[i32],
-                corr_sums: &[i32],
-                corr_diffs: &[i32],
-                out: &mut [i32],
-            ) {
-                assert_same_len!(a, b, mins, corr_sums, corr_diffs, out);
-                let n = a.len();
-                let vmax = $set1(max_code);
+            unsafe fn load_table(table: &[u8; 16]) -> $vec {
+                // SAFETY: `table` is exactly 16 readable bytes.
+                let t = _mm_loadu_si128(table.as_ptr().cast());
+                $table(t)
+            }
+
+            /// `table[min(x as u16, 15)]` per 16-bit lane: the unsigned min
+            /// bounds the index byte, and the `0x80` high control byte
+            /// zeroes the high result byte.
+            ///
+            /// # Safety
+            /// The CPU must support the module's target feature.
+            #[target_feature(enable = $feature)]
+            unsafe fn lookup(table: $vec, x: $vec) -> $vec {
+                let idx = $minu(x, $set1(15));
+                $shuffle(table, $or(idx, $set1(i16::MIN)))
+            }
+
+            /// The fused ⊞/⊟ core on loaded vectors (lane-for-lane the
+            /// scalar `box_lane`).
+            ///
+            /// # Safety
+            /// The CPU must support the module's target feature.
+            #[target_feature(enable = $feature)]
+            unsafe fn box_core<const MINUS: bool>(
+                table: $vec,
+                vmax: $vec,
+                va: $vec,
+                vb: $vec,
+            ) -> $vec {
                 let vone = $set1(1);
-                let mut i = 0;
-                while i + WIDTH <= n {
-                    // SAFETY: i + WIDTH ≤ n and all slices have length n.
-                    let va = $loadu(a.as_ptr().add(i).cast());
-                    let vb = $loadu(b.as_ptr().add(i).cast());
-                    let mn = $loadu(mins.as_ptr().add(i).cast());
-                    let cs = $loadu(corr_sums.as_ptr().add(i).cast());
-                    let cd = $loadu(corr_diffs.as_ptr().add(i).cast());
-                    let mag = $max($min($sub($add(mn, cs), cd), vmax), vone);
-                    // `(a ^ b) | 1` is never zero and carries the sign of
-                    // `a ^ b`, so the sign-select reproduces
-                    // `(((a ^ b) >> 31) | 1) * mag` exactly.
-                    let s = $or($xor(va, vb), vone);
-                    $storeu(out.as_mut_ptr().add(i).cast(), $sign(mag, s));
-                    i += WIDTH;
-                }
-                scalar::combine_plus(
-                    max_code,
-                    &a[i..],
-                    &b[i..],
-                    &mins[i..],
-                    &corr_sums[i..],
-                    &corr_diffs[i..],
-                    &mut out[i..],
-                );
+                let aa = $abs(va);
+                let ab = $abs(vb);
+                let mn = $min(aa, ab);
+                let sm = $min($add(aa, ab), vmax);
+                let df = $abs($sub(aa, ab));
+                let cs = lookup(table, sm);
+                let cd = lookup(table, df);
+                let mag = if MINUS {
+                    $max($min($adds(mn, $sub(cd, cs)), vmax), $setzero())
+                } else {
+                    $max($min($sub($add(mn, cs), cd), vmax), vone)
+                };
+                // `(a ^ b) | 1` is never zero and carries the sign of `a ^ b`.
+                $sign(mag, $or($xor(va, vb), vone))
             }
 
             /// # Safety
             /// The CPU must support the module's target feature.
             #[target_feature(enable = $feature)]
-            pub(super) unsafe fn combine_plus_assign(
-                max_code: i32,
-                acc: &mut [i32],
-                b: &[i32],
-                mins: &[i32],
-                corr_sums: &[i32],
-                corr_diffs: &[i32],
+            pub(super) unsafe fn boxplus_shuffle(
+                table: &[u8; 16],
+                max_code: i16,
+                a: &[i16],
+                b: &[i16],
+                out: &mut [i16],
             ) {
-                assert_same_len!(acc, b, mins, corr_sums, corr_diffs);
+                assert_same_len!(a, b, out);
+                let n = a.len();
+                if n < WIDTH {
+                    return scalar::boxplus_shuffle(table, max_code, a, b, out);
+                }
+                let (t, vmax) = (load_table(table), $set1(max_code));
+                // SAFETY (all accesses): every offset is ≤ n − WIDTH.
+                let op = |i| box_core::<false>(t, vmax, ld(a, i), ld(b, i));
+                let tail = op(n - WIDTH);
+                let mut i = 0;
+                while i + WIDTH <= n {
+                    st(out, i, op(i));
+                    i += WIDTH;
+                }
+                st(out, n - WIDTH, tail);
+            }
+
+            /// # Safety
+            /// The CPU must support the module's target feature.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn boxplus_assign_shuffle(
+                table: &[u8; 16],
+                max_code: i16,
+                acc: &mut [i16],
+                b: &[i16],
+            ) {
+                assert_same_len!(acc, b);
                 let n = acc.len();
-                let vmax = $set1(max_code);
-                let vone = $set1(1);
+                if n < WIDTH {
+                    return scalar::boxplus_assign_shuffle(table, max_code, acc, b);
+                }
+                let (t, vmax) = (load_table(table), $set1(max_code));
+                // SAFETY (all accesses): every offset is ≤ n − WIDTH; each
+                // span of `acc` is loaded before it is stored.
+                let tail = box_core::<false>(t, vmax, ld(acc, n - WIDTH), ld(b, n - WIDTH));
                 let mut i = 0;
                 while i + WIDTH <= n {
-                    // SAFETY: i + WIDTH ≤ n; the load of `acc` happens
-                    // before the store to the same span.
-                    let va = $loadu(acc.as_ptr().add(i).cast());
-                    let vb = $loadu(b.as_ptr().add(i).cast());
-                    let mn = $loadu(mins.as_ptr().add(i).cast());
-                    let cs = $loadu(corr_sums.as_ptr().add(i).cast());
-                    let cd = $loadu(corr_diffs.as_ptr().add(i).cast());
-                    let mag = $max($min($sub($add(mn, cs), cd), vmax), vone);
-                    let s = $or($xor(va, vb), vone);
-                    $storeu(acc.as_mut_ptr().add(i).cast(), $sign(mag, s));
+                    let r = box_core::<false>(t, vmax, ld(acc, i), ld(b, i));
+                    st(acc, i, r);
                     i += WIDTH;
                 }
-                scalar::combine_plus_assign(
-                    max_code,
-                    &mut acc[i..],
-                    &b[i..],
-                    &mins[i..],
-                    &corr_sums[i..],
-                    &corr_diffs[i..],
-                );
+                st(acc, n - WIDTH, tail);
             }
 
             /// # Safety
             /// The CPU must support the module's target feature.
             #[target_feature(enable = $feature)]
-            pub(super) unsafe fn combine_minus(
-                max_code: i32,
-                a: &[i32],
-                b: &[i32],
-                mins: &[i32],
-                corr_sums: &[i32],
-                corr_diffs: &[i32],
-                out: &mut [i32],
+            pub(super) unsafe fn boxminus_shuffle(
+                table: &[u8; 16],
+                max_code: i16,
+                a: &[i16],
+                b: &[i16],
+                out: &mut [i16],
             ) {
-                assert_same_len!(a, b, mins, corr_sums, corr_diffs, out);
+                assert_same_len!(a, b, out);
                 let n = a.len();
-                let vmax = $set1(max_code);
-                let vone = $set1(1);
-                let vzero = $setzero();
+                if n < WIDTH {
+                    return scalar::boxminus_shuffle(table, max_code, a, b, out);
+                }
+                let (t, vmax) = (load_table(table), $set1(max_code));
+                // SAFETY (all accesses): every offset is ≤ n − WIDTH.
+                let op = |i| box_core::<true>(t, vmax, ld(a, i), ld(b, i));
+                let tail = op(n - WIDTH);
                 let mut i = 0;
                 while i + WIDTH <= n {
-                    // SAFETY: i + WIDTH ≤ n and all slices have length n.
-                    let va = $loadu(a.as_ptr().add(i).cast());
-                    let vb = $loadu(b.as_ptr().add(i).cast());
-                    let mn = $loadu(mins.as_ptr().add(i).cast());
-                    let cs = $loadu(corr_sums.as_ptr().add(i).cast());
-                    let cd = $loadu(corr_diffs.as_ptr().add(i).cast());
-                    let mag = $max($min($add($sub(mn, cs), cd), vmax), vzero);
-                    let s = $or($xor(va, vb), vone);
-                    $storeu(out.as_mut_ptr().add(i).cast(), $sign(mag, s));
+                    st(out, i, op(i));
                     i += WIDTH;
                 }
-                scalar::combine_minus(
-                    max_code,
-                    &a[i..],
-                    &b[i..],
-                    &mins[i..],
-                    &corr_sums[i..],
-                    &corr_diffs[i..],
-                    &mut out[i..],
-                );
+                st(out, n - WIDTH, tail);
+            }
+
+            /// # Safety
+            /// The CPU must support the module's target feature.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn lut_shuffle_map(table: &[u8; 16], xs: &mut [i16]) {
+                let n = xs.len();
+                if n < WIDTH {
+                    return scalar::lut_shuffle_map(table, xs);
+                }
+                let t = load_table(table);
+                // SAFETY (all accesses): every offset is ≤ n − WIDTH; each
+                // span is loaded before it is stored.
+                let tail = lookup(t, ld(xs, n - WIDTH));
+                let mut i = 0;
+                while i + WIDTH <= n {
+                    let r = lookup(t, ld(xs, i));
+                    st(xs, i, r);
+                    i += WIDTH;
+                }
+                st(xs, n - WIDTH, tail);
             }
 
             /// # Safety
             /// The CPU must support the module's target feature.
             #[target_feature(enable = $feature)]
             pub(super) unsafe fn sub_lanes_remap(
-                lo: i32,
-                hi: i32,
-                app: &[i32],
-                lambda: &[i32],
-                out: &mut [i32],
+                lo: i16,
+                hi: i16,
+                app: &[i16],
+                lambda: &[i16],
+                out: &mut [i16],
             ) {
                 assert_same_len!(app, lambda, out);
                 let n = app.len();
+                if n < WIDTH {
+                    return scalar::sub_lanes_remap(lo, hi, app, lambda, out);
+                }
                 let (vlo, vhi) = ($set1(lo), $set1(hi));
-                let vone = $set1(1);
-                let vzero = $setzero();
+                let (vone, vzero) = ($set1(1), $setzero());
+                // SAFETY (all accesses): every offset is ≤ n − WIDTH.
+                let op = |i| {
+                    let va = ld(app, i);
+                    let r = $min($max($subs(va, ld(lambda, i)), vlo), vhi);
+                    let zero_remap = $or($srai::<15>(va), vone);
+                    $blendv(r, zero_remap, $cmpeq(r, vzero))
+                };
+                let tail = op(n - WIDTH);
                 let mut i = 0;
                 while i + WIDTH <= n {
-                    // SAFETY: i + WIDTH ≤ n and all slices have length n.
-                    let va = $loadu(app.as_ptr().add(i).cast());
-                    let vb = $loadu(lambda.as_ptr().add(i).cast());
-                    let r = $min($max($sub(va, vb), vlo), vhi);
-                    let zero_remap = $or($srai::<31>(va), vone);
-                    let is_zero = $cmpeq(r, vzero);
-                    $storeu(
-                        out.as_mut_ptr().add(i).cast(),
-                        $blendv(r, zero_remap, is_zero),
-                    );
+                    st(out, i, op(i));
                     i += WIDTH;
                 }
-                scalar::sub_lanes_remap(lo, hi, &app[i..], &lambda[i..], &mut out[i..]);
+                st(out, n - WIDTH, tail);
             }
 
             /// # Safety
             /// The CPU must support the module's target feature.
             #[target_feature(enable = $feature)]
             pub(super) unsafe fn sub_lanes_clamp(
-                lo: i32,
-                hi: i32,
-                app: &[i32],
-                lambda: &[i32],
-                out: &mut [i32],
+                lo: i16,
+                hi: i16,
+                app: &[i16],
+                lambda: &[i16],
+                out: &mut [i16],
             ) {
                 assert_same_len!(app, lambda, out);
                 let n = app.len();
+                if n < WIDTH {
+                    return scalar::sub_lanes_clamp(lo, hi, app, lambda, out);
+                }
                 let (vlo, vhi) = ($set1(lo), $set1(hi));
+                // SAFETY (all accesses): every offset is ≤ n − WIDTH.
+                let op = |i| $min($max($subs(ld(app, i), ld(lambda, i)), vlo), vhi);
+                let tail = op(n - WIDTH);
                 let mut i = 0;
                 while i + WIDTH <= n {
-                    // SAFETY: i + WIDTH ≤ n and all slices have length n.
-                    let va = $loadu(app.as_ptr().add(i).cast());
-                    let vb = $loadu(lambda.as_ptr().add(i).cast());
-                    let r = $min($max($sub(va, vb), vlo), vhi);
-                    $storeu(out.as_mut_ptr().add(i).cast(), r);
+                    st(out, i, op(i));
                     i += WIDTH;
                 }
-                scalar::sub_lanes_clamp(lo, hi, &app[i..], &lambda[i..], &mut out[i..]);
+                st(out, n - WIDTH, tail);
             }
 
             /// # Safety
             /// The CPU must support the module's target feature.
             #[target_feature(enable = $feature)]
             pub(super) unsafe fn add_lanes_clamp(
+                lo: i16,
+                hi: i16,
+                lam: &[i16],
+                upd: &[i16],
+                out: &mut [i16],
+            ) {
+                assert_same_len!(lam, upd, out);
+                let n = lam.len();
+                if n < WIDTH {
+                    return scalar::add_lanes_clamp(lo, hi, lam, upd, out);
+                }
+                let (vlo, vhi) = ($set1(lo), $set1(hi));
+                // SAFETY (all accesses): every offset is ≤ n − WIDTH.
+                let op = |i| $min($max($adds(ld(lam, i), ld(upd, i)), vlo), vhi);
+                let tail = op(n - WIDTH);
+                let mut i = 0;
+                while i + WIDTH <= n {
+                    st(out, i, op(i));
+                    i += WIDTH;
+                }
+                st(out, n - WIDTH, tail);
+            }
+
+            /// # Safety
+            /// The CPU must support the module's target feature.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn add_lanes_clamp_i32(
                 lo: i32,
                 hi: i32,
                 lam: &[i32],
@@ -706,117 +829,110 @@ macro_rules! x86_panel_kernels {
             ) {
                 assert_same_len!(lam, upd, out);
                 let n = lam.len();
-                let (vlo, vhi) = ($set1(lo), $set1(hi));
-                let mut i = 0;
-                while i + WIDTH <= n {
-                    // SAFETY: i + WIDTH ≤ n and all slices have length n.
-                    let va = $loadu(lam.as_ptr().add(i).cast());
-                    let vb = $loadu(upd.as_ptr().add(i).cast());
-                    let r = $min($max($add(va, vb), vlo), vhi);
-                    $storeu(out.as_mut_ptr().add(i).cast(), r);
-                    i += WIDTH;
+                if n < WIDTH32 {
+                    return scalar::add_lanes_clamp_i32(lo, hi, lam, upd, out);
                 }
-                scalar::add_lanes_clamp(lo, hi, &lam[i..], &upd[i..], &mut out[i..]);
+                let (vlo, vhi) = ($set1_32(lo), $set1_32(hi));
+                // SAFETY (all accesses): every offset is ≤ n − WIDTH32.
+                let op = |i| $min32($max32($add32(ld(lam, i), ld(upd, i)), vlo), vhi);
+                let tail = op(n - WIDTH32);
+                let mut i = 0;
+                while i + WIDTH32 <= n {
+                    st(out, i, op(i));
+                    i += WIDTH32;
+                }
+                st(out, n - WIDTH32, tail);
             }
 
             /// # Safety
             /// The CPU must support the module's target feature.
             #[target_feature(enable = $feature)]
             pub(super) unsafe fn min_sum_track(
-                slot: i32,
-                inc: &[i32],
-                min1: &mut [i32],
-                min2: &mut [i32],
-                argmin: &mut [i32],
-                parity: &mut [i32],
+                slot: i16,
+                inc: &[i16],
+                min1: &mut [i16],
+                min2: &mut [i16],
+                argmin: &mut [i16],
+                parity: &mut [i16],
             ) {
                 assert_same_len!(inc, min1, min2, argmin, parity);
                 let n = inc.len();
+                if n < WIDTH {
+                    return scalar::min_sum_track(slot, inc, min1, min2, argmin, parity);
+                }
                 let vslot = $set1(slot);
-                let mut i = 0;
-                while i + WIDTH <= n {
-                    // SAFETY: i + WIDTH ≤ n and all slices have length n.
-                    let l = $loadu(inc.as_ptr().add(i).cast());
+                // SAFETY (all accesses): every offset is ≤ n − WIDTH; each
+                // span of the state is loaded before it is stored.
+                let op = |m1: &[i16], m2: &[i16], am: &[i16], p: &[i16], i| {
+                    let l = ld(inc, i);
                     let a = $abs(l);
-                    let m1 = $loadu(min1.as_ptr().add(i).cast());
-                    let m2 = $loadu(min2.as_ptr().add(i).cast());
-                    let am = $loadu(argmin.as_ptr().add(i).cast());
-                    let p = $loadu(parity.as_ptr().add(i).cast());
+                    let m1 = ld(m1, i);
                     // `a < m1` in select form; ties keep the earlier argmin,
                     // exactly like the scalar reference.
                     let displaces = $cmpgt(m1, a);
-                    $storeu(
-                        min2.as_mut_ptr().add(i).cast(),
-                        $blendv($min(a, m2), m1, displaces),
-                    );
-                    $storeu(
-                        argmin.as_mut_ptr().add(i).cast(),
-                        $blendv(am, vslot, displaces),
-                    );
-                    $storeu(min1.as_mut_ptr().add(i).cast(), $min(a, m1));
-                    $storeu(parity.as_mut_ptr().add(i).cast(), $xor(p, $srli::<31>(l)));
+                    (
+                        $min(a, m1),
+                        $blendv($min(a, ld(m2, i)), m1, displaces),
+                        $blendv(ld(am, i), vslot, displaces),
+                        $xor(ld(p, i), $srli::<15>(l)),
+                    )
+                };
+                let tail = op(min1, min2, argmin, parity, n - WIDTH);
+                let mut i = 0;
+                while i + WIDTH <= n {
+                    let r = op(min1, min2, argmin, parity, i);
+                    st(min1, i, r.0);
+                    st(min2, i, r.1);
+                    st(argmin, i, r.2);
+                    st(parity, i, r.3);
                     i += WIDTH;
                 }
-                scalar::min_sum_track(
-                    slot,
-                    &inc[i..],
-                    &mut min1[i..],
-                    &mut min2[i..],
-                    &mut argmin[i..],
-                    &mut parity[i..],
-                );
+                st(min1, n - WIDTH, tail.0);
+                st(min2, n - WIDTH, tail.1);
+                st(argmin, n - WIDTH, tail.2);
+                st(parity, n - WIDTH, tail.3);
             }
 
             /// # Safety
             /// The CPU must support the module's target feature.
             #[target_feature(enable = $feature)]
             pub(super) unsafe fn min_sum_emit(
-                slot: i32,
-                max_code: i32,
-                inc: &[i32],
-                min1: &[i32],
-                min2: &[i32],
-                argmin: &[i32],
-                parity: &[i32],
-                out: &mut [i32],
+                slot: i16,
+                max_code: i16,
+                inc: &[i16],
+                min1: &[i16],
+                min2: &[i16],
+                argmin: &[i16],
+                parity: &[i16],
+                out: &mut [i16],
             ) {
                 assert_same_len!(inc, min1, min2, argmin, parity, out);
                 let n = inc.len();
-                let vslot = $set1(slot);
-                let vmax = $set1(max_code);
-                let vzero = $setzero();
-                let mut i = 0;
-                while i + WIDTH <= n {
-                    // SAFETY: i + WIDTH ≤ n and all slices have length n.
-                    let l = $loadu(inc.as_ptr().add(i).cast());
-                    let m1 = $loadu(min1.as_ptr().add(i).cast());
-                    let m2 = $loadu(min2.as_ptr().add(i).cast());
-                    let am = $loadu(argmin.as_ptr().add(i).cast());
-                    let p = $loadu(parity.as_ptr().add(i).cast());
-                    let raw = $blendv(m1, m2, $cmpeq(am, vslot));
+                if n < WIDTH {
+                    return scalar::min_sum_emit(
+                        slot, max_code, inc, min1, min2, argmin, parity, out,
+                    );
+                }
+                let (vslot, vmax, vzero) = ($set1(slot), $set1(max_code), $setzero());
+                // SAFETY (all accesses): every offset is ≤ n − WIDTH.
+                let op = |i| {
+                    let l = ld(inc, i);
+                    let raw = $blendv(ld(min1, i), ld(min2, i), $cmpeq(ld(argmin, i), vslot));
                     // Saturate then normalise `x − (x >> 2)`; the magnitude
                     // is non-negative so the arithmetic shift is exact.
                     let sat = $min(raw, vmax);
                     let mag = $sub(sat, $srai::<2>(sat));
                     // Negate where parity ⊕ own-sign is 1.
-                    let s = $xor(p, $srli::<31>(l));
-                    let neg = $cmpgt(s, vzero);
-                    $storeu(
-                        out.as_mut_ptr().add(i).cast(),
-                        $blendv(mag, $sub(vzero, mag), neg),
-                    );
+                    let neg = $cmpgt($xor(ld(parity, i), $srli::<15>(l)), vzero);
+                    $blendv(mag, $sub(vzero, mag), neg)
+                };
+                let tail = op(n - WIDTH);
+                let mut i = 0;
+                while i + WIDTH <= n {
+                    st(out, i, op(i));
                     i += WIDTH;
                 }
-                scalar::min_sum_emit(
-                    slot,
-                    max_code,
-                    &inc[i..],
-                    &min1[i..],
-                    &min2[i..],
-                    &argmin[i..],
-                    &parity[i..],
-                    &mut out[i..],
-                );
+                st(out, n - WIDTH, tail);
             }
         }
     };
@@ -827,24 +943,33 @@ x86_panel_kernels!(
     avx2,
     "avx2",
     __m256i,
-    8,
+    16,
     _mm256_loadu_si256,
     _mm256_storeu_si256,
-    _mm256_set1_epi32,
+    _mm256_set1_epi16,
     _mm256_setzero_si256,
-    _mm256_abs_epi32,
-    _mm256_min_epi32,
-    _mm256_max_epi32,
-    _mm256_add_epi32,
-    _mm256_sub_epi32,
+    _mm256_abs_epi16,
+    _mm256_min_epi16,
+    _mm256_max_epi16,
+    _mm256_min_epu16,
+    _mm256_add_epi16,
+    _mm256_sub_epi16,
+    _mm256_adds_epi16,
+    _mm256_subs_epi16,
     _mm256_xor_si256,
     _mm256_or_si256,
-    _mm256_srli_epi32,
-    _mm256_srai_epi32,
-    _mm256_cmpeq_epi32,
-    _mm256_cmpgt_epi32,
+    _mm256_srli_epi16,
+    _mm256_srai_epi16,
+    _mm256_cmpeq_epi16,
+    _mm256_cmpgt_epi16,
     _mm256_blendv_epi8,
-    _mm256_sign_epi32
+    _mm256_sign_epi16,
+    _mm256_shuffle_epi8,
+    _mm256_broadcastsi128_si256,
+    _mm256_set1_epi32,
+    _mm256_add_epi32,
+    _mm256_min_epi32,
+    _mm256_max_epi32
 );
 
 #[cfg(target_arch = "x86_64")]
@@ -852,213 +977,110 @@ x86_panel_kernels!(
     sse41,
     "sse4.1",
     __m128i,
-    4,
+    8,
     _mm_loadu_si128,
     _mm_storeu_si128,
-    _mm_set1_epi32,
+    _mm_set1_epi16,
     _mm_setzero_si128,
-    _mm_abs_epi32,
-    _mm_min_epi32,
-    _mm_max_epi32,
-    _mm_add_epi32,
-    _mm_sub_epi32,
+    _mm_abs_epi16,
+    _mm_min_epi16,
+    _mm_max_epi16,
+    _mm_min_epu16,
+    _mm_add_epi16,
+    _mm_sub_epi16,
+    _mm_adds_epi16,
+    _mm_subs_epi16,
     _mm_xor_si128,
     _mm_or_si128,
-    _mm_srli_epi32,
-    _mm_srai_epi32,
-    _mm_cmpeq_epi32,
-    _mm_cmpgt_epi32,
+    _mm_srli_epi16,
+    _mm_srai_epi16,
+    _mm_cmpeq_epi16,
+    _mm_cmpgt_epi16,
     _mm_blendv_epi8,
-    _mm_sign_epi32
+    _mm_sign_epi16,
+    _mm_shuffle_epi8,
+    core::convert::identity,
+    _mm_set1_epi32,
+    _mm_add_epi32,
+    _mm_min_epi32,
+    _mm_max_epi32
 );
 
-/// AVX2-only kernels: the hardware LUT gathers (`vpgatherdd`) and the fused
-/// ⊞/⊟ panels built on them. SSE4.1 has no gather instruction, so these
-/// have no 128-bit twin — the SSE tier keeps the three-pass structure with
-/// a scalar gather.
+/// AVX2 channel quantisation: four `f64` LLRs per step, lane-for-lane
+/// [`scalar::quantize_one`]. (The SSE4.1 tier runs the scalar loop, which
+/// needs no libm call either.)
 #[cfg(target_arch = "x86_64")]
-mod avx2_gather {
-    use super::scalar;
+mod avx2_quantize {
+    use super::{scalar, HALF_DOWN};
     use core::arch::x86_64::*;
 
-    /// Clamps gather indices into `[0, last]` with an **unsigned** min, so
-    /// any `i32` input (including negative codes, which wrap to huge
-    /// unsigned values) lands in-bounds — the vector twin of the scalar
-    /// `(x as usize).min(last)`.
+    /// Four LLRs to four clamped `i32` codes (plus the zero remap).
     ///
     /// # Safety
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    unsafe fn clamp_index(x: __m256i, vlast: __m256i) -> __m256i {
-        _mm256_min_epu32(x, vlast)
-    }
-
-    /// # Safety
-    /// The CPU must support AVX2. `dense` must be non-empty (asserted).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn lut_gather_dense(dense: &[i32], xs: &[i32], out: &mut [i32]) {
-        assert_same_len!(xs, out);
-        assert!(!dense.is_empty());
-        let n = xs.len();
-        let vlast = _mm256_set1_epi32((dense.len() - 1) as i32);
-        let base = dense.as_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            // SAFETY: i + 8 ≤ n; every gather index is clamped into
-            // [0, dense.len() − 1], so all eight loads are in-bounds.
-            let x = _mm256_loadu_si256(xs.as_ptr().add(i).cast());
-            let idx = clamp_index(x, vlast);
-            let g = _mm256_i32gather_epi32::<4>(base, idx);
-            _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), g);
-            i += 8;
+    unsafe fn quad(l: __m256d, scale: f64, max_code: i16, remap_zero: bool) -> __m128i {
+        let lim = f64::from(max_code) + 1.0;
+        let x = _mm256_mul_pd(l, _mm256_set1_pd(scale));
+        // NaN → 0.0 (the reference's NaN → code 0), then clamp.
+        let x = _mm256_and_pd(x, _mm256_cmp_pd::<_CMP_ORD_Q>(x, x));
+        let x = _mm256_min_pd(_mm256_max_pd(x, _mm256_set1_pd(-lim)), _mm256_set1_pd(lim));
+        // x + copysign(HALF_DOWN, x), truncated: round half away from zero.
+        let half = _mm256_or_pd(
+            _mm256_and_pd(x, _mm256_set1_pd(-0.0)),
+            _mm256_set1_pd(HALF_DOWN),
+        );
+        let max = i32::from(max_code);
+        let q = _mm_min_epi32(
+            _mm_max_epi32(
+                _mm256_cvttpd_epi32(_mm256_add_pd(x, half)),
+                _mm_set1_epi32(-max),
+            ),
+            _mm_set1_epi32(max),
+        );
+        if !remap_zero {
+            return q;
         }
-        scalar::lut_gather_dense(dense, &xs[i..], &mut out[i..]);
+        let negative = _mm256_cmp_pd::<_CMP_LT_OQ>(l, _mm256_setzero_pd());
+        let remap = _mm256_cvttpd_epi32(_mm256_blendv_pd(
+            _mm256_set1_pd(1.0),
+            _mm256_set1_pd(-1.0),
+            negative,
+        ));
+        _mm_blendv_epi8(q, remap, _mm_cmpeq_epi32(q, _mm_setzero_si128()))
     }
 
     /// # Safety
-    /// The CPU must support AVX2. `dense` must be non-empty (asserted).
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn lut_map_dense(dense: &[i32], xs: &mut [i32]) {
-        assert!(!dense.is_empty());
-        let n = xs.len();
-        let vlast = _mm256_set1_epi32((dense.len() - 1) as i32);
-        let base = dense.as_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            // SAFETY: i + 8 ≤ n; gather indices clamped in-bounds; the
-            // load happens before the store to the same span.
-            let x = _mm256_loadu_si256(xs.as_ptr().add(i).cast());
-            let idx = clamp_index(x, vlast);
-            let g = _mm256_i32gather_epi32::<4>(base, idx);
-            _mm256_storeu_si256(xs.as_mut_ptr().add(i).cast(), g);
-            i += 8;
-        }
-        scalar::lut_map_dense(dense, &mut xs[i..]);
-    }
-
-    /// The fused ⊞/⊟ core on loaded vectors: magnitude split, both dense
-    /// gathers and the sign/saturate combine, entirely in registers.
-    /// `MINUS` selects the ⊟ variant (corrections swapped, floor 0).
-    ///
-    /// # Safety
-    /// The CPU must support AVX2; every gather index is clamped into
-    /// `[0, dense.len() − 1]` before the `vpgatherdd`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn box_core<const MINUS: bool>(
-        base: *const i32,
-        vlast: __m256i,
-        vmax: __m256i,
-        va: __m256i,
-        vb: __m256i,
-    ) -> __m256i {
-        let vone = _mm256_set1_epi32(1);
-        let aa = _mm256_abs_epi32(va);
-        let ab = _mm256_abs_epi32(vb);
-        let mn = _mm256_min_epi32(aa, ab);
-        let sm = _mm256_min_epi32(_mm256_add_epi32(aa, ab), vmax);
-        let df = _mm256_abs_epi32(_mm256_sub_epi32(aa, ab));
-        // SAFETY: indices clamped in-bounds (see clamp_index).
-        let cs = _mm256_i32gather_epi32::<4>(base, clamp_index(sm, vlast));
-        let cd = _mm256_i32gather_epi32::<4>(base, clamp_index(df, vlast));
-        let (raw, floor) = if MINUS {
-            (
-                _mm256_add_epi32(_mm256_sub_epi32(mn, cs), cd),
-                _mm256_setzero_si256(),
-            )
-        } else {
-            (_mm256_sub_epi32(_mm256_add_epi32(mn, cs), cd), vone)
-        };
-        let mag = _mm256_max_epi32(_mm256_min_epi32(raw, vmax), floor);
-        // `(a ^ b) | 1` is never zero and carries the sign of `a ^ b`.
-        let s = _mm256_or_si256(_mm256_xor_si256(va, vb), vone);
-        _mm256_sign_epi32(mag, s)
-    }
-
-    /// Fused dense-LUT ⊞ panel: `out = a ⊞ b`.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2. `dense` must be non-empty (asserted).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn boxplus_fused(
-        dense: &[i32],
-        max_code: i32,
-        a: &[i32],
-        b: &[i32],
-        out: &mut [i32],
+    pub(super) unsafe fn quantize_codes(
+        scale: f64,
+        max_code: i16,
+        remap_zero: bool,
+        llrs: &[f64],
+        out: &mut [i16],
     ) {
-        assert_same_len!(a, b, out);
-        assert!(!dense.is_empty());
-        let n = a.len();
-        let vlast = _mm256_set1_epi32((dense.len() - 1) as i32);
-        let vmax = _mm256_set1_epi32(max_code);
+        assert_same_len!(llrs, out);
+        let n = llrs.len();
         let mut i = 0;
         while i + 8 <= n {
-            // SAFETY: i + 8 ≤ n and all slices have length n.
-            let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-            let r = box_core::<false>(dense.as_ptr(), vlast, vmax, va, vb);
-            _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), r);
+            // SAFETY: i + 8 ≤ n and both slices have length n.
+            let lo = quad(
+                _mm256_loadu_pd(llrs.as_ptr().add(i)),
+                scale,
+                max_code,
+                remap_zero,
+            );
+            let hi = quad(
+                _mm256_loadu_pd(llrs.as_ptr().add(i + 4)),
+                scale,
+                max_code,
+                remap_zero,
+            );
+            _mm_storeu_si128(out.as_mut_ptr().add(i).cast(), _mm_packs_epi32(lo, hi));
             i += 8;
         }
-        scalar::boxplus_dense(dense, max_code, &a[i..], &b[i..], &mut out[i..]);
-    }
-
-    /// Fused dense-LUT ⊞ accumulator panel: `acc = acc ⊞ b`.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2. `dense` must be non-empty (asserted).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn boxplus_assign_fused(
-        dense: &[i32],
-        max_code: i32,
-        acc: &mut [i32],
-        b: &[i32],
-    ) {
-        assert_same_len!(acc, b);
-        assert!(!dense.is_empty());
-        let n = acc.len();
-        let vlast = _mm256_set1_epi32((dense.len() - 1) as i32);
-        let vmax = _mm256_set1_epi32(max_code);
-        let mut i = 0;
-        while i + 8 <= n {
-            // SAFETY: i + 8 ≤ n; `acc` is loaded before the store to the
-            // same span.
-            let va = _mm256_loadu_si256(acc.as_ptr().add(i).cast());
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-            let r = box_core::<false>(dense.as_ptr(), vlast, vmax, va, vb);
-            _mm256_storeu_si256(acc.as_mut_ptr().add(i).cast(), r);
-            i += 8;
-        }
-        scalar::boxplus_assign_dense(dense, max_code, &mut acc[i..], &b[i..]);
-    }
-
-    /// Fused dense-LUT ⊟ panel: `out = a ⊟ b`.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2. `dense` must be non-empty (asserted).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn boxminus_fused(
-        dense: &[i32],
-        max_code: i32,
-        a: &[i32],
-        b: &[i32],
-        out: &mut [i32],
-    ) {
-        assert_same_len!(a, b, out);
-        assert!(!dense.is_empty());
-        let n = a.len();
-        let vlast = _mm256_set1_epi32((dense.len() - 1) as i32);
-        let vmax = _mm256_set1_epi32(max_code);
-        let mut i = 0;
-        while i + 8 <= n {
-            // SAFETY: i + 8 ≤ n and all slices have length n.
-            let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-            let r = box_core::<true>(dense.as_ptr(), vlast, vmax, va, vb);
-            _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), r);
-            i += 8;
-        }
-        scalar::boxminus_dense(dense, max_code, &a[i..], &b[i..], &mut out[i..]);
+        scalar::quantize_codes(scale, max_code, remap_zero, &llrs[i..], &mut out[i..]);
     }
 }
 
@@ -1083,172 +1105,51 @@ macro_rules! dispatch {
     }};
 }
 
-/// Pass 1 of the ⊞/⊟ lane decomposition over a panel: per lane, the
-/// minimum, the format-saturated sum and the absolute difference of the two
-/// input magnitudes.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn magnitude_split(
-    level: SimdLevel,
-    max_code: i32,
-    a: &[i32],
-    b: &[i32],
-    mins: &mut [i32],
-    sums: &mut [i32],
-    diffs: &mut [i32],
-) {
-    assert_same_len!(a, b, mins, sums, diffs);
-    dispatch!(level, magnitude_split(max_code, a, b, mins, sums, diffs))
+/// 16-byte table lookup over a panel, in place:
+/// `xs[i] = table[min(xs[i] as u16, 15)]` — one `pshufb` per vector on the
+/// SIMD tiers.
+pub(crate) fn lut_shuffle_map(level: SimdLevel, table: &[u8; 16], xs: &mut [i16]) {
+    dispatch!(level, lut_shuffle_map(table, xs))
 }
 
-/// Pass 3 of the ⊞ over a panel: `out = a ⊞ b` from the pre-split and
-/// LUT-corrected lanes, bit-identical to the scalar `boxplus_codes`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn combine_plus(
-    level: SimdLevel,
-    max_code: i32,
-    a: &[i32],
-    b: &[i32],
-    mins: &[i32],
-    corr_sums: &[i32],
-    corr_diffs: &[i32],
-    out: &mut [i32],
-) {
-    assert_same_len!(a, b, mins, corr_sums, corr_diffs, out);
-    dispatch!(
-        level,
-        combine_plus(max_code, a, b, mins, corr_sums, corr_diffs, out)
-    )
-}
-
-/// In-place [`combine_plus`] for the running ⊞ accumulator (`acc = acc ⊞ b`).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn combine_plus_assign(
-    level: SimdLevel,
-    max_code: i32,
-    acc: &mut [i32],
-    b: &[i32],
-    mins: &[i32],
-    corr_sums: &[i32],
-    corr_diffs: &[i32],
-) {
-    assert_same_len!(acc, b, mins, corr_sums, corr_diffs);
-    dispatch!(
-        level,
-        combine_plus_assign(max_code, acc, b, mins, corr_sums, corr_diffs)
-    )
-}
-
-/// Pass 3 of the ⊟ over a panel (magnitude floored at 0, not 1).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn combine_minus(
-    level: SimdLevel,
-    max_code: i32,
-    a: &[i32],
-    b: &[i32],
-    mins: &[i32],
-    corr_sums: &[i32],
-    corr_diffs: &[i32],
-    out: &mut [i32],
-) {
-    assert_same_len!(a, b, mins, corr_sums, corr_diffs, out);
-    dispatch!(
-        level,
-        combine_minus(max_code, a, b, mins, corr_sums, corr_diffs, out)
-    )
-}
-
-/// Dense-table LUT gather over a panel:
-/// `out[i] = dense[min(xs[i], dense.len() − 1)]` with the clamp in unsigned
-/// index space. On AVX2 this is a true hardware gather (`vpgatherdd`);
-/// SSE4.1 has no gather, so lower tiers run the scalar clamped-index loop.
-///
-/// # Panics
-///
-/// Panics if `dense` is empty or the slices differ in length.
-pub fn lut_gather_dense(level: SimdLevel, dense: &[i32], xs: &[i32], out: &mut [i32]) {
-    assert!(!dense.is_empty(), "dense LUT gather needs a table");
-    assert_same_len!(xs, out);
-    match level.effective() {
-        // SAFETY: `effective()` caps the level at `detected_level()`.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { avx2_gather::lut_gather_dense(dense, xs, out) },
-        _ => scalar::lut_gather_dense(dense, xs, out),
-    }
-}
-
-/// In-place [`lut_gather_dense`]: `xs[i] = dense[min(xs[i], last)]`.
-///
-/// # Panics
-///
-/// Panics if `dense` is empty.
-pub fn lut_map_dense(level: SimdLevel, dense: &[i32], xs: &mut [i32]) {
-    assert!(!dense.is_empty(), "dense LUT gather needs a table");
-    match level.effective() {
-        // SAFETY: `effective()` caps the level at `detected_level()`.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { avx2_gather::lut_map_dense(dense, xs) },
-        _ => scalar::lut_map_dense(dense, xs),
-    }
-}
-
-/// Whether [`boxplus_panel`]/[`boxminus_panel`] take the fused single-pass
-/// gather path at this level for this LUT (AVX2 + a dense table). Exposed
-/// so callers can size their scratch expectations; the result is identical
-/// either way.
-#[must_use]
-pub fn fuses_box_panels(level: SimdLevel, lut: &CorrectionLut) -> bool {
-    // `detected_level()` never reports Avx2 off x86-64, so the `cfg!` is
-    // belt-and-braces for the `#[cfg]`-gated fused call sites.
-    cfg!(target_arch = "x86_64")
-        && level.effective() == SimdLevel::Avx2
-        && !lut.dense_table().is_empty()
+/// The shuffle table [`boxplus_panel`]/[`boxminus_panel`] fuse through at
+/// this level: `Some` on a SIMD tier when the table fits one `pshufb`.
+fn fused_table(level: SimdLevel, lut: &CorrectionLut) -> Option<&[u8; 16]> {
+    lut.shuffle_table()
+        .filter(|_| level.effective() > SimdLevel::Scalar)
 }
 
 /// One full ⊞ step over a panel: `out = a ⊞ b` with `lut`'s corrections,
 /// bit-identical to the three-pass scalar decomposition (magnitude split →
-/// LUT gather → sign/saturate combine). On AVX2 with a dense LUT the whole
-/// operator fuses into one register-resident pass with two hardware
-/// gathers and never touches `mins`/`sums`/`diffs`; every other tier runs
-/// the three passes through that scratch at its own vector width.
+/// LUT lookup → sign/saturate combine). On a SIMD tier with a 16-byte
+/// table the whole operator fuses into one register-resident pass with two
+/// `pshufb` lookups and never touches `mins`/`sums`/`diffs`; otherwise the
+/// three passes run through that scratch.
 ///
 /// # Panics
 ///
-/// Panics if the slices differ in length.
+/// Panics if the slices differ in length or `lut` has no dense table.
 pub fn boxplus_panel(
     level: SimdLevel,
     lut: &CorrectionLut,
-    max_code: i32,
-    a: &[i32],
-    b: &[i32],
-    out: &mut [i32],
-    mins: &mut [i32],
-    sums: &mut [i32],
-    diffs: &mut [i32],
+    max_code: i16,
+    a: &[i16],
+    b: &[i16],
+    out: &mut [i16],
+    mins: &mut [i16],
+    sums: &mut [i16],
+    diffs: &mut [i16],
 ) {
-    if fuses_box_panels(level, lut) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `fuses_box_panels` is only true when the *detected*
-        // level is AVX2 (and the dense table exists).
-        unsafe {
-            avx2_gather::boxplus_fused(lut.dense_table(), max_code, a, b, out)
+    match fused_table(level, lut) {
+        Some(table) => {
+            dispatch!(level, boxplus_shuffle(table, max_code, a, b, out))
         }
-    } else {
-        magnitude_split(level, max_code, a, b, mins, sums, diffs);
-        lut.map_slice_with(level, sums);
-        lut.map_slice_with(level, diffs);
-        combine_plus(level, max_code, a, b, mins, sums, diffs, out);
+        _ => {
+            scalar::magnitude_split(max_code, a, b, mins, sums, diffs);
+            lut.map_slice_with(level, sums);
+            lut.map_slice_with(level, diffs);
+            scalar::combine_plus(max_code, a, b, mins, sums, diffs, out);
+        }
     }
 }
 
@@ -1257,29 +1158,27 @@ pub fn boxplus_panel(
 ///
 /// # Panics
 ///
-/// Panics if the slices differ in length.
+/// Panics if the slices differ in length or `lut` has no dense table.
 pub fn boxplus_assign_panel(
     level: SimdLevel,
     lut: &CorrectionLut,
-    max_code: i32,
-    acc: &mut [i32],
-    b: &[i32],
-    mins: &mut [i32],
-    sums: &mut [i32],
-    diffs: &mut [i32],
+    max_code: i16,
+    acc: &mut [i16],
+    b: &[i16],
+    mins: &mut [i16],
+    sums: &mut [i16],
+    diffs: &mut [i16],
 ) {
-    if fuses_box_panels(level, lut) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `fuses_box_panels` is only true when the *detected*
-        // level is AVX2 (and the dense table exists).
-        unsafe {
-            avx2_gather::boxplus_assign_fused(lut.dense_table(), max_code, acc, b)
+    match fused_table(level, lut) {
+        Some(table) => {
+            dispatch!(level, boxplus_assign_shuffle(table, max_code, acc, b))
         }
-    } else {
-        magnitude_split(level, max_code, acc, b, mins, sums, diffs);
-        lut.map_slice_with(level, sums);
-        lut.map_slice_with(level, diffs);
-        combine_plus_assign(level, max_code, acc, b, mins, sums, diffs);
+        _ => {
+            scalar::magnitude_split(max_code, acc, b, mins, sums, diffs);
+            lut.map_slice_with(level, sums);
+            lut.map_slice_with(level, diffs);
+            scalar::combine_plus_assign(max_code, acc, b, mins, sums, diffs);
+        }
     }
 }
 
@@ -1288,83 +1187,101 @@ pub fn boxplus_assign_panel(
 ///
 /// # Panics
 ///
-/// Panics if the slices differ in length.
+/// Panics if the slices differ in length or `lut` has no dense table.
 pub fn boxminus_panel(
     level: SimdLevel,
     lut: &CorrectionLut,
-    max_code: i32,
-    a: &[i32],
-    b: &[i32],
-    out: &mut [i32],
-    mins: &mut [i32],
-    sums: &mut [i32],
-    diffs: &mut [i32],
+    max_code: i16,
+    a: &[i16],
+    b: &[i16],
+    out: &mut [i16],
+    mins: &mut [i16],
+    sums: &mut [i16],
+    diffs: &mut [i16],
 ) {
-    if fuses_box_panels(level, lut) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `fuses_box_panels` is only true when the *detected*
-        // level is AVX2 (and the dense table exists).
-        unsafe {
-            avx2_gather::boxminus_fused(lut.dense_table(), max_code, a, b, out)
+    match fused_table(level, lut) {
+        Some(table) => {
+            dispatch!(level, boxminus_shuffle(table, max_code, a, b, out))
         }
-    } else {
-        magnitude_split(level, max_code, a, b, mins, sums, diffs);
-        lut.map_slice_with(level, sums);
-        lut.map_slice_with(level, diffs);
-        combine_minus(level, max_code, a, b, mins, sums, diffs, out);
+        _ => {
+            scalar::magnitude_split(max_code, a, b, mins, sums, diffs);
+            lut.map_slice_with(level, sums);
+            lut.map_slice_with(level, diffs);
+            scalar::combine_minus(max_code, a, b, mins, sums, diffs, out);
+        }
     }
 }
 
 /// `λ = L − Λ` over a panel with the fixed-BP ±1-LSB zero remap
-/// (`out = clamp(a − b, lo, hi)`, zeros remapped to `sign(a)·1`).
+/// (`out = clamp(a − b, lo, hi)` with a saturating subtraction, zeros
+/// remapped to `sign(a)·1`).
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn sub_lanes_remap(
     level: SimdLevel,
-    lo: i32,
-    hi: i32,
-    app: &[i32],
-    lambda: &[i32],
-    out: &mut [i32],
+    lo: i16,
+    hi: i16,
+    app: &[i16],
+    lambda: &[i16],
+    out: &mut [i16],
 ) {
     assert_same_len!(app, lambda, out);
     dispatch!(level, sub_lanes_remap(lo, hi, app, lambda, out))
 }
 
-/// Plain `λ = L − Λ` clamp over a panel (fixed Min-Sum).
+/// Plain saturating `λ = L − Λ` clamp over a panel (fixed Min-Sum).
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn sub_lanes_clamp(
     level: SimdLevel,
-    lo: i32,
-    hi: i32,
-    app: &[i32],
-    lambda: &[i32],
-    out: &mut [i32],
+    lo: i16,
+    hi: i16,
+    app: &[i16],
+    lambda: &[i16],
+    out: &mut [i16],
 ) {
     assert_same_len!(app, lambda, out);
     dispatch!(level, sub_lanes_clamp(lo, hi, app, lambda, out))
 }
 
-/// `L = λ + Λ′` over a panel, clamped to the (wider) APP range.
+/// `L = λ + Λ′` over a panel (saturating add), clamped to the (wider) APP
+/// range.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn add_lanes_clamp(
     level: SimdLevel,
-    lo: i32,
-    hi: i32,
-    lam: &[i32],
-    upd: &[i32],
-    out: &mut [i32],
+    lo: i16,
+    hi: i16,
+    lam: &[i16],
+    upd: &[i16],
+    out: &mut [i16],
 ) {
     assert_same_len!(lam, upd, out);
     dispatch!(level, add_lanes_clamp(lo, hi, lam, upd, out))
+}
+
+/// `out = clamp(a + b, lo, hi)` over `i32` lanes (wrapping add) — the HARQ
+/// combiner's saturate-on-read pass over the wide accumulator.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn add_lanes_clamp_i32(
+    level: SimdLevel,
+    lo: i32,
+    hi: i32,
+    a: &[i32],
+    b: &[i32],
+    out: &mut [i32],
+) {
+    assert_same_len!(a, b, out);
+    dispatch!(level, add_lanes_clamp_i32(lo, hi, a, b, out))
 }
 
 /// One slot of the Min-Sum two-minima tracking pass over a panel, in select
@@ -1375,12 +1292,12 @@ pub fn add_lanes_clamp(
 /// Panics if the slices differ in length.
 pub fn min_sum_track(
     level: SimdLevel,
-    slot: i32,
-    inc: &[i32],
-    min1: &mut [i32],
-    min2: &mut [i32],
-    argmin: &mut [i32],
-    parity: &mut [i32],
+    slot: i16,
+    inc: &[i16],
+    min1: &mut [i16],
+    min2: &mut [i16],
+    argmin: &mut [i16],
+    parity: &mut [i16],
 ) {
     assert_same_len!(inc, min1, min2, argmin, parity);
     dispatch!(level, min_sum_track(slot, inc, min1, min2, argmin, parity))
@@ -1395,20 +1312,49 @@ pub fn min_sum_track(
 /// Panics if the slices differ in length.
 pub fn min_sum_emit(
     level: SimdLevel,
-    slot: i32,
-    max_code: i32,
-    inc: &[i32],
-    min1: &[i32],
-    min2: &[i32],
-    argmin: &[i32],
-    parity: &[i32],
-    out: &mut [i32],
+    slot: i16,
+    max_code: i16,
+    inc: &[i16],
+    min1: &[i16],
+    min2: &[i16],
+    argmin: &[i16],
+    parity: &[i16],
+    out: &mut [i16],
 ) {
     assert_same_len!(inc, min1, min2, argmin, parity, out);
     dispatch!(
         level,
         min_sum_emit(slot, max_code, inc, min1, min2, argmin, parity, out)
     )
+}
+
+/// Quantises channel LLRs to `i16` codes in one pass:
+/// `out[i] = FixedFormat::quantize(llrs[i])` for the format with `2^F =
+/// scale` and `max_code`, plus — when `remap_zero` is set — the fixed-BP
+/// remap of code 0 to ±1 (−1 for negative LLRs, +1 otherwise, NaN
+/// included). Ties round away from zero; no libm call at any tier; four
+/// lanes per step on AVX2.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn quantize_codes(
+    level: SimdLevel,
+    scale: f64,
+    max_code: i16,
+    remap_zero: bool,
+    llrs: &[f64],
+    out: &mut [i16],
+) {
+    assert_same_len!(llrs, out);
+    match level.effective() {
+        // SAFETY: `effective()` caps the level at `detected_level()`.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe {
+            avx2_quantize::quantize_codes(scale, max_code, remap_zero, llrs, out)
+        },
+        _ => scalar::quantize_codes(scale, max_code, remap_zero, llrs, out),
+    }
 }
 
 #[cfg(test)]
@@ -1452,10 +1398,10 @@ mod tests {
     }
 
     /// Deterministic panel covering saturation, zeros and sign changes.
-    fn panel(n: usize, seed: usize) -> Vec<i32> {
+    fn panel(n: usize, seed: usize) -> Vec<i16> {
         (0..n)
             .map(|i| {
-                let v = ((i.wrapping_mul(2654435761).wrapping_add(seed * 97)) % 255) as i32 - 127;
+                let v = ((i.wrapping_mul(2654435761).wrapping_add(seed * 97)) % 255) as i16 - 127;
                 if i % 17 == 0 {
                     v.signum() * 127
                 } else {
@@ -1472,39 +1418,21 @@ mod tests {
         let max_code = 127;
         let (lo, hi) = (-127, 127);
         let lut = CorrectionLut::new(CorrectionKind::Plus, FixedFormat::default(), 3);
-        for n in [0usize, 1, 3, 4, 7, 8, 9, 15, 16, 23, 96, 101] {
+        let table = lut.shuffle_table().expect("Q6.2 3-bit table fits pshufb");
+        for n in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 23, 31, 33, 96, 101] {
             let a = panel(n, 1);
             let b = panel(n, 2);
-            let mags: Vec<i32> = a.iter().map(|x| x.abs()).collect();
+            let mags: Vec<i16> = a.iter().map(|x| x.abs()).collect();
             for level in [SimdLevel::Sse41, SimdLevel::Avx2] {
-                // magnitude_split
-                let (mut m1, mut s1, mut d1) = (vec![0; n], vec![0; n], vec![0; n]);
-                let (mut m2, mut s2, mut d2) = (vec![0; n], vec![0; n], vec![0; n]);
-                scalar::magnitude_split(max_code, &a, &b, &mut m1, &mut s1, &mut d1);
-                magnitude_split(level, max_code, &a, &b, &mut m2, &mut s2, &mut d2);
-                assert_eq!((&m1, &s1, &d1), (&m2, &s2, &d2), "{level:?} n={n}");
-
-                // combines (reuse the split lanes as plausible corrections)
                 let (mut o1, mut o2) = (vec![0; n], vec![0; n]);
-                scalar::combine_plus(max_code, &a, &b, &m1, &s1, &d1, &mut o1);
-                combine_plus(level, max_code, &a, &b, &m1, &s1, &d1, &mut o2);
-                assert_eq!(o1, o2, "combine_plus {level:?} n={n}");
-                scalar::combine_minus(max_code, &a, &b, &m1, &s1, &d1, &mut o1);
-                combine_minus(level, max_code, &a, &b, &m1, &s1, &d1, &mut o2);
-                assert_eq!(o1, o2, "combine_minus {level:?} n={n}");
+                let (mut m1, mut s1, mut d1) = (vec![0; n], vec![0; n], vec![0; n]);
                 let (mut acc1, mut acc2) = (a.clone(), a.clone());
-                scalar::combine_plus_assign(max_code, &mut acc1, &b, &m1, &s1, &d1);
-                combine_plus_assign(level, max_code, &mut acc2, &b, &m1, &s1, &d1);
-                assert_eq!(acc1, acc2, "combine_plus_assign {level:?} n={n}");
 
-                // LUT gathers
-                scalar::lut_gather_dense(lut.dense_table(), &mags, &mut o1);
-                lut_gather_dense(level, lut.dense_table(), &mags, &mut o2);
-                assert_eq!(o1, o2, "lut_gather {level:?} n={n}");
+                // LUT lookups
                 let (mut x1, mut x2) = (mags.clone(), mags.clone());
-                scalar::lut_map_dense(lut.dense_table(), &mut x1);
-                lut_map_dense(level, lut.dense_table(), &mut x2);
-                assert_eq!(x1, x2, "lut_map {level:?} n={n}");
+                scalar::lut_shuffle_map(table, &mut x1);
+                lut_shuffle_map(level, table, &mut x2);
+                assert_eq!(x1, x2, "lut_shuffle {level:?} n={n}");
 
                 // Fused box panels vs the three-pass scalar reference.
                 let mut scratch = (vec![0; n], vec![0; n], vec![0; n]);
@@ -1542,7 +1470,7 @@ mod tests {
                 assert_eq!(o1, o2, "boxminus_panel {level:?} n={n}");
                 acc1.copy_from_slice(&a);
                 acc2.copy_from_slice(&a);
-                scalar::boxplus_assign_dense(lut.dense_table(), max_code, &mut acc1, &b);
+                scalar::boxplus_assign_shuffle(table, max_code, &mut acc1, &b);
                 boxplus_assign_panel(
                     level,
                     &lut,
@@ -1565,14 +1493,23 @@ mod tests {
                 scalar::add_lanes_clamp(4 * lo, 4 * hi, &a, &b, &mut o1);
                 add_lanes_clamp(level, 4 * lo, 4 * hi, &a, &b, &mut o2);
                 assert_eq!(o1, o2, "add_clamp {level:?} n={n}");
+                let (wa, wb): (Vec<i32>, Vec<i32>) = a
+                    .iter()
+                    .zip(&b)
+                    .map(|(&x, &y)| (i32::from(x) * 300, i32::from(y)))
+                    .unzip();
+                let (mut w1, mut w2) = (vec![0; n], vec![0; n]);
+                scalar::add_lanes_clamp_i32(-127, 127, &wa, &wb, &mut w1);
+                add_lanes_clamp_i32(level, -127, 127, &wa, &wb, &mut w2);
+                assert_eq!(w1, w2, "add_clamp_i32 {level:?} n={n}");
 
                 // min-sum track + emit across three slots (covers ties,
                 // displacement and the sentinel).
-                let mut st1 = (vec![i32::MAX; n], vec![i32::MAX; n], vec![0; n], vec![0; n]);
+                let mut st1 = (vec![i16::MAX; n], vec![i16::MAX; n], vec![0; n], vec![0; n]);
                 let mut st2 = st1.clone();
                 for (slot, inc) in [&a, &b, &mags].into_iter().enumerate() {
                     scalar::min_sum_track(
-                        slot as i32,
+                        slot as i16,
                         inc,
                         &mut st1.0,
                         &mut st1.1,
@@ -1581,7 +1518,7 @@ mod tests {
                     );
                     min_sum_track(
                         level,
-                        slot as i32,
+                        slot as i16,
                         inc,
                         &mut st2.0,
                         &mut st2.1,
@@ -1592,7 +1529,7 @@ mod tests {
                 }
                 for (slot, inc) in [&a, &b, &mags].into_iter().enumerate() {
                     scalar::min_sum_emit(
-                        slot as i32,
+                        slot as i16,
                         max_code,
                         inc,
                         &st1.0,
@@ -1603,7 +1540,7 @@ mod tests {
                     );
                     min_sum_emit(
                         level,
-                        slot as i32,
+                        slot as i16,
                         max_code,
                         inc,
                         &st2.0,

@@ -286,7 +286,7 @@ impl CascadeDecoder {
         &self,
         compiled: &CompiledCode,
         llrs: &[f64],
-        ws: &mut DecodeWorkspace<i32>,
+        ws: &mut DecodeWorkspace<i16>,
         outs: &mut [DecodeOutput],
         scratch: EscalationScratch<'_>,
     ) -> Result<(), DecodeError> {
@@ -369,7 +369,7 @@ impl Decoder for CascadeDecoder {
         "cascade"
     }
 
-    fn workspace_pool(&self) -> Option<&WorkspacePool<i32>> {
+    fn workspace_pool(&self) -> Option<&WorkspacePool<i16>> {
         Decoder::workspace_pool(&self.stage1)
     }
 
@@ -403,7 +403,7 @@ impl Decoder for CascadeDecoder {
         &self,
         compiled: &CompiledCode,
         llrs: &[f64],
-        ws: &mut DecodeWorkspace<i32>,
+        ws: &mut DecodeWorkspace<i16>,
         out: &mut DecodeOutput,
     ) -> Result<(), DecodeError> {
         self.decode_group_into(compiled, llrs, ws, std::slice::from_mut(out))
@@ -413,7 +413,7 @@ impl Decoder for CascadeDecoder {
         &self,
         compiled: &CompiledCode,
         llrs: &[f64],
-        ws: &mut DecodeWorkspace<i32>,
+        ws: &mut DecodeWorkspace<i16>,
         outs: &mut [DecodeOutput],
     ) -> Result<(), DecodeError> {
         let n = compiled.n();

@@ -23,7 +23,7 @@
 //!    [`HarqCombiner::combine_saturated`]): only when a decode needs the
 //!    combined LLRs is the wide accumulator clamped to the quantiser's
 //!    symmetric code range — one clamp of the exact sum, reusing the lane
-//!    kernels' clamped-add panel op ([`crate::arith::simd::add_lanes_clamp`],
+//!    kernels' clamped-add panel op ([`crate::arith::simd::add_lanes_clamp_i32`],
 //!    so the pass runs on the same AVX2/SSE4.1/scalar dispatch tier as the
 //!    decoder hot loops). Clamping once at the end is what keeps saturation
 //!    from breaking order independence: per-step saturating adds are *not*
@@ -108,7 +108,7 @@ impl HarqCombiner {
     ///
     /// Panics if the slices differ in length.
     pub fn combine_saturated(&self, acc: &[i32], incoming: &[i32], out: &mut [i32]) {
-        simd::add_lanes_clamp(
+        simd::add_lanes_clamp_i32(
             self.level,
             -self.max_code,
             self.max_code,

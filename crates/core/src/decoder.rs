@@ -34,7 +34,7 @@
 use ldpc_codes::{CompiledCode, QcCode};
 
 use crate::arith::{DecoderArithmetic, LaneKernel};
-use crate::early_term::EarlyTermination;
+use crate::early_term::{check_frames, message_threshold, EarlyTermination};
 use crate::engine::Decoder;
 use crate::error::DecodeError;
 use crate::pool::WorkspacePool;
@@ -220,44 +220,6 @@ fn lane_layer_update<A: LaneKernel>(
     }
 }
 
-/// The early-termination check of one packed frame of a group (paper's rule,
-/// §IV): exactly [`crate::engine::early_termination_reached`] applied to the
-/// strided column `slot` of the frame-major APP buffer, with the decision
-/// history kept per original frame index so it follows the frame through
-/// compaction.
-fn group_early_termination<A: DecoderArithmetic>(
-    arith: &A,
-    threshold: f64,
-    ws: &mut DecodeWorkspace<A::Msg>,
-    info_len: usize,
-    width: usize,
-    slot: usize,
-    frame: usize,
-) -> bool {
-    let DecodeWorkspace {
-        app,
-        info_hard,
-        group_histories,
-        ..
-    } = ws;
-    let info = &app[..info_len * width];
-    info_hard.clear();
-    info_hard.extend(
-        info.iter()
-            .skip(slot)
-            .step_by(width)
-            .map(|&m| arith.hard_bit(m)),
-    );
-    let min_abs = info
-        .iter()
-        .skip(slot)
-        .step_by(width)
-        .map(|&m| arith.magnitude(m))
-        .fold(f64::INFINITY, f64::min);
-    let stable = group_histories[frame].stable_update(info_hard);
-    stable && min_abs > threshold
-}
-
 /// The operation counts of one frame after `iterations` full group
 /// iterations — identical to what the single-frame lane path accumulates
 /// (one sub-iteration, `z` check-node updates and `degree · z` messages per
@@ -396,7 +358,8 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
 
         // L_n ← channel, Λ ← 0 (Algorithm 1 initialisation).
         ws.prepare(compiled, arith.zero(), false);
-        ws.app.extend(llrs.iter().map(|&l| arith.from_channel(l)));
+        arith.from_channel_slice(llrs, &mut ws.app);
+        let et_threshold = message_threshold(arith, self.config.early_termination.as_ref());
 
         let mut stats = DecodeStats::default();
         let mut iterations = 0;
@@ -411,10 +374,10 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
             // Early termination (paper's rule, §IV): information-bit hard
             // decisions stable across two iterations and min |L| above the
             // threshold.
-            if let Some(rule) = &self.config.early_termination {
-                if crate::engine::early_termination_reached(arith, rule.threshold, ws, info_len)
-                    && iterations < self.config.max_iterations
-                {
+            if let Some(t) = et_threshold {
+                let info = &ws.app[..info_len];
+                check_frames(arith, t, info, &mut ws.decisions, 1, &mut ws.verdicts);
+                if ws.verdicts[0] == 0 && iterations < self.config.max_iterations {
                     early_terminated = true;
                     break;
                 }
@@ -509,14 +472,17 @@ impl<A: LaneKernel> LayeredDecoder<A> {
         let order = ResolvedOrder::new(&self.config, compiled, num_layers);
 
         // L ← channel, Λ ← 0, frame-innermost (Algorithm 1 initialisation,
-        // interleaved: app[col · width + f]).
+        // interleaved: app[col · width + f]). Each frame is quantised in one
+        // pass into the extraction scratch, then interleaved.
         ws.prepare_group(compiled, arith.zero(), frames);
-        ws.app.resize(n * frames, arith.zero());
+        ws.group_frame.resize(n, arith.zero());
         for (f, frame) in llrs.chunks_exact(n).enumerate() {
-            for (col, &l) in frame.iter().enumerate() {
-                ws.app[col * frames + f] = arith.from_channel(l);
+            arith.from_channel_slice(frame, &mut ws.group_frame);
+            for (dst, &m) in ws.app[f..].iter_mut().step_by(frames).zip(&ws.group_frame) {
+                *dst = m;
             }
         }
+        let et_threshold = message_threshold(arith, self.config.early_termination.as_ref());
 
         let mut width = frames;
         let mut iterations = 0usize;
@@ -530,28 +496,20 @@ impl<A: LaneKernel> LayeredDecoder<A> {
             // Per-frame termination, same rule order as the single-frame
             // engine (early termination first, then the syndrome stop).
             // Finished frames produce their output now; survivors are listed
-            // in `group_keep`.
+            // in `group_keep`. The decision record updates every iteration
+            // for every live frame, exactly like the single-frame engine.
+            if let Some(t) = et_threshold {
+                let info = &ws.app[..info_len * width];
+                check_frames(arith, t, info, &mut ws.decisions, width, &mut ws.verdicts);
+            }
             ws.group_keep.clear();
             for slot in 0..width {
                 let frame = ws.group_active[slot] as usize;
                 let mut done = last;
                 let mut early = false;
-                if let Some(rule) = &self.config.early_termination {
-                    // The history update runs every iteration for every live
-                    // frame, exactly like the single-frame engine.
-                    let reached = group_early_termination(
-                        arith,
-                        rule.threshold,
-                        ws,
-                        info_len,
-                        width,
-                        slot,
-                        frame,
-                    );
-                    if reached && !last {
-                        done = true;
-                        early = true;
-                    }
+                if et_threshold.is_some() && ws.verdicts[slot] == 0 && !last {
+                    done = true;
+                    early = true;
                 }
                 if !done && !last && self.config.stop_on_zero_syndrome {
                     ws.hard.clear();
@@ -592,6 +550,7 @@ impl<A: LaneKernel> LayeredDecoder<A> {
                 let keep = std::mem::take(&mut ws.group_keep);
                 crate::group::compact_columns(&mut ws.app, n, width, &keep);
                 crate::group::compact_columns(&mut ws.lambda, compiled.num_edges(), width, &keep);
+                crate::group::compact_columns(&mut ws.decisions, info_len, width, &keep);
                 for (a, &s) in keep.iter().enumerate() {
                     ws.group_active[a] = ws.group_active[s as usize];
                 }

@@ -9,6 +9,12 @@
 //!
 //! At good channel conditions this terminates most frames after a couple of
 //! iterations and yields the up-to-65 % power reduction of Fig. 9(a).
+//!
+//! The decode drivers evaluate the rule in the message domain: the threshold
+//! is converted once to a message value, and one pass per group compares,
+//! records and tests the decisions in place.
+
+use crate::arith::DecoderArithmetic;
 
 /// Configuration of the early-termination rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,73 +43,13 @@ impl EarlyTermination {
     }
 }
 
-/// Hard-decision history across iterations — the *stability* half of the
-/// termination rule, shared by [`TerminationTracker`] and the decode engine's
-/// kernels (which keep one history per [`crate::workspace::DecodeWorkspace`]).
-///
-/// The record buffer is reused across iterations and frames, so steady-state
-/// updates perform no heap allocation.
-#[derive(Debug, Clone, Default)]
-pub struct DecisionHistory {
-    previous: Vec<u8>,
-    has_previous: bool,
-}
-
-impl DecisionHistory {
-    /// An empty history (nothing recorded yet).
-    #[must_use]
-    pub fn new() -> Self {
-        DecisionHistory::default()
-    }
-
-    /// Returns whether `decisions` match the previously recorded iteration,
-    /// then records them. The first call after a reset always returns `false`.
-    pub fn stable_update(&mut self, decisions: &[u8]) -> bool {
-        let stable = self.has_previous && self.previous == decisions;
-        self.previous.clear();
-        self.previous.extend_from_slice(decisions);
-        self.has_previous = true;
-        stable
-    }
-
-    /// Forgets the recorded decisions (start of a new frame). Keeps the
-    /// buffer, so the next frame allocates nothing.
-    pub fn reset(&mut self) {
-        self.has_previous = false;
-    }
-
-    /// Grows the record buffer to hold `len` decisions without reallocating.
-    pub(crate) fn reserve(&mut self, len: usize) {
-        if self.previous.capacity() < len {
-            self.previous.reserve_exact(len - self.previous.len());
-        }
-    }
-
-    /// Whether the buffer can hold `len` decisions without reallocating.
-    pub(crate) fn is_ready(&self, len: usize) -> bool {
-        self.previous.capacity() >= len
-    }
-
-    /// Pointer/capacity of the record buffer (allocation-fingerprint support).
-    pub(crate) fn fingerprint(&self) -> (usize, usize) {
-        (self.previous.as_ptr() as usize, self.previous.capacity())
-    }
-}
-
-impl PartialEq for DecisionHistory {
-    fn eq(&self, other: &Self) -> bool {
-        // Two histories agree when they would answer the next stable_update
-        // identically; leftover buffer content behind a reset is invisible.
-        self.has_previous == other.has_previous
-            && (!self.has_previous || self.previous == other.previous)
-    }
-}
-
-/// Tracks hard decisions across iterations and evaluates the termination rule.
+/// Tracks hard decisions across iterations and evaluates the termination rule
+/// on LLR values (the form the architecture model feeds it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TerminationTracker {
     rule: EarlyTermination,
-    history: DecisionHistory,
+    /// The previous iteration's decisions, `None` before the first one.
+    previous: Option<Vec<u8>>,
 }
 
 impl TerminationTracker {
@@ -112,21 +58,88 @@ impl TerminationTracker {
     pub fn new(rule: EarlyTermination) -> Self {
         TerminationTracker {
             rule,
-            history: DecisionHistory::new(),
+            previous: None,
         }
     }
 
     /// Feeds the information-bit hard decisions and LLR magnitudes of the
     /// iteration that just finished; returns `true` if decoding may stop.
     pub fn should_terminate(&mut self, info_decisions: &[u8], min_abs_info_llr: f64) -> bool {
-        let stable = self.history.stable_update(info_decisions);
+        let stable = self.previous.as_deref() == Some(info_decisions);
+        let previous = self.previous.get_or_insert_with(Vec::new);
+        previous.clear();
+        previous.extend_from_slice(info_decisions);
         stable && min_abs_info_llr > self.rule.threshold
     }
 
     /// Resets the tracker for a new frame.
     pub fn reset(&mut self) {
-        self.history.reset();
+        self.previous = None;
     }
+}
+
+/// Decision value that matches no hard bit: a frame's decision record starts
+/// filled with it, so the first check of a frame never reports stability.
+pub(crate) const NO_DECISION: u8 = 2;
+
+/// The rule's threshold in `arith`'s message domain, converted once per
+/// decode; `None` when no check can ever fire (no rule, or a threshold that
+/// no finite magnitude exceeds: `+∞` or NaN).
+pub(crate) fn message_threshold<A: DecoderArithmetic>(
+    arith: &A,
+    rule: Option<&EarlyTermination>,
+) -> Option<A::Msg> {
+    rule.filter(|r| r.threshold < f64::INFINITY)
+        .map(|r| arith.termination_threshold(r.threshold))
+}
+
+/// Flags accumulated per stride-1 run in [`check_frames`] before the fold
+/// into per-frame verdicts (rounded to a multiple of the group width).
+const VERDICT_LANES: usize = 64;
+
+/// The early-termination check (§IV) of every frame of a `width`-frame group
+/// at once, in one stride-1 in-place pass over the interleaved
+/// information-bit APP messages (`app[i · width + slot]`, see
+/// [`crate::group`]): each hard decision is compared with the previous
+/// iteration's (`decisions`, same layout) and recorded in its place, and
+/// every magnitude is tested against the message-domain threshold `t` (from
+/// [`message_threshold`]). On return `verdicts[slot]` is 0 exactly when frame
+/// `slot`'s decisions were stable *and* every magnitude exceeds the
+/// threshold — the rule's "min |L| above the threshold". Serves the
+/// single-frame and flooding drivers (`width = 1`) and the group driver.
+///
+/// The per-element flags are OR-ed into a run of `width · ⌊64 / width⌋`
+/// accumulators (position `j` collects frame `j mod width`), so the pass
+/// vectorises whatever the width.
+pub(crate) fn check_frames<A: DecoderArithmetic>(
+    arith: &A,
+    t: A::Msg,
+    app: &[A::Msg],
+    decisions: &mut [u8],
+    width: usize,
+    verdicts: &mut Vec<u8>,
+) {
+    debug_assert_eq!(app.len(), decisions.len());
+    debug_assert!(app.len().is_multiple_of(width));
+    let lanes = width * (VERDICT_LANES / width).max(1);
+    verdicts.clear();
+    verdicts.resize(lanes, 0);
+    for (ms, ds) in app.chunks(lanes).zip(decisions.chunks_mut(lanes)) {
+        for ((v, d), &m) in verdicts.iter_mut().zip(ds).zip(ms) {
+            let bit = arith.hard_bit(m);
+            *v |= (*d ^ bit) | u8::from(!arith.exceeds(m, t));
+            *d = bit;
+        }
+    }
+    for j in width..lanes {
+        verdicts[j % width] |= verdicts[j];
+    }
+    verdicts.truncate(width);
+}
+
+/// Capacity [`check_frames`] needs for its verdicts of a `width`-frame group.
+pub(crate) fn verdict_capacity(width: usize) -> usize {
+    VERDICT_LANES.max(width)
 }
 
 #[cfg(test)]
@@ -179,6 +192,44 @@ mod tests {
         t.reset();
         assert!(!t.should_terminate(&[0], 5.0));
         assert!(t.should_terminate(&[0], 5.0));
+    }
+
+    #[test]
+    fn message_domain_check_matches_the_llr_rule() {
+        use crate::arith::{FixedBpArithmetic, FloatBpArithmetic};
+        let fx = FixedBpArithmetic::default();
+        let rule = EarlyTermination::with_threshold(4.0);
+        let t = message_threshold(&fx, Some(&rule)).unwrap();
+        // Interleaved two-frame layout: frame 1 sits in odd positions and
+        // holds a magnitude of exactly 16 codes = 4.0, which is not above.
+        let app: Vec<i16> = vec![17, -40, -18, 16, 30, 90];
+        let mut decisions = vec![NO_DECISION; 6];
+        let mut verdicts = Vec::new();
+        check_frames(&fx, t, &app, &mut decisions, 2, &mut verdicts);
+        assert!(verdicts.iter().all(|&v| v != 0), "first check never stable");
+        assert_eq!(decisions, [0, 1, 1, 0, 0, 0]);
+        check_frames(&fx, t, &app, &mut decisions, 2, &mut verdicts);
+        assert_eq!(verdicts[0], 0, "frame 0: stable and confident");
+        assert_ne!(verdicts[1], 0, "frame 1: 16 codes is not above 4.0");
+        // A flipped decision breaks stability of its frame only.
+        let flipped: Vec<i16> = vec![-17, -40, -18, 16, 30, 90];
+        check_frames(&fx, t, &flipped, &mut decisions, 2, &mut verdicts);
+        assert_ne!(verdicts[0], 0);
+        // Widths that do not divide the accumulator run fold correctly.
+        for width in [1usize, 3, 5, 7, 64, 100] {
+            let app: Vec<i16> = (0..width * 50).map(|i| 20 + (i % 9) as i16).collect();
+            let mut decisions = vec![NO_DECISION; app.len()];
+            check_frames(&fx, t, &app, &mut decisions, width, &mut verdicts);
+            check_frames(&fx, t, &app, &mut decisions, width, &mut verdicts);
+            assert_eq!(verdicts, vec![0; width], "width {width}");
+        }
+        // Thresholds no magnitude exceeds disable the check entirely.
+        let fl = FloatBpArithmetic::default();
+        for threshold in [f64::INFINITY, f64::NAN] {
+            let rule = EarlyTermination { threshold };
+            assert!(message_threshold(&fl, Some(&rule)).is_none());
+        }
+        assert!(message_threshold(&fl, None).is_none());
     }
 
     #[test]

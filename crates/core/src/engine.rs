@@ -79,29 +79,6 @@ pub(crate) fn validate_custom_order(order: &[usize], num_layers: usize) {
     }
 }
 
-/// One early-termination check (the paper's rule, §IV): information-bit hard
-/// decisions stable across two successive iterations AND minimum |LLR|
-/// strictly above the threshold. The stability half is the same
-/// [`crate::early_term::DecisionHistory`] mechanism `TerminationTracker`
-/// uses, with the history kept in the workspace; shared by the layered and
-/// flooding kernels.
-pub(crate) fn early_termination_reached<A: DecoderArithmetic>(
-    arith: &A,
-    threshold: f64,
-    ws: &mut DecodeWorkspace<A::Msg>,
-    info_len: usize,
-) -> bool {
-    ws.info_hard.clear();
-    ws.info_hard
-        .extend(ws.app[..info_len].iter().map(|&m| arith.hard_bit(m)));
-    let min_abs = ws.app[..info_len]
-        .iter()
-        .map(|&m| arith.magnitude(m))
-        .fold(f64::INFINITY, f64::min);
-    let stable = ws.history.stable_update(&ws.info_hard);
-    stable && min_abs > threshold
-}
-
 /// Fills `out` from the final APP messages; shared by both kernels.
 pub(crate) fn finish_output<A: DecoderArithmetic>(
     arith: &A,

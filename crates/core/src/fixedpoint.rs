@@ -3,12 +3,21 @@
 //! The SISO datapath of the paper carries 8-bit two's-complement messages
 //! (Fig. 3 shows 8-bit buses). [`FixedFormat`] describes such a format — total
 //! word width `W` and fractional bits `F` — and provides the saturating
-//! integer-code arithmetic the decoder and the SISO models share. Messages are
-//! carried as `i32` *codes*; a code `c` represents the LLR value `c · 2^-F`.
-//! The representable range is symmetric, `[-(2^{W-1}-1), 2^{W-1}-1]`, which is
-//! the customary choice for LLR datapaths (the most negative code is unused).
+//! integer-code arithmetic the decoder and the SISO models share. A code `c`
+//! represents the LLR value `c · 2^-F`. The scalar helpers here work on `i32`
+//! codes (formats up to 24 bits); the fixed-point decoder back-ends carry
+//! their messages as `i16` codes in 16-bit panels, which holds every message
+//! format up to 14 bits plus the two headroom bits of the APP memory (see
+//! [`crate::arith::FixedBpArithmetic`]). The representable range is symmetric,
+//! `[-(2^{W-1}-1), 2^{W-1}-1]`, which is the customary choice for LLR
+//! datapaths (the most negative code is unused).
 
 use std::fmt;
+
+/// Widest message format the fixed-point decoder back-ends accept: a
+/// 14-bit message plus the APP memory's two headroom bits is exactly the
+/// `i16` panel word.
+pub const MAX_MESSAGE_BITS: u32 = 14;
 
 /// A fixed-point format: `W` total bits, `F` fractional bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,10 +65,18 @@ impl FixedFormat {
         self.frac_bits
     }
 
-    /// The value of one least-significant bit, `2^-F`.
+    /// The value of one least-significant bit, `2^-F`, built directly from
+    /// its IEEE-754 exponent (exact, and no `powi` call on the hot paths that
+    /// convert codes to LLRs).
     #[must_use]
     pub fn step(&self) -> f64 {
-        (0.5f64).powi(self.frac_bits as i32)
+        f64::from_bits(u64::from(1023 - self.frac_bits) << 52)
+    }
+
+    /// The reciprocal of [`FixedFormat::step`], `2^F` (exact).
+    #[must_use]
+    pub fn scale(&self) -> f64 {
+        f64::from_bits(u64::from(1023 + self.frac_bits) << 52)
     }
 
     /// Largest representable code, `2^{W-1} − 1`.
@@ -120,6 +137,23 @@ impl FixedFormat {
         code as f64 * self.step()
     }
 
+    /// The early-termination threshold as a code: the `t` for which
+    /// `|c| > t ⇔ dequantize(|c|) > threshold` for every code `c`, i.e.
+    /// `⌊threshold · 2^F⌋` (exact: the scaling is by a power of two),
+    /// clamped to `[-1, i16::MAX]` so it compares against any `i16`
+    /// magnitude (`-1`: every magnitude passes; `i16::MAX`: none does).
+    #[must_use]
+    pub(crate) fn threshold_code(&self, threshold: f64) -> i16 {
+        let t = (threshold * self.scale()).floor();
+        if t >= f64::from(i16::MAX) || t.is_nan() {
+            i16::MAX
+        } else if t < -1.0 {
+            -1
+        } else {
+            t as i16
+        }
+    }
+
     /// Whether `code` is inside the representable range.
     #[must_use]
     pub fn in_range(&self, code: i32) -> bool {
@@ -174,6 +208,39 @@ mod tests {
         for code in [-127, -3, 0, 5, 127] {
             assert_eq!(f.quantize(f.dequantize(code)), code);
         }
+    }
+
+    #[test]
+    fn step_is_the_exact_power_of_two_for_every_legal_format() {
+        for w in 2..=24u32 {
+            for f in 0..w {
+                let fmt = FixedFormat::new(w, f);
+                assert_eq!(fmt.step(), 0.5f64.powi(f as i32), "{fmt}");
+                assert_eq!(fmt.scale(), 2.0f64.powi(f as i32), "{fmt}");
+                assert_eq!(fmt.step() * fmt.scale(), 1.0);
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_code_matches_the_llr_comparison() {
+        for fmt in [
+            FixedFormat::default(),
+            FixedFormat::new(5, 1),
+            FixedFormat::new(14, 6),
+        ] {
+            for threshold in [-3.0, -0.0, 0.0, 0.1, 0.25, 3.99, 4.0, 4.01, 31.75, 1e9] {
+                let t = fmt.threshold_code(threshold);
+                for code in 0..=fmt.max_code() {
+                    assert_eq!(
+                        i32::from(t) < code,
+                        fmt.dequantize(code) > threshold,
+                        "{fmt} threshold {threshold} code {code}"
+                    );
+                }
+            }
+        }
+        assert_eq!(FixedFormat::default().threshold_code(4.0), 16);
     }
 
     #[test]

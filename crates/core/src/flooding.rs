@@ -16,6 +16,7 @@ use ldpc_codes::{CompiledCode, QcCode};
 
 use crate::arith::DecoderArithmetic;
 use crate::decoder::DecoderConfig;
+use crate::early_term::{check_frames, message_threshold};
 use crate::engine::Decoder;
 use crate::error::DecodeError;
 use crate::pool::WorkspacePool;
@@ -126,8 +127,9 @@ impl<A: DecoderArithmetic> Decoder for FloodingDecoder<A> {
         // Check-to-variable messages R live in `ws.lambda`, double-buffered
         // against `ws.lambda_alt`; posteriors live in `ws.app`.
         ws.prepare(compiled, arith.zero(), true);
-        ws.chan.extend(llrs.iter().map(|&l| arith.from_channel(l)));
-        ws.app.extend_from_slice(&ws.chan);
+        arith.from_channel_slice(llrs, &mut ws.chan);
+        ws.app.copy_from_slice(&ws.chan);
+        let et_threshold = message_threshold(arith, self.config.early_termination.as_ref());
 
         let mut stats = DecodeStats::default();
         let mut iterations = 0usize;
@@ -171,10 +173,10 @@ impl<A: DecoderArithmetic> Decoder for FloodingDecoder<A> {
             }
             iterations += 1;
 
-            if let Some(rule) = &self.config.early_termination {
-                if crate::engine::early_termination_reached(arith, rule.threshold, ws, info_len)
-                    && iterations < self.config.max_iterations
-                {
+            if let Some(t) = et_threshold {
+                let info = &ws.app[..info_len];
+                check_frames(arith, t, info, &mut ws.decisions, 1, &mut ws.verdicts);
+                if ws.verdicts[0] == 0 && iterations < self.config.max_iterations {
                     early_terminated = true;
                     break;
                 }

@@ -15,9 +15,10 @@
 //!   bit-accurate fixed point) and the normalized Min-Sum baseline, plus the
 //!   lane-parallel [`LaneKernel`] slice kernels the layered engine runs on
 //!   (the software analogue of the paper's `z`-wide SISO array) and the
-//!   explicit-SIMD kernel tier underneath them ([`arith::simd`]: AVX2 with
-//!   hardware LUT gathers, SSE4.1, scalar fallback — selected once per
-//!   process by runtime dispatch, bit-identical across tiers),
+//!   explicit-SIMD kernel tier underneath them ([`arith::simd`]: 16-bit
+//!   panels on AVX2 and SSE4.1 with `pshufb` LUT lookups, scalar fallback —
+//!   selected once per process by runtime dispatch, bit-identical across
+//!   tiers),
 //! * [`decoder`] — the layered decoder itself (Algorithm 1), lane-major hot
 //!   loop plus the row-serial reference kernel,
 //! * [`flooding`] — the two-phase baseline schedule,
@@ -94,7 +95,7 @@ pub use arith::{
 pub use cascade::{CascadeConfig, CascadeDecoder, CascadeStats};
 pub use combine::HarqCombiner;
 pub use decoder::{DecoderConfig, LayeredDecoder};
-pub use early_term::{DecisionHistory, EarlyTermination};
+pub use early_term::EarlyTermination;
 pub use engine::{batch_threads, kernel_tier, Decoder, LlrBatch, MsgOf};
 pub use error::DecodeError;
 pub use fixedpoint::FixedFormat;

@@ -24,17 +24,21 @@ pub enum CorrectionKind {
 /// code domain.
 ///
 /// Besides the branchy scalar [`CorrectionLut::lookup`] (kept as the
-/// bit-identity reference), the table carries two branch-free derived forms
-/// used by the hand-tuned lane kernels:
+/// bit-identity reference), the table carries branch-free derived forms
+/// used by the panel kernels:
 ///
 /// * `extended` — the region table with the saturation entry appended, so a
 ///   lookup becomes `extended[min(x / region_width, extended.len() − 1)]`:
 ///   a clamped, saturating index instead of a per-element region branch;
-/// * `dense` — when the covered input range is small (it is for every
-///   practical format: `2^address_bits · region_width + 1` codes, 129 entries
-///   for the paper's Q6.2/3-bit operating point), the table expanded to one
-///   entry *per input code*, so the gather is `dense[min(x, dense.len() − 1)]`
-///   with no division at all.
+/// * `dense` — when the covered input range is small and every entry fits
+///   `i16` (true of the 3-bit tables of every message format up to 14 bits:
+///   `2^address_bits · region_width + 1` codes, 9 entries for the paper's
+///   Q6.2 operating point), the table expanded to one `i16` entry *per
+///   input code*, so the lookup is `dense[min(x, dense.len() − 1)]` with no
+///   division at all;
+/// * `shuffle` — when the dense table fits in 16 bytes (at most 16 entries,
+///   each in `0..=255`), the same table as a byte-shuffle operand: the SIMD
+///   tiers look 8/16 lanes up at once with one `pshufb`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorrectionLut {
     kind: CorrectionKind,
@@ -46,8 +50,12 @@ pub struct CorrectionLut {
     /// `table` plus the saturation entry: region lookups clamp into this.
     extended: Vec<i32>,
     /// Per-input-code expansion of the whole table (empty above
-    /// [`CorrectionLut::DENSE_LIMIT`]); index clamps to the last entry.
-    dense: Vec<i32>,
+    /// [`CorrectionLut::DENSE_LIMIT`] or when an entry does not fit `i16`);
+    /// index clamps to the last entry.
+    dense: Vec<i16>,
+    /// `dense` as a 16-byte shuffle table (padded with the last entry), when
+    /// it fits.
+    shuffle: Option<[u8; 16]>,
 }
 
 impl CorrectionLut {
@@ -108,13 +116,24 @@ impl CorrectionLut {
         // index `min(x, len − 1)` then reproduces `lookup` for every x ≥ 0
         // (all codes at or beyond the cutoff share the saturation entry).
         let cutoff = region_width as usize * entries;
-        let dense = if cutoff < Self::DENSE_LIMIT {
+        let fits_i16 = extended.iter().all(|&e| i16::try_from(e).is_ok());
+        let dense: Vec<i16> = if cutoff < Self::DENSE_LIMIT && fits_i16 {
             (0..=cutoff)
-                .map(|x| extended[(x / region_width as usize).min(entries)])
+                .map(|x| extended[(x / region_width as usize).min(entries)] as i16)
                 .collect()
         } else {
             Vec::new()
         };
+        let shuffle = (!dense.is_empty()
+            && dense.len() <= 16
+            && dense.iter().all(|&e| (0..=255).contains(&e)))
+        .then(|| {
+            let mut bytes = [0u8; 16];
+            for (i, b) in bytes.iter_mut().enumerate() {
+                *b = dense[i.min(dense.len() - 1)] as u8;
+            }
+            bytes
+        });
         CorrectionLut {
             kind,
             format,
@@ -123,6 +142,7 @@ impl CorrectionLut {
             table,
             extended,
             dense,
+            shuffle,
         }
     }
 
@@ -181,78 +201,54 @@ impl CorrectionLut {
         }
     }
 
-    /// Expanded-table budget for the dense (division-free) gather form. Any
-    /// format with a per-code region resolution up to this many covered codes
-    /// gets the dense table; coarser-than-usual formats (very many fractional
-    /// bits) fall back to the divide-then-clamp form, still branch-free.
+    /// Expanded-table budget for the dense (division-free) form. Any format
+    /// with a per-code region resolution up to this many covered codes gets
+    /// the dense table (if its entries fit `i16`); coarser-than-usual formats
+    /// (very many fractional bits) keep only the divide-then-clamp form.
     pub const DENSE_LIMIT: usize = 1 << 16;
 
     /// The per-input-code dense expansion of the table (empty for formats
-    /// past [`CorrectionLut::DENSE_LIMIT`]). This is the array the explicit
-    /// SIMD tier hardware-gathers through (`dense[min(x, last)]`, index
-    /// clamp in unsigned space); exposed so kernels and tests can address
-    /// it directly.
+    /// past [`CorrectionLut::DENSE_LIMIT`] or with entries outside `i16`).
+    /// This is the array the 16-bit panel kernels look up through
+    /// (`dense[min(x, last)]`, index clamp in unsigned space); exposed so
+    /// kernels and tests can address it directly.
     #[must_use]
-    pub fn dense_table(&self) -> &[i32] {
+    pub fn dense_table(&self) -> &[i16] {
         &self.dense
     }
 
-    /// Branch-free slice lookup: `out[i] = lookup(xs[i])` for non-negative
-    /// input codes, computed as a clamped saturating index (no per-element
-    /// region branch) — `dense[min(x, last)]` when the dense expansion exists,
-    /// `extended[min(x / region_width, last)]` otherwise. Dispatches to the
-    /// process-wide kernel tier ([`simd::active_level`]): a true hardware
-    /// gather (`vpgatherdd`) on AVX2, the scalar clamped-index loop
-    /// elsewhere. [`CorrectionLut::lookup`] is the scalar bit-identity
-    /// reference.
+    /// The dense table as a 16-byte `pshufb` operand (entry `i` at byte `i`,
+    /// padded with the saturation entry), or `None` when the dense table has
+    /// more than 16 entries or an entry outside `0..=255`. The paper's Q6.2
+    /// and Q5.1 3-bit tables fit.
+    #[must_use]
+    pub fn shuffle_table(&self) -> Option<&[u8; 16]> {
+        self.shuffle.as_ref()
+    }
+
+    /// Branch-free slice lookup over `i32` codes of any format:
+    /// `out[i] = lookup(xs[i])` for non-negative input codes, computed as a
+    /// clamped saturating index (no per-element region branch) —
+    /// `dense[min(x, last)]` when the dense expansion exists,
+    /// `extended[min(x / region_width, last)]` otherwise.
+    /// [`CorrectionLut::lookup`] is the scalar bit-identity reference.
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length; debug-asserts every input is a
     /// non-negative magnitude.
     pub fn lookup_slice(&self, xs: &[i32], out: &mut [i32]) {
-        self.lookup_slice_with(simd::active_level(), xs, out);
-    }
-
-    /// [`CorrectionLut::lookup_slice`] pinned to an explicit kernel tier
-    /// (clamped to the detected CPU capability) — the form the bit-identity
-    /// sweeps and the `simd_vs_scalar` benches drive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length; debug-asserts every input is a
-    /// non-negative magnitude.
-    pub fn lookup_slice_with(&self, level: SimdLevel, xs: &[i32], out: &mut [i32]) {
         assert_eq!(xs.len(), out.len(), "lookup_slice length mismatch");
-        debug_assert!(xs.iter().all(|&x| x >= 0), "LUT input must be a magnitude");
-        if self.dense.is_empty() {
-            let last = self.extended.len() - 1;
-            let width = self.region_width;
-            for (o, &x) in out.iter_mut().zip(xs) {
-                *o = self.extended[((x / width) as usize).min(last)];
-            }
-        } else {
-            simd::lut_gather_dense(level, &self.dense, xs, out);
-        }
+        out.copy_from_slice(xs);
+        self.map_slice(out);
     }
 
-    /// In-place [`CorrectionLut::lookup_slice`]: `xs[i] = lookup(xs[i])`,
-    /// dispatched to the process-wide kernel tier.
+    /// In-place [`CorrectionLut::lookup_slice`]: `xs[i] = lookup(xs[i])`.
     ///
     /// # Panics
     ///
     /// Debug-asserts every input is a non-negative magnitude.
     pub fn map_slice(&self, xs: &mut [i32]) {
-        self.map_slice_with(simd::active_level(), xs);
-    }
-
-    /// [`CorrectionLut::map_slice`] pinned to an explicit kernel tier
-    /// (clamped to the detected CPU capability).
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts every input is a non-negative magnitude.
-    pub fn map_slice_with(&self, level: SimdLevel, xs: &mut [i32]) {
         debug_assert!(xs.iter().all(|&x| x >= 0), "LUT input must be a magnitude");
         if self.dense.is_empty() {
             let last = self.extended.len() - 1;
@@ -261,7 +257,44 @@ impl CorrectionLut {
                 *x = self.extended[((*x / width) as usize).min(last)];
             }
         } else {
-            simd::lut_map_dense(level, &self.dense, xs);
+            let last = self.dense.len() - 1;
+            for x in xs.iter_mut() {
+                *x = i32::from(self.dense[(*x as usize).min(last)]);
+            }
+        }
+    }
+
+    /// The 16-bit panel lookup: `out[i] = lookup(xs[i])` over `i16`
+    /// magnitudes, dispatched to `level` (clamped to the detected CPU
+    /// capability): one `pshufb` per vector on the SIMD tiers when the table
+    /// has a [`CorrectionLut::shuffle_table`], the scalar clamped-index loop
+    /// through [`CorrectionLut::dense_table`] otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length or the table has no dense form;
+    /// debug-asserts every input is a non-negative magnitude.
+    pub fn lookup_slice_with(&self, level: SimdLevel, xs: &[i16], out: &mut [i16]) {
+        assert_eq!(xs.len(), out.len(), "lookup_slice length mismatch");
+        out.copy_from_slice(xs);
+        self.map_slice_with(level, out);
+    }
+
+    /// In-place [`CorrectionLut::lookup_slice_with`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has no dense form; debug-asserts every input is a
+    /// non-negative magnitude.
+    pub fn map_slice_with(&self, level: SimdLevel, xs: &mut [i16]) {
+        debug_assert!(xs.iter().all(|&x| x >= 0), "LUT input must be a magnitude");
+        assert!(
+            !self.dense.is_empty(),
+            "16-bit panel lookup needs a dense table"
+        );
+        match &self.shuffle {
+            Some(table) => simd::lut_shuffle_map(level, table, xs),
+            None => simd::scalar::lut_map_dense(&self.dense, xs),
         }
     }
 
@@ -372,9 +405,13 @@ mod tests {
                 lut.lookup_slice(&xs, &mut out);
                 let mut inplace = xs.clone();
                 lut.map_slice(&mut inplace);
+                let panel: Vec<i16> = xs.iter().map(|&x| x as i16).collect();
+                let mut panel_out = vec![0i16; xs.len()];
+                lut.lookup_slice_with(SimdLevel::Scalar, &panel, &mut panel_out);
                 for (i, &x) in xs.iter().enumerate() {
                     assert_eq!(out[i], lut.lookup(x), "{kind:?} {format} at {x}");
                     assert_eq!(inplace[i], lut.lookup(x));
+                    assert_eq!(i32::from(panel_out[i]), lut.lookup(x));
                 }
             }
         }
@@ -393,6 +430,36 @@ mod tests {
         lut.lookup_slice(&xs, &mut out);
         for (&x, &o) in xs.iter().zip(&out) {
             assert_eq!(o, lut.lookup(x), "divide form diverged at {x}");
+        }
+    }
+
+    #[test]
+    fn shuffle_table_exists_exactly_for_small_dense_tables() {
+        for (w, f, bits, fits) in [
+            (8, 2, 3, true),
+            (5, 1, 3, true),
+            (6, 1, 3, true),
+            (8, 2, 4, false),
+            (10, 4, 3, false),
+        ] {
+            let format = FixedFormat::new(w, f);
+            for kind in [CorrectionKind::Plus, CorrectionKind::Minus] {
+                let lut = CorrectionLut::new(kind, format, bits);
+                assert_eq!(
+                    lut.shuffle_table().is_some(),
+                    fits,
+                    "{kind:?} {format} {bits}"
+                );
+                if let Some(table) = lut.shuffle_table() {
+                    for (x, &entry) in table.iter().enumerate() {
+                        assert_eq!(
+                            i32::from(entry),
+                            lut.lookup(x as i32),
+                            "{kind:?} {format} at {x}"
+                        );
+                    }
+                }
+            }
         }
     }
 

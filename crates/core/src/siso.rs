@@ -38,12 +38,12 @@ impl BoxArithmetic for FloatBpArithmetic {
 }
 
 impl BoxArithmetic for FixedBpArithmetic {
-    fn box_plus(&self, a: i32, b: i32) -> i32 {
-        self.boxplus_codes(a, b)
+    fn box_plus(&self, a: i16, b: i16) -> i16 {
+        self.boxplus_codes(i32::from(a), i32::from(b)) as i16
     }
 
-    fn box_minus(&self, a: i32, b: i32) -> i32 {
-        self.boxminus_codes(a, b)
+    fn box_minus(&self, a: i16, b: i16) -> i16 {
+        self.boxminus_codes(i32::from(a), i32::from(b)) as i16
     }
 }
 

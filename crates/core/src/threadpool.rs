@@ -378,34 +378,39 @@ impl DecodePool {
     pub fn global() -> &'static DecodePool {
         static POOL: OnceLock<DecodePool> = OnceLock::new();
         POOL.get_or_init(|| {
-            let cores = detected_cores();
             // At least one worker even on a single core: the pool machinery
             // (queueing, stealing, cancellation) then gets exercised — and
             // regression-tested — everywhere, at the cost of one parked
             // thread.
-            let workers = cores.saturating_sub(1).max(1);
-            let pin = pin_threads_requested();
-            let shared = Arc::new(PoolShared {
-                queue: Mutex::new(VecDeque::new()),
-                work_ready: Condvar::new(),
-                executed: AtomicU64::new(0),
-                cancelled: AtomicU64::new(0),
-                pinned: AtomicUsize::new(0),
-                live: AtomicUsize::new(0),
-                restarts: AtomicU64::new(0),
-            });
-            for index in 0..workers {
-                assert!(
-                    spawn_worker(Arc::clone(&shared), index, pin, cores),
-                    "cannot spawn decode pool worker"
-                );
-            }
-            DecodePool {
-                shared,
-                workers,
-                pin_requested: pin,
-            }
+            let workers = detected_cores().saturating_sub(1).max(1);
+            DecodePool::spawn(workers, pin_threads_requested())
         })
+    }
+
+    /// Spawns a pool of `workers` threads (the global pool's constructor;
+    /// tests that assert on the pool's counters use a private pool).
+    fn spawn(workers: usize, pin: bool) -> DecodePool {
+        let cores = detected_cores();
+        let shared = Arc::new(PoolShared {
+            queue: Mutex::new(VecDeque::new()),
+            work_ready: Condvar::new(),
+            executed: AtomicU64::new(0),
+            cancelled: AtomicU64::new(0),
+            pinned: AtomicUsize::new(0),
+            live: AtomicUsize::new(0),
+            restarts: AtomicU64::new(0),
+        });
+        for index in 0..workers {
+            assert!(
+                spawn_worker(Arc::clone(&shared), index, pin, cores),
+                "cannot spawn decode pool worker"
+            );
+        }
+        DecodePool {
+            shared,
+            workers,
+            pin_requested: pin,
+        }
     }
 
     /// Number of worker threads the pool spawned.
@@ -579,8 +584,10 @@ mod tests {
     fn queued_tasks_are_cancelled_once_the_caller_finishes() {
         // With a trivial job and a large fanout, most queued invocations are
         // cancelled by the scope guard rather than executed — and the call
-        // still returns promptly with the latch fully resolved.
-        let pool = DecodePool::global();
+        // still returns promptly with the latch fully resolved. A private
+        // pool: tests running concurrently on the global one would add
+        // their own tasks to its counters.
+        let pool = DecodePool::spawn(1, false);
         let before = pool.tasks_cancelled() + pool.tasks_executed();
         for _ in 0..50 {
             pool.run_scoped(4, &|| {});

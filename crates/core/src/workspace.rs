@@ -14,7 +14,7 @@
 use ldpc_codes::CompiledCode;
 
 use crate::arith::LaneScratch;
-use crate::early_term::DecisionHistory;
+use crate::early_term::{verdict_capacity, NO_DECISION};
 
 /// Buffer set for decoding frames of one code with messages of type `M`.
 ///
@@ -44,15 +44,13 @@ pub struct DecodeWorkspace<M> {
     pub(crate) lane_scratch: LaneScratch<M>,
     /// Hard-decision scratch, length `n`.
     pub(crate) hard: Vec<u8>,
-    /// Information-bit hard decisions of the current iteration.
-    pub(crate) info_hard: Vec<u8>,
-    /// Early-termination decision history (previous iteration's hard
-    /// decisions), the same mechanism [`crate::early_term::TerminationTracker`]
-    /// uses.
-    pub(crate) history: DecisionHistory,
-    /// Per-frame early-termination histories of the frame-major group path
-    /// (one per frame of the widest group decoded so far).
-    pub(crate) group_histories: Vec<DecisionHistory>,
+    /// Early-termination decision record: the previous iteration's
+    /// information-bit hard decisions, interleaved like the APP memory
+    /// (`decisions[i · width + slot]`) and compacted with it. Reset to
+    /// [`NO_DECISION`](crate::early_term::NO_DECISION) per frame.
+    pub(crate) decisions: Vec<u8>,
+    /// Per-frame verdict scratch of the early-termination check.
+    pub(crate) verdicts: Vec<u8>,
     /// Original frame index of each packed column of the current group (the
     /// active set; converged frames are compacted out).
     pub(crate) group_active: Vec<u32>,
@@ -84,9 +82,8 @@ impl<M: Copy> DecodeWorkspace<M> {
             lane_out: Vec::new(),
             lane_scratch: LaneScratch::new(),
             hard: Vec::new(),
-            info_hard: Vec::new(),
-            history: DecisionHistory::new(),
-            group_histories: Vec::new(),
+            decisions: Vec::new(),
+            verdicts: Vec::new(),
             group_active: Vec::new(),
             group_keep: Vec::new(),
             group_frame: Vec::new(),
@@ -119,8 +116,8 @@ impl<M: Copy> DecodeWorkspace<M> {
         reserve_to(&mut self.lane_out, degree * compiled.z());
         self.lane_scratch.reserve(degree, compiled.z());
         reserve_to(&mut self.hard, n);
-        reserve_to(&mut self.info_hard, info);
-        self.history.reserve(info);
+        reserve_to(&mut self.decisions, info);
+        reserve_to(&mut self.verdicts, verdict_capacity(1));
         if flooding {
             reserve_to(&mut self.chan, n);
             reserve_to(&mut self.lambda_alt, edges);
@@ -143,16 +140,18 @@ impl<M: Copy> DecodeWorkspace<M> {
             && self.lane_out.capacity() >= degree * compiled.z()
             && self.lane_scratch.is_ready(degree, compiled.z())
             && self.hard.capacity() >= n
-            && self.info_hard.capacity() >= info
-            && self.history.is_ready(info)
+            && self.decisions.capacity() >= info
+            && self.verdicts.capacity() >= verdict_capacity(1)
             && (!flooding || (self.chan.capacity() >= n && self.lambda_alt.capacity() >= edges))
     }
 
-    /// Resets the per-frame state: Λ memory zeroed, APP cleared (the engine
-    /// refills it from the channel LLRs), early-termination history dropped.
+    /// Resets the per-frame state: Λ memory zeroed, APP sized to `n` (the
+    /// engine refills it from the channel LLRs), early-termination record
+    /// reset.
     pub(crate) fn prepare(&mut self, compiled: &CompiledCode, zero: M, flooding: bool) {
         self.reserve_for(compiled, flooding);
         self.app.clear();
+        self.app.resize(compiled.n(), zero);
         self.lambda.clear();
         self.lambda.resize(compiled.num_edges(), zero);
         // The lane buffers are fully written before every read; only their
@@ -162,9 +161,11 @@ impl<M: Copy> DecodeWorkspace<M> {
         self.lane_in.resize(lane_len, zero);
         self.lane_out.clear();
         self.lane_out.resize(lane_len, zero);
-        self.history.reset();
+        self.decisions.clear();
+        self.decisions.resize(compiled.info_bits(), NO_DECISION);
         if flooding {
             self.chan.clear();
+            self.chan.resize(compiled.n(), zero);
             // The flooding schedule writes every edge of `lambda_alt` before
             // reading it, so its contents need no initialisation — only its
             // length must match for the buffer swap.
@@ -176,7 +177,7 @@ impl<M: Copy> DecodeWorkspace<M> {
     /// Grows every buffer the frame-major group path touches to the capacity
     /// a `width`-frame group of `compiled` needs (see [`crate::group`] for
     /// the layout): the single-frame buffers scaled by `width`, plus the
-    /// per-frame histories and the group bookkeeping scratch.
+    /// per-frame decision records and the group bookkeeping scratch.
     pub fn reserve_for_group(&mut self, compiled: &CompiledCode, width: usize) {
         let n = compiled.n();
         let edges = compiled.num_edges();
@@ -191,17 +192,11 @@ impl<M: Copy> DecodeWorkspace<M> {
         reserve_to(&mut self.lane_out, degree * zw);
         self.lane_scratch.reserve(degree, zw);
         reserve_to(&mut self.hard, n);
-        reserve_to(&mut self.info_hard, info);
+        reserve_to(&mut self.decisions, info * width);
+        reserve_to(&mut self.verdicts, verdict_capacity(width));
         reserve_to(&mut self.group_active, width);
         reserve_to(&mut self.group_keep, width);
         reserve_to(&mut self.group_frame, n);
-        if self.group_histories.len() < width {
-            self.group_histories
-                .resize_with(width, DecisionHistory::new);
-        }
-        for history in &mut self.group_histories[..width] {
-            history.reserve(info);
-        }
     }
 
     /// Whether preparing a group decode (`prepare_group`) with these parameters is
@@ -218,23 +213,21 @@ impl<M: Copy> DecodeWorkspace<M> {
             && self.lane_out.capacity() >= degree * zw
             && self.lane_scratch.is_ready(degree, zw)
             && self.hard.capacity() >= n
-            && self.info_hard.capacity() >= info
+            && self.decisions.capacity() >= info * width
+            && self.verdicts.capacity() >= verdict_capacity(width)
             && self.group_active.capacity() >= width
             && self.group_keep.capacity() >= width
             && self.group_frame.capacity() >= n
-            && self.group_histories.len() >= width
-            && self.group_histories[..width]
-                .iter()
-                .all(|h| h.is_ready(info))
     }
 
     /// Resets the workspace for a `width`-frame group decode: Λ memory zeroed
-    /// at group stride, APP cleared (the group driver packs it from the
-    /// channel LLRs), the active set reset to all frames, every per-frame
-    /// history dropped.
+    /// at group stride, APP sized for the group (the group driver packs it
+    /// from the channel LLRs), the active set reset to all frames, every
+    /// per-frame decision record reset.
     pub(crate) fn prepare_group(&mut self, compiled: &CompiledCode, zero: M, width: usize) {
         self.reserve_for_group(compiled, width);
         self.app.clear();
+        self.app.resize(compiled.n() * width, zero);
         self.lambda.clear();
         self.lambda.resize(compiled.num_edges() * width, zero);
         let lane_len = compiled.max_degree() * compiled.z() * width;
@@ -244,9 +237,9 @@ impl<M: Copy> DecodeWorkspace<M> {
         self.lane_out.resize(lane_len, zero);
         self.group_active.clear();
         self.group_active.extend(0..width as u32);
-        for history in &mut self.group_histories[..width] {
-            history.reset();
-        }
+        self.decisions.clear();
+        self.decisions
+            .resize(compiled.info_bits() * width, NO_DECISION);
     }
 
     /// Grows every buffer a [`crate::cascade::CascadeDecoder`] needs for a
@@ -300,7 +293,7 @@ impl<M: Copy> DecodeWorkspace<M> {
 
     /// Pointer/capacity fingerprint of the group-path buffers (everything
     /// [`DecodeWorkspace::allocation_fingerprint`] covers, plus the group
-    /// bookkeeping and the per-frame histories). Building the vector
+    /// bookkeeping). Building the vector
     /// allocates, so this is a test/debug aid, not a hot-path call.
     #[must_use]
     pub fn group_fingerprint(&self) -> Vec<(usize, usize)> {
@@ -317,15 +310,6 @@ impl<M: Copy> DecodeWorkspace<M> {
             self.group_frame.as_ptr() as usize,
             self.group_frame.capacity(),
         ));
-        fp.push((
-            self.group_histories.as_ptr() as usize,
-            self.group_histories.capacity(),
-        ));
-        fp.extend(
-            self.group_histories
-                .iter()
-                .map(DecisionHistory::fingerprint),
-        );
         fp
     }
 
@@ -361,8 +345,8 @@ impl<M: Copy> DecodeWorkspace<M> {
             scratch[1],
             scratch[2],
             (self.hard.as_ptr() as usize, self.hard.capacity()),
-            (self.info_hard.as_ptr() as usize, self.info_hard.capacity()),
-            self.history.fingerprint(),
+            (self.decisions.as_ptr() as usize, self.decisions.capacity()),
+            (self.verdicts.as_ptr() as usize, self.verdicts.capacity()),
         ]
     }
 }

@@ -78,6 +78,16 @@ pub enum SubmitError {
         /// LLRs supplied.
         actual: usize,
     },
+    /// The frame holds a non-finite LLR (`±∞` or NaN), which no decoder can
+    /// use meaningfully: normalised ingest would turn one `+∞` into an
+    /// all-zero frame that "decodes" to the all-zero codeword. Counted in
+    /// [`ShardStats::rejected_non_finite`](crate::ShardStats::rejected_non_finite).
+    NonFiniteLlr {
+        /// The mode submitted under.
+        code: CodeId,
+        /// Position of the first non-finite LLR in the submitted buffer.
+        index: usize,
+    },
     /// The shard's ingest queue is at capacity (backpressure; only from
     /// `try_submit` — blocking submission parks instead).
     QueueFull {
@@ -121,6 +131,11 @@ impl fmt::Debug for SubmitError {
                 .field("expected", expected)
                 .field("actual", actual)
                 .finish(),
+            SubmitError::NonFiniteLlr { code, index } => f
+                .debug_struct("NonFiniteLlr")
+                .field("code", code)
+                .field("index", index)
+                .finish(),
             SubmitError::QueueFull { llrs } => f
                 .debug_struct("QueueFull")
                 .field("llrs_len", &llrs.len())
@@ -147,6 +162,9 @@ impl fmt::Display for SubmitError {
                 f,
                 "frame for {code} has {actual} LLRs but the code length is {expected}"
             ),
+            SubmitError::NonFiniteLlr { code, index } => {
+                write!(f, "frame for {code} has a non-finite LLR at index {index}")
+            }
             SubmitError::QueueFull { llrs } => {
                 write!(f, "shard queue full ({}-LLR frame refused)", llrs.len())
             }

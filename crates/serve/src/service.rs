@@ -252,6 +252,21 @@ struct ShardState<D> {
     puncture: Option<PuncturePattern>,
 }
 
+/// Ingest validation shared by the plain and HARQ submit paths: refuses (and
+/// counts) a frame holding a non-finite LLR, naming its first position.
+fn check_finite<D>(shard: &ShardState<D>, code: CodeId, llrs: &[f64]) -> Result<(), SubmitError> {
+    match llrs.iter().position(|l| !l.is_finite()) {
+        None => Ok(()),
+        Some(index) => {
+            shard
+                .counters
+                .rejected_non_finite
+                .fetch_add(1, Ordering::Relaxed);
+            Err(SubmitError::NonFiniteLlr { code, index })
+        }
+    }
+}
+
 /// Everything the dispatch workers share with the service front end.
 #[derive(Debug)]
 struct ServiceCore<D> {
@@ -857,6 +872,9 @@ where
                 harq,
             ));
         }
+        if let Err(e) = check_finite(shard, code, &llrs) {
+            return Err((e, harq));
+        }
         // Quantized ingest (when configured): gain-normalise the frame into
         // the fixed-point range at submission, so the dispatch workers — and
         // the caller, should the frame be handed back — see the exact LLRs
@@ -1126,6 +1144,7 @@ where
             return Err(SubmitError::UnknownCode { code });
         };
         let shard = &self.core.shards[idx];
+        check_finite(shard, code, &llrs)?;
         let n = shard.compiled.n();
         let mut full = if llrs.len() == n {
             llrs

@@ -156,6 +156,8 @@ pub(crate) struct ShardCounters {
     pub accepted: AtomicU64,
     /// Non-blocking refusals due to a full queue (backpressure events).
     pub rejected_full: AtomicU64,
+    /// Submissions refused for a non-finite LLR.
+    pub rejected_non_finite: AtomicU64,
     /// Frames decoded and completed with an output.
     pub decoded: AtomicU64,
     /// Frames completed as expired (deadline passed before decoding).
@@ -245,6 +247,7 @@ impl ShardCounters {
             code,
             accepted: self.accepted.load(Ordering::Relaxed),
             rejected_full: self.rejected_full.load(Ordering::Relaxed),
+            rejected_non_finite: self.rejected_non_finite.load(Ordering::Relaxed),
             decoded: self.decoded.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
@@ -390,6 +393,10 @@ pub struct ShardStats {
     /// Non-blocking submission refusals due to a full queue (backpressure
     /// events).
     pub rejected_full: u64,
+    /// Submissions refused with
+    /// [`SubmitError::NonFiniteLlr`](crate::SubmitError::NonFiniteLlr)
+    /// (plain and HARQ paths).
+    pub rejected_non_finite: u64,
     /// Frames decoded and completed with an output.
     pub decoded: u64,
     /// Frames completed as expired (deadline passed before decoding).

@@ -109,7 +109,7 @@ fn fixed_check_node_signs_match_float() {
                 sign * uniform(&mut rng, 0.6, 20.0)
             })
             .collect();
-        let codes: Vec<i32> = values.iter().map(|&v| fx.from_channel(v)).collect();
+        let codes: Vec<i16> = values.iter().map(|&v| fx.from_channel(v)).collect();
         let (mut out_fx, mut out_fl) = (Vec::new(), Vec::new());
         fx.check_node_update(&codes, &mut out_fx);
         fl.check_node_update(&values, &mut out_fl);

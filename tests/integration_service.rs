@@ -352,3 +352,69 @@ fn quantized_ingest_recovers_high_snr_fixed_point_traffic() {
         assert_eq!(out, direct, "service output == direct decode of AGC'd LLRs");
     }
 }
+
+/// Non-finite LLRs are refused at ingest on the plain and HARQ paths alike,
+/// with a counted error naming the first offending position. Without the
+/// check, normalised ingest scales a frame holding one `+∞` by `max/∞ = 0`
+/// to all zeros, which then "decodes" parity-satisfied as the all-zero
+/// codeword.
+#[test]
+fn non_finite_llrs_are_refused_at_ingest_with_their_index() {
+    let mode = modes()[0];
+    let n = mode.n;
+    let service = DecodeService::builder(decoder())
+        .quantize_ingest(LlrQuantizer::default())
+        .register(mode)
+        .unwrap()
+        .build()
+        .unwrap();
+    let mut cases: Vec<(Vec<f64>, usize)> = Vec::new();
+    for (index, bad) in [
+        (0, f64::INFINITY),
+        (7, f64::NEG_INFINITY),
+        (n - 1, f64::NAN),
+        (100, -f64::NAN),
+    ] {
+        let mut llrs = vec![2.5; n];
+        llrs[index] = bad;
+        cases.push((llrs, index));
+    }
+    cases.push((vec![f64::NAN; n], 0));
+    let mut two_bad = vec![-1.0; n];
+    two_bad[40] = f64::NAN;
+    two_bad[30] = f64::INFINITY;
+    cases.push((two_bad, 30));
+
+    for (i, (llrs, index)) in cases.iter().enumerate() {
+        let expected = SubmitError::NonFiniteLlr {
+            code: mode,
+            index: *index,
+        };
+        let err = service.submit(mode, llrs.clone(), ()).unwrap_err();
+        assert_eq!(err, expected);
+        assert!(err.to_string().contains(&format!("index {index}")), "{err}");
+        let err = service
+            .submit_harq(mode, HarqKey::new(i as u64, 0), 0, llrs.clone(), ())
+            .unwrap_err();
+        assert_eq!(err, expected, "HARQ path");
+    }
+    assert_eq!(service.harq_stats().combines, 0, "nothing was combined");
+
+    // Finite extremes — subnormals, signed zeros, huge magnitudes — are
+    // still accepted and decoded.
+    let extremes: Vec<f64> = (0..n)
+        .map(|i| match i % 5 {
+            0 => 5e-324,
+            1 => -0.0,
+            2 => f64::MAX,
+            3 => -f64::MIN_POSITIVE,
+            _ => 3.0,
+        })
+        .collect();
+    let outcome = service.submit(mode, extremes, ()).unwrap().wait();
+    assert!(outcome.into_output().is_some(), "finite frame decoded");
+    let stats = service.shutdown();
+    assert_eq!(stats[0].rejected_non_finite, 2 * cases.len() as u64);
+    assert_eq!(stats[0].accepted, 1);
+    assert_eq!(stats[0].decoded, 1);
+}

@@ -1,9 +1,10 @@
-//! Explicit-SIMD kernel tier integration: every vector kernel must be
-//! **bit-identical** to the scalar panel reference on every reachable input
-//! — swept exhaustively over the dense-LUT domain, over boundary/saturation
-//! values of the clamp/minima kernels, over ragged panel lengths that are
-//! not a multiple of any vector width, and end-to-end through the full
-//! decoder for every fixed-point back-end at every kernel tier.
+//! Explicit-SIMD kernel tier integration: every 16-bit panel kernel must be
+//! **bit-identical** to the scalar reference on every reachable input —
+//! swept over the whole code domain of a spread of message formats (every
+//! code on either operand), over boundary/saturation values of the
+//! clamp/minima kernels, over ragged panel lengths that are not a multiple
+//! of any vector width, and end-to-end through the full decoder for every
+//! fixed-point back-end at every kernel tier.
 //!
 //! Levels above the running CPU's capability silently degrade
 //! ([`SimdLevel::effective`]), so the whole sweep is portable: on an AVX2
@@ -19,29 +20,65 @@ use ldpc::prelude::*;
 
 const LEVELS: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Sse41, SimdLevel::Avx2];
 
-/// Every `(kind, x)` pair of the dense-LUT domain — all input codes from 0
-/// through far past the saturation cutoff — must gather identically to the
-/// branchy scalar `lookup` at every kernel tier, for a spread of formats.
+/// The message formats of the domain sweep: the pshufb-sized tables (5,1),
+/// (6,1) and the paper's (8,2), and formats whose dense tables are larger
+/// than 16 entries, up to the 14-bit limit.
+const FORMATS: [(u32, u32); 6] = [(5, 1), (6, 1), (8, 2), (10, 4), (12, 6), (14, 6)];
+
+/// Partners of code `x` in a domain of `[-max, max]`: the edges, small
+/// codes, `x`'s own neighbourhood (equal and opposite magnitudes, where the
+/// ⊞/⊟ difference vanishes) and an even spread — so that, swept over every
+/// `x`, each code meets every region of the other operand.
+fn partners(max: i32, x: i32) -> Vec<i32> {
+    let mut p = vec![0, 1, -1, 2, -2, max, -max, max - 1, 1 - max, x, -x];
+    for d in [1, 2, 3, 5, 8] {
+        p.extend([x + d, x - d, d - x, -x - d]);
+    }
+    let step = (2 * max / 37).max(1);
+    p.extend((-max..=max).step_by(step as usize));
+    p.retain(|v| v.abs() <= max);
+    p
+}
+
+/// Every pair of the sweep for a domain of `[-max, max]`: all pairs when the
+/// domain is small, otherwise every code against its [`partners`].
+fn domain_pairs(max: i32) -> (Vec<i16>, Vec<i16>) {
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    for x in -max..=max {
+        let others = if max <= 255 {
+            (-max..=max).collect()
+        } else {
+            partners(max, x)
+        };
+        for y in others {
+            a.push(x as i16);
+            b.push(y as i16);
+        }
+    }
+    (a, b)
+}
+
+/// Every input code of the dense-LUT domain — all magnitudes from 0 through
+/// the top of the 16-bit panel range, far past the saturation cutoff — must
+/// look up identically to the branchy scalar `lookup` at every kernel tier,
+/// for a spread of formats (tables that fit one `pshufb` and larger ones).
 #[test]
 fn lut_gather_matches_scalar_lookup_over_the_whole_dense_domain() {
-    for format in [
-        FixedFormat::default(),
-        FixedFormat::new(6, 1),
-        FixedFormat::new(10, 4),
-        FixedFormat::new(12, 6),
-    ] {
+    for (w, f) in FORMATS {
+        let format = FixedFormat::new(w, f);
         for kind in [CorrectionKind::Plus, CorrectionKind::Minus] {
             let lut = CorrectionLut::new(kind, format, 3);
             assert!(
                 !lut.dense_table().is_empty(),
-                "practical formats must go dense"
+                "every message format up to 14 bits goes dense"
             );
-            // The whole representable non-negative input range: every dense
-            // entry, the clamp boundary, and the saturated region above it.
-            let xs: Vec<i32> = (0..=format.max_code().min(1 << 17)).collect();
-            let expected: Vec<i32> = xs.iter().map(|&x| lut.lookup(x)).collect();
+            let xs: Vec<i16> = (0..=i16::MAX).collect();
+            let expected: Vec<i16> = xs
+                .iter()
+                .map(|&x| lut.lookup(i32::from(x)) as i16)
+                .collect();
             for level in LEVELS {
-                let mut out = vec![0i32; xs.len()];
+                let mut out = vec![0i16; xs.len()];
                 lut.lookup_slice_with(level, &xs, &mut out);
                 assert_eq!(out, expected, "{kind:?} {format} lookup_slice at {level:?}");
                 let mut inplace = xs.clone();
@@ -55,6 +92,186 @@ fn lut_gather_matches_scalar_lookup_over_the_whole_dense_domain() {
     }
 }
 
+/// The code-domain sweep of the 16-bit kernels: ⊞, ⊞-assign and ⊟ panels
+/// against the `i32` scalar operators, and `L − Λ` / `L = λ + Λ′` against the
+/// arithmetic's scalar `sub`/`add`, for every format of [`FORMATS`] at every
+/// tier. `L` ranges over the whole APP domain (two bits wider than the
+/// message), so the 16-bit `L − Λ` saturation edge is covered.
+#[test]
+fn panel_kernels_match_the_scalar_reference_over_the_code_domain() {
+    for (w, f) in FORMATS {
+        let format = FixedFormat::new(w, f);
+        let max = format.max_code();
+        let reference = FixedBpArithmetic::new(format, 3);
+        let (a, b) = domain_pairs(max);
+        let n = a.len();
+        let expected = |op: fn(&FixedBpArithmetic, i32, i32) -> i32| -> Vec<i16> {
+            a.iter()
+                .zip(&b)
+                .map(|(&x, &y)| op(&reference, i32::from(x), i32::from(y)) as i16)
+                .collect()
+        };
+        let plus = expected(FixedBpArithmetic::boxplus_codes);
+        let minus = expected(FixedBpArithmetic::boxminus_codes);
+        let max16 = max as i16;
+        for level in LEVELS {
+            let (mut out, mut mins, mut sums, mut diffs) =
+                (vec![0i16; n], vec![0i16; n], vec![0i16; n], vec![0i16; n]);
+            simd::boxplus_panel(
+                level,
+                reference.lut_plus(),
+                max16,
+                &a,
+                &b,
+                &mut out,
+                &mut mins,
+                &mut sums,
+                &mut diffs,
+            );
+            assert_eq!(out, plus, "⊞ {format} at {level:?}");
+            let mut acc = a.clone();
+            simd::boxplus_assign_panel(
+                level,
+                reference.lut_plus(),
+                max16,
+                &mut acc,
+                &b,
+                &mut mins,
+                &mut sums,
+                &mut diffs,
+            );
+            assert_eq!(acc, plus, "⊞= {format} at {level:?}");
+            simd::boxminus_panel(
+                level,
+                reference.lut_minus(),
+                max16,
+                &a,
+                &b,
+                &mut out,
+                &mut mins,
+                &mut sums,
+                &mut diffs,
+            );
+            assert_eq!(out, minus, "⊟ {format} at {level:?}");
+        }
+
+        // L over the whole APP domain against every message code's partners
+        // and vice versa.
+        let app_max = reference.app_format().max_code();
+        let (mut l, mut lam) = (Vec::new(), Vec::new());
+        for x in -app_max..=app_max {
+            let near = x.clamp(-max, max);
+            for y in [
+                0,
+                1,
+                -1,
+                max,
+                -max,
+                max - 1,
+                1 - max,
+                near,
+                -near,
+                near - near.signum(),
+                near.signum() - near,
+            ] {
+                l.push(x as i16);
+                lam.push(y as i16);
+            }
+        }
+        for y in -max..=max {
+            for x in partners(app_max, y).into_iter().chain([app_max, -app_max]) {
+                l.push(x as i16);
+                lam.push(y as i16);
+            }
+        }
+        let min_sum = FixedMinSumArithmetic::new(format);
+        for level in LEVELS {
+            let bp = FixedBpArithmetic::new(format, 3).with_simd_level(level);
+            let ms = min_sum.with_simd_level(level);
+            let mut out = vec![0i16; l.len()];
+            bp.sub_lanes(&l, &lam, &mut out);
+            let want: Vec<i16> = l.iter().zip(&lam).map(|(&x, &y)| bp.sub(x, y)).collect();
+            assert_eq!(out, want, "fixed-BP L − Λ {format} at {level:?}");
+            ms.sub_lanes(&l, &lam, &mut out);
+            let want: Vec<i16> = l.iter().zip(&lam).map(|(&x, &y)| ms.sub(x, y)).collect();
+            assert_eq!(out, want, "min-sum L − Λ {format} at {level:?}");
+            // λ + Λ′: both operands are message codes.
+            let mut sum = vec![0i16; n];
+            bp.add_lanes(&a, &b, &mut sum);
+            let want: Vec<i16> = a.iter().zip(&b).map(|(&x, &y)| bp.add(x, y)).collect();
+            assert_eq!(sum, want, "λ + Λ′ {format} at {level:?}");
+        }
+    }
+}
+
+/// Channel quantisation in one kernel-tier pass must equal
+/// `FixedFormat::quantize` (plus the fixed-BP zero remap) on ties, both
+/// zeros, infinities, NaN, subnormals and saturation, for every format.
+#[test]
+fn channel_quantisation_matches_fixed_format_quantize() {
+    for (w, f) in FORMATS {
+        let format = FixedFormat::new(w, f);
+        let step = format.step();
+        let mut llrs = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            5e-324,
+            -5e-324,
+            f64::MAX,
+            f64::MIN,
+            1e300,
+            -1e300,
+            0.499_999_999_999_999_94 * step,
+            -0.499_999_999_999_999_94 * step,
+        ];
+        for c in -(format.max_code() + 3)..=format.max_code() + 3 {
+            let v = f64::from(c) * step;
+            let tie = (f64::from(c) + 0.5) * step;
+            llrs.extend([
+                v,
+                tie,
+                tie.next_up(),
+                tie.next_down(),
+                v.next_up(),
+                v.next_down(),
+            ]);
+        }
+        for level in LEVELS {
+            let bp = FixedBpArithmetic::new(format, 3).with_simd_level(level);
+            let ms = FixedMinSumArithmetic::new(format).with_simd_level(level);
+            let mut out = vec![0i16; llrs.len()];
+            ms.from_channel_slice(&llrs, &mut out);
+            for (&l, &q) in llrs.iter().zip(&out) {
+                assert_eq!(
+                    i32::from(q),
+                    format.quantize(l),
+                    "{format} {l:e} at {level:?}"
+                );
+            }
+            bp.from_channel_slice(&llrs, &mut out);
+            for (&l, &q) in llrs.iter().zip(&out) {
+                let plain = format.quantize(l);
+                let want = if plain != 0 {
+                    plain
+                } else if l < 0.0 {
+                    -1
+                } else {
+                    1
+                };
+                assert_eq!(i32::from(q), want, "{format} {l:e} at {level:?} (remap)");
+            }
+        }
+    }
+}
+
 /// Boundary and saturation sweep for the clamp kernels (`sub_lanes` both
 /// flavours, `add_lanes`) and the ⊞/⊟ panel decomposition: message and APP
 /// codes at and around every clamp edge, ragged lengths straddling both
@@ -63,13 +280,13 @@ fn lut_gather_matches_scalar_lookup_over_the_whole_dense_domain() {
 fn clamp_and_box_kernels_match_scalar_on_boundary_values() {
     let format = FixedFormat::default();
     let app = FixedFormat::new(10, 2);
-    let (lo, hi) = (format.min_code(), format.max_code());
-    let (alo, ahi) = (app.min_code(), app.max_code());
+    let (hi, ahi) = (format.max_code() as i16, app.max_code() as i16);
+    let (lo, alo) = (-hi, -ahi);
     let lut = CorrectionLut::new(CorrectionKind::Plus, format, 3);
 
     // Edge-heavy value pool: zeros, ±1, clamp edges of both formats, and
-    // values just inside/outside them.
-    let pool: Vec<i32> = vec![
+    // values just inside/outside them, up to the i16 rails.
+    let pool: Vec<i16> = vec![
         0,
         1,
         -1,
@@ -85,25 +302,23 @@ fn clamp_and_box_kernels_match_scalar_on_boundary_values() {
         alo + 1,
         64,
         -64,
-        127,
-        -127,
         200,
         -200,
-        300,
-        -300,
         511,
         -511,
+        i16::MAX,
+        -i16::MAX,
     ];
     for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 11, 15, 16, 17, 31, 33, 64, 97] {
-        let a: Vec<i32> = (0..n).map(|i| pool[(i * 7) % pool.len()]).collect();
-        let b: Vec<i32> = (0..n).map(|i| pool[(i * 11 + 3) % pool.len()]).collect();
+        let a: Vec<i16> = (0..n).map(|i| pool[(i * 7) % pool.len()]).collect();
+        let b: Vec<i16> = (0..n).map(|i| pool[(i * 11 + 3) % pool.len()]).collect();
         // Message-range operands for the ⊞/⊟ kernels (the decoder only
         // feeds them saturated codes).
-        let am: Vec<i32> = a.iter().map(|&x| x.clamp(lo, hi)).collect();
-        let bm: Vec<i32> = b.iter().map(|&x| x.clamp(lo, hi)).collect();
+        let am: Vec<i16> = a.iter().map(|&x| x.clamp(lo, hi)).collect();
+        let bm: Vec<i16> = b.iter().map(|&x| x.clamp(lo, hi)).collect();
 
-        let mut expected = vec![0i32; n];
-        let mut got = vec![0i32; n];
+        let mut expected = vec![0i16; n];
+        let mut got = vec![0i16; n];
         for level in LEVELS {
             simd::sub_lanes_remap(SimdLevel::Scalar, lo, hi, &a, &b, &mut expected);
             simd::sub_lanes_remap(level, lo, hi, &a, &b, &mut got);
@@ -117,7 +332,7 @@ fn clamp_and_box_kernels_match_scalar_on_boundary_values() {
             simd::add_lanes_clamp(level, alo, ahi, &a, &b, &mut got);
             assert_eq!(got, expected, "add_lanes_clamp {level:?} n={n}");
 
-            let mut scratch = vec![0i32; 3 * n];
+            let mut scratch = vec![0i16; 3 * n];
             let (mins, rest) = scratch.split_at_mut(n);
             let (sums, diffs) = rest.split_at_mut(n);
             simd::boxplus_panel(
@@ -171,24 +386,24 @@ fn clamp_and_box_kernels_match_scalar_on_boundary_values() {
 
 /// The Min-Sum minima tracking must keep exact first-wins tie semantics at
 /// every tier: sweeps panels full of magnitude ties, sentinel survivals
-/// (degree-1 lanes keep `i32::MAX` until saturation) and saturated codes.
+/// (degree-1 lanes keep `i16::MAX` until saturation) and saturated codes.
 #[test]
 fn min_sum_minima_tracking_matches_scalar_with_ties_and_saturation() {
     let max_code = 127;
     // Tie-heavy pool: repeated magnitudes force the argmin tie-break path.
-    let pool: Vec<i32> = vec![12, -12, 12, -12, 5, -5, 127, -127, 1, -1, 12, 5];
-    for n in [1usize, 3, 4, 7, 8, 9, 13, 16, 25, 64, 96, 101] {
+    let pool: Vec<i16> = vec![12, -12, 12, -12, 5, -5, 127, -127, 1, -1, 12, 5];
+    for n in [1usize, 3, 4, 7, 8, 9, 13, 16, 17, 25, 64, 96, 101] {
         for degree in [1usize, 2, 3, 5, 8] {
-            let slots: Vec<Vec<i32>> = (0..degree)
+            let slots: Vec<Vec<i16>> = (0..degree)
                 .map(|s| (0..n).map(|i| pool[(i * 3 + s) % pool.len()]).collect())
                 .collect();
             for level in LEVELS {
-                let mut st_ref = (vec![i32::MAX; n], vec![i32::MAX; n], vec![0; n], vec![0; n]);
+                let mut st_ref = (vec![i16::MAX; n], vec![i16::MAX; n], vec![0; n], vec![0; n]);
                 let mut st = st_ref.clone();
                 for (slot, inc) in slots.iter().enumerate() {
                     simd::min_sum_track(
                         SimdLevel::Scalar,
-                        slot as i32,
+                        slot as i16,
                         inc,
                         &mut st_ref.0,
                         &mut st_ref.1,
@@ -197,7 +412,7 @@ fn min_sum_minima_tracking_matches_scalar_with_ties_and_saturation() {
                     );
                     simd::min_sum_track(
                         level,
-                        slot as i32,
+                        slot as i16,
                         inc,
                         &mut st.0,
                         &mut st.1,
@@ -206,11 +421,11 @@ fn min_sum_minima_tracking_matches_scalar_with_ties_and_saturation() {
                     );
                     assert_eq!(st, st_ref, "track {level:?} n={n} d={degree} slot={slot}");
                 }
-                let (mut expected, mut got) = (vec![0i32; n], vec![0i32; n]);
+                let (mut expected, mut got) = (vec![0i16; n], vec![0i16; n]);
                 for (slot, inc) in slots.iter().enumerate() {
                     simd::min_sum_emit(
                         SimdLevel::Scalar,
-                        slot as i32,
+                        slot as i16,
                         max_code,
                         inc,
                         &st_ref.0,
@@ -221,7 +436,7 @@ fn min_sum_minima_tracking_matches_scalar_with_ties_and_saturation() {
                     );
                     simd::min_sum_emit(
                         level,
-                        slot as i32,
+                        slot as i16,
                         max_code,
                         inc,
                         &st.0,
@@ -246,7 +461,7 @@ fn check_node_panels_are_bit_identical_across_tiers_and_ragged_widths() {
     // Saturation-heavy deterministic messages (same recipe as the lane
     // integration sweep, plus forced ±max codes).
     let msg = |i: usize| {
-        let v = ((i as i32).wrapping_mul(37) % 255) - 127;
+        let v = ((i as i32).wrapping_mul(37) % 255) as i16 - 127;
         if i.is_multiple_of(13) {
             v.signum().max(1) * 127
         } else {
@@ -254,17 +469,17 @@ fn check_node_panels_are_bit_identical_across_tiers_and_ragged_widths() {
         }
     };
 
-    fn sweep_one<A, F>(name: &str, make: F, z: usize, degree: usize, lanes_in: &[i32])
+    fn sweep_one<A, F>(name: &str, make: F, z: usize, degree: usize, lanes_in: &[i16])
     where
-        A: LaneKernel<Msg = i32>,
+        A: LaneKernel<Msg = i16>,
         F: Fn(SimdLevel) -> A,
     {
         // Row-serial scalar reference via the trait's check_node_update.
         let reference_arith = make(SimdLevel::Scalar);
-        let mut expected = vec![0i32; degree * z];
+        let mut expected = vec![0i16; degree * z];
         let mut row_out = Vec::new();
         for r in 0..z {
-            let row: Vec<i32> = (0..degree).map(|s| lanes_in[s * z + r]).collect();
+            let row: Vec<i16> = (0..degree).map(|s| lanes_in[s * z + r]).collect();
             reference_arith.check_node_update(&row, &mut row_out);
             for (s, &m) in row_out.iter().enumerate() {
                 expected[s * z + r] = m;
@@ -274,7 +489,7 @@ fn check_node_panels_are_bit_identical_across_tiers_and_ragged_widths() {
             let arith = make(level);
             let mut scratch = LaneScratch::new();
             scratch.reserve(degree, z);
-            let mut lanes_out = vec![0i32; degree * z];
+            let mut lanes_out = vec![0i16; degree * z];
             arith.check_node_update_lanes(z, lanes_in, &mut lanes_out, &mut scratch);
             assert_eq!(
                 lanes_out, expected,
@@ -290,12 +505,13 @@ fn check_node_panels_are_bit_identical_across_tiers_and_ragged_widths() {
         (7, 7),
         (9, 4),
         (13, 20),
+        (17, 6),
         (24, 6),
         (31, 7),
         (96, 7),
         (97, 3),
     ] {
-        let lanes_in: Vec<i32> = (0..degree * z).map(msg).collect();
+        let lanes_in: Vec<i16> = (0..degree * z).map(msg).collect();
         sweep_one(
             "fixed_bp_sum_extract",
             |lvl| FixedBpArithmetic::default().with_simd_level(lvl),
@@ -306,6 +522,13 @@ fn check_node_panels_are_bit_identical_across_tiers_and_ragged_widths() {
         sweep_one(
             "fixed_bp_fwd_bwd",
             |lvl| FixedBpArithmetic::forward_backward().with_simd_level(lvl),
+            z,
+            degree,
+            &lanes_in,
+        );
+        sweep_one(
+            "fixed_bp_10_4_three_pass",
+            |lvl| FixedBpArithmetic::new(FixedFormat::new(10, 4), 3).with_simd_level(lvl),
             z,
             degree,
             &lanes_in,
@@ -380,6 +603,9 @@ fn full_decode_is_bit_identical_across_kernel_tiers() {
             .with_simd_level(lvl));
         sweep!("fixed_bp_fwd_bwd", |lvl| {
             FixedBpArithmetic::forward_backward().with_simd_level(lvl)
+        });
+        sweep!("fixed_bp_14_6", |lvl| {
+            FixedBpArithmetic::new(FixedFormat::new(14, 6), 3).with_simd_level(lvl)
         });
         sweep!("fixed_min_sum", |lvl| FixedMinSumArithmetic::default()
             .with_simd_level(lvl));
