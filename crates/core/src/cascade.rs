@@ -399,16 +399,6 @@ impl Decoder for CascadeDecoder {
         self.effort.load(Ordering::Relaxed)
     }
 
-    fn decode_into(
-        &self,
-        compiled: &CompiledCode,
-        llrs: &[f64],
-        ws: &mut DecodeWorkspace<i16>,
-        out: &mut DecodeOutput,
-    ) -> Result<(), DecodeError> {
-        self.decode_group_into(compiled, llrs, ws, std::slice::from_mut(out))
-    }
-
     fn decode_group_into(
         &self,
         compiled: &CompiledCode,
@@ -416,30 +406,17 @@ impl Decoder for CascadeDecoder {
         ws: &mut DecodeWorkspace<i16>,
         outs: &mut [DecodeOutput],
     ) -> Result<(), DecodeError> {
-        let n = compiled.n();
         let frames = outs.len();
-        if llrs.len() != frames * n {
-            return Err(DecodeError::BatchShape {
-                reason: format!(
-                    "group of {frames} outputs needs {} LLRs, got {}",
-                    frames * n,
-                    llrs.len()
-                ),
-            });
-        }
-        if frames == 0 {
-            return Ok(());
-        }
-
         #[cfg(debug_assertions)]
         let steady_fingerprint = ws
-            .is_ready_for_cascade(compiled, frames)
-            .then(|| ws.cascade_fingerprint());
-        ws.reserve_for_cascade(compiled, frames);
+            .is_ready_for(compiled, frames)
+            .then(|| ws.allocation_fingerprint());
+        ws.reserve_for(compiled, frames);
 
-        // Stage 1: the whole group through the cheap Min-Sum pass. Each
-        // output's syndrome (computed by finish_output for every frame
-        // anyway) is the escalation test — no extra convergence scan.
+        // Stage 1: the whole group through the cheap Min-Sum pass, which
+        // also checks the group's shape and LLRs. Each output's syndrome
+        // (computed by finish_output for every frame anyway) is the
+        // escalation test — no extra convergence scan.
         self.stage1.decode_group_into(compiled, llrs, ws, outs)?;
         self.counters.count_stage(0, frames);
 
@@ -481,7 +458,7 @@ impl Decoder for CascadeDecoder {
         if let Some(fingerprint) = steady_fingerprint {
             debug_assert_eq!(
                 fingerprint,
-                ws.cascade_fingerprint(),
+                ws.allocation_fingerprint(),
                 "steady-state cascade decode must not reallocate workspace buffers"
             );
         }
@@ -695,14 +672,14 @@ mod tests {
         cascade
             .decode_group_into(&compiled, &llrs, &mut ws, &mut outs)
             .unwrap();
-        assert!(ws.is_ready_for_cascade(&compiled, frames));
-        let fingerprint = ws.cascade_fingerprint();
+        assert!(ws.is_ready_for(&compiled, frames));
+        let fingerprint = ws.allocation_fingerprint();
         for _ in 0..3 {
             cascade
                 .decode_group_into(&compiled, &llrs, &mut ws, &mut outs)
                 .unwrap();
         }
-        assert_eq!(fingerprint, ws.cascade_fingerprint());
+        assert_eq!(fingerprint, ws.allocation_fingerprint());
     }
 
     #[test]

@@ -26,6 +26,14 @@
 //! [`LayeredDecoder::decode_into_reference`]) because the lanes of a layer
 //! touch pairwise disjoint L-memory addresses.
 //!
+//! There is one driver for the layered schedule. It decodes a frame-major
+//! group of any width (see [`crate::group`]), and `decode_into` is a group
+//! of one. The driver is generic over its per-layer update: the lane-major
+//! kernel for every [`Decoder`] entry point, the row-serial kernel for
+//! [`LayeredDecoder::decode_into_reference`]. Both therefore share one
+//! initialisation, one iteration and termination loop and one source of
+//! [`DecodeStats`].
+//!
 //! The hot path runs against a [`CompiledCode`] (flattened schedule +
 //! circulant index tables + lane-major SoA layout) and a reusable
 //! [`DecodeWorkspace`], so steady-state decoding allocates nothing; see
@@ -220,11 +228,11 @@ fn lane_layer_update<A: LaneKernel>(
     }
 }
 
-/// The operation counts of one frame after `iterations` full group
-/// iterations — identical to what the single-frame lane path accumulates
-/// (one sub-iteration, `z` check-node updates and `degree · z` messages per
-/// layer, summed over all layers and iterations).
-fn group_frame_stats(compiled: &CompiledCode, iterations: usize) -> DecodeStats {
+/// The operation counts of one frame after `iterations` full iterations:
+/// one sub-iteration, `z` check-node updates and `degree · z` messages per
+/// layer, summed over all layers and iterations. Every schedule does exactly
+/// this much work per frame, so this is the one source of [`DecodeStats`].
+pub(crate) fn group_frame_stats(compiled: &CompiledCode, iterations: usize) -> DecodeStats {
     DecodeStats {
         sub_iterations: iterations * compiled.block_rows(),
         check_node_updates: iterations * compiled.m(),
@@ -235,18 +243,19 @@ fn group_frame_stats(compiled: &CompiledCode, iterations: usize) -> DecodeStats 
 /// One row-serial sub-iteration (the reference kernel): walks the `z` rows of
 /// `layer` one at a time through the scalar arithmetic, gathering via the
 /// per-edge `col_index` table. Per-row processing follows Algorithm 1 exactly:
-/// read `λ = L − Λ`, check-node update, write back `Λ'` and `L'`.
+/// read `λ = L − Λ`, check-node update, write back `Λ'` and `L'`. Runs on
+/// single frames only (`width == 1`), whose layout is the plain one.
 fn row_layer_update<A: DecoderArithmetic>(
     arith: &A,
     compiled: &CompiledCode,
     layer: usize,
+    width: usize,
     ws: &mut DecodeWorkspace<A::Msg>,
-    stats: &mut DecodeStats,
 ) {
+    debug_assert_eq!(width, 1, "the row-serial reference decodes single frames");
     let z = compiled.z();
     let col_index = compiled.col_index();
     let entries = compiled.layer_entries(layer);
-    stats.sub_iterations += 1;
     for r in 0..z {
         ws.row_in.clear();
         for e in entries {
@@ -255,8 +264,6 @@ fn row_layer_update<A: DecoderArithmetic>(
             ws.row_in.push(arith.sub(ws.app[col], ws.lambda[edge]));
         }
         arith.check_node_update(&ws.row_in, &mut ws.row_out);
-        stats.check_node_updates += 1;
-        stats.messages_processed += ws.row_in.len();
         for (slot, e) in entries.iter().enumerate() {
             let edge = e.edge_base as usize + r;
             let col = col_index[edge] as usize;
@@ -313,7 +320,8 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError::LlrLengthMismatch`] if `llrs.len() != n`.
+    /// Returns [`DecodeError::LlrLengthMismatch`] if `llrs.len() != n` and
+    /// [`DecodeError::NonFiniteLlr`] if an LLR is NaN or infinite.
     pub fn decode_into_reference(
         &self,
         compiled: &CompiledCode,
@@ -321,152 +329,48 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
         ws: &mut DecodeWorkspace<A::Msg>,
         out: &mut DecodeOutput,
     ) -> Result<(), DecodeError> {
-        self.decode_layered_with(compiled, llrs, ws, out, row_layer_update)
-    }
-
-    /// The shared layered-schedule driver: Algorithm 1's initialisation,
-    /// iteration control (layer visit order, early termination, zero-syndrome
-    /// stop) and output finishing, parameterized over the per-layer update so
-    /// the lane-major hot path and the row-serial reference run the exact
-    /// same control flow around their different kernels.
-    fn decode_layered_with<F>(
-        &self,
-        compiled: &CompiledCode,
-        llrs: &[f64],
-        ws: &mut DecodeWorkspace<A::Msg>,
-        out: &mut DecodeOutput,
-        mut layer_update: F,
-    ) -> Result<(), DecodeError>
-    where
-        F: FnMut(&A, &CompiledCode, usize, &mut DecodeWorkspace<A::Msg>, &mut DecodeStats),
-    {
-        if llrs.len() != compiled.n() {
-            return Err(DecodeError::LlrLengthMismatch {
-                expected: compiled.n(),
-                actual: llrs.len(),
-            });
-        }
-        #[cfg(debug_assertions)]
-        let steady_fingerprint = ws
-            .is_ready_for(compiled, false)
-            .then(|| ws.allocation_fingerprint());
-
-        let arith = &self.arith;
-        let num_layers = compiled.block_rows();
-        let info_len = compiled.info_bits();
-        let order = ResolvedOrder::new(&self.config, compiled, num_layers);
-
-        // L_n ← channel, Λ ← 0 (Algorithm 1 initialisation).
-        ws.prepare(compiled, arith.zero(), false);
-        arith.from_channel_slice(llrs, &mut ws.app);
-        let et_threshold = message_threshold(arith, self.config.early_termination.as_ref());
-
-        let mut stats = DecodeStats::default();
-        let mut iterations = 0;
-        let mut early_terminated = false;
-
-        for _ in 0..self.config.max_iterations {
-            for li in 0..num_layers {
-                layer_update(arith, compiled, order.layer(li), ws, &mut stats);
-            }
-            iterations += 1;
-
-            // Early termination (paper's rule, §IV): information-bit hard
-            // decisions stable across two iterations and min |L| above the
-            // threshold.
-            if let Some(t) = et_threshold {
-                let info = &ws.app[..info_len];
-                check_frames(arith, t, info, &mut ws.decisions, 1, &mut ws.verdicts);
-                if ws.verdicts[0] == 0 && iterations < self.config.max_iterations {
-                    early_terminated = true;
-                    break;
-                }
-            }
-            if self.config.stop_on_zero_syndrome && iterations < self.config.max_iterations {
-                ws.hard.clear();
-                ws.hard.extend(ws.app.iter().map(|&m| arith.hard_bit(m)));
-                if compiled.syndrome_ok(&ws.hard) {
-                    break;
-                }
-            }
-        }
-
-        crate::engine::finish_output(
-            arith,
+        crate::engine::check_frame_len(compiled, llrs)?;
+        self.decode_layered(
             compiled,
-            &ws.app,
-            out,
-            iterations,
-            early_terminated,
-            stats,
-        );
-
-        #[cfg(debug_assertions)]
-        if let Some(fingerprint) = steady_fingerprint {
-            debug_assert_eq!(
-                fingerprint,
-                ws.allocation_fingerprint(),
-                "steady-state decode_into must not reallocate workspace buffers"
-            );
-        }
-        Ok(())
-    }
-}
-
-impl<A: LaneKernel> LayeredDecoder<A> {
-    /// Decodes one frame given its channel LLRs (`2y/σ²`, length `n`).
-    ///
-    /// Compatibility entry point: compiles the schedule and allocates a fresh
-    /// workspace on every call. Hot loops should compile once and use
-    /// [`Decoder::decode_into`] / [`Decoder::decode_batch`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::LlrLengthMismatch`] if `channel_llrs.len()` is
-    /// not the code length.
-    pub fn decode(&self, code: &QcCode, channel_llrs: &[f64]) -> Result<DecodeOutput, DecodeError> {
-        Decoder::decode(self, code, channel_llrs)
+            llrs,
+            ws,
+            std::slice::from_mut(out),
+            row_layer_update,
+        )
     }
 
-    /// The frame-major group driver behind
-    /// [`Decoder::decode_group_into`]: packs the frames frame-innermost (see
-    /// [`crate::group`]), runs the layered schedule over `z · width`-lane
-    /// panels, applies the termination rules *per frame* in the same order as
-    /// the single-frame engine, and compacts converged frames out of the
-    /// group so they skip all remaining-iteration work. Frame `f` of the
-    /// result is bit-identical to `decode_into` on that frame alone.
-    fn decode_group_layered(
+    /// The layered driver, the one loop that runs Algorithm 1 for every
+    /// group width (a single frame is a group of one): packs the frames
+    /// frame-innermost (see [`crate::group`]), runs the layered schedule with
+    /// `layer_update` over every layer in the configured order, applies the
+    /// termination rules *per frame* (early termination first, then the
+    /// syndrome stop), and compacts converged frames out of the group so they
+    /// skip all remaining-iteration work. Frame `f` of the result is
+    /// bit-identical to decoding that frame alone.
+    fn decode_layered<F>(
         &self,
         compiled: &CompiledCode,
         llrs: &[f64],
         ws: &mut DecodeWorkspace<A::Msg>,
         outs: &mut [DecodeOutput],
-    ) -> Result<(), DecodeError> {
-        let n = compiled.n();
+        mut layer_update: F,
+    ) -> Result<(), DecodeError>
+    where
+        F: FnMut(&A, &CompiledCode, usize, usize, &mut DecodeWorkspace<A::Msg>),
+    {
         let frames = outs.len();
-        if llrs.len() != frames * n {
-            return Err(DecodeError::BatchShape {
-                reason: format!(
-                    "group of {frames} outputs needs {} LLRs, got {}",
-                    frames * n,
-                    llrs.len()
-                ),
-            });
-        }
+        crate::engine::check_group_llrs(compiled, llrs, frames)?;
         if frames == 0 {
             return Ok(());
-        }
-        if frames == 1 {
-            // A group of one is exactly the single-frame hot path.
-            return Decoder::decode_into(self, compiled, llrs, ws, &mut outs[0]);
         }
 
         #[cfg(debug_assertions)]
         let steady_fingerprint = ws
-            .is_ready_for_group(compiled, frames)
-            .then(|| ws.group_fingerprint());
+            .is_ready_for(compiled, frames)
+            .then(|| ws.allocation_fingerprint());
 
         let arith = &self.arith;
+        let n = compiled.n();
         let num_layers = compiled.block_rows();
         let info_len = compiled.info_bits();
         let order = ResolvedOrder::new(&self.config, compiled, num_layers);
@@ -474,8 +378,7 @@ impl<A: LaneKernel> LayeredDecoder<A> {
         // L ← channel, Λ ← 0, frame-innermost (Algorithm 1 initialisation,
         // interleaved: app[col · width + f]). Each frame is quantised in one
         // pass into the extraction scratch, then interleaved.
-        ws.prepare_group(compiled, arith.zero(), frames);
-        ws.group_frame.resize(n, arith.zero());
+        ws.prepare(compiled, arith.zero(), frames);
         for (f, frame) in llrs.chunks_exact(n).enumerate() {
             arith.from_channel_slice(frame, &mut ws.group_frame);
             for (dst, &m) in ws.app[f..].iter_mut().step_by(frames).zip(&ws.group_frame) {
@@ -488,16 +391,17 @@ impl<A: LaneKernel> LayeredDecoder<A> {
         let mut iterations = 0usize;
         loop {
             for li in 0..num_layers {
-                lane_layer_update(arith, compiled, order.layer(li), width, ws);
+                layer_update(arith, compiled, order.layer(li), width, ws);
             }
             iterations += 1;
             let last = iterations == self.config.max_iterations;
 
-            // Per-frame termination, same rule order as the single-frame
-            // engine (early termination first, then the syndrome stop).
+            // Per-frame termination: early termination first (information-bit
+            // hard decisions stable across two iterations and min |L| above
+            // the threshold, the paper's rule of §IV), then the syndrome stop.
             // Finished frames produce their output now; survivors are listed
             // in `group_keep`. The decision record updates every iteration
-            // for every live frame, exactly like the single-frame engine.
+            // for every live frame.
             if let Some(t) = et_threshold {
                 let info = &ws.app[..info_len * width];
                 check_frames(arith, t, info, &mut ws.decisions, width, &mut ws.verdicts);
@@ -564,11 +468,27 @@ impl<A: LaneKernel> LayeredDecoder<A> {
         if let Some(fingerprint) = steady_fingerprint {
             debug_assert_eq!(
                 fingerprint,
-                ws.group_fingerprint(),
-                "steady-state group decode must not reallocate workspace buffers"
+                ws.allocation_fingerprint(),
+                "steady-state decode must not reallocate workspace buffers"
             );
         }
         Ok(())
+    }
+}
+
+impl<A: LaneKernel> LayeredDecoder<A> {
+    /// Decodes one frame given its channel LLRs (`2y/σ²`, length `n`).
+    ///
+    /// Compatibility entry point: compiles the schedule and allocates a fresh
+    /// workspace on every call. Hot loops should compile once and use
+    /// [`Decoder::decode_into`] / [`Decoder::decode_batch`] instead.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::LlrLengthMismatch`] if `channel_llrs.len()` is
+    /// not the code length.
+    pub fn decode(&self, code: &QcCode, channel_llrs: &[f64]) -> Result<DecodeOutput, DecodeError> {
+        Decoder::decode(self, code, channel_llrs)
     }
 }
 
@@ -591,24 +511,6 @@ impl<A: LaneKernel> Decoder for LayeredDecoder<A> {
         Some(&self.pool)
     }
 
-    fn decode_into(
-        &self,
-        compiled: &CompiledCode,
-        llrs: &[f64],
-        ws: &mut DecodeWorkspace<A::Msg>,
-        out: &mut DecodeOutput,
-    ) -> Result<(), DecodeError> {
-        // All z rows (lanes) of each layer at once — the software analogue of
-        // the paper's z parallel SISO units.
-        self.decode_layered_with(compiled, llrs, ws, out, |arith, compiled, l, ws, stats| {
-            lane_layer_update(arith, compiled, l, 1, ws);
-            let z = compiled.z();
-            stats.sub_iterations += 1;
-            stats.check_node_updates += z;
-            stats.messages_processed += compiled.layer_degree(l) * z;
-        })
-    }
-
     fn preferred_group_width(&self, compiled: &CompiledCode) -> usize {
         if self.arith.prefers_frame_groups() {
             crate::group::group_width_for(compiled.z())
@@ -624,7 +526,9 @@ impl<A: LaneKernel> Decoder for LayeredDecoder<A> {
         ws: &mut DecodeWorkspace<A::Msg>,
         outs: &mut [DecodeOutput],
     ) -> Result<(), DecodeError> {
-        self.decode_group_layered(compiled, llrs, ws, outs)
+        // All z rows (lanes) of each layer of every frame at once — the
+        // software analogue of the paper's z parallel SISO units.
+        self.decode_layered(compiled, llrs, ws, outs, lane_layer_update)
     }
 }
 

@@ -1,6 +1,7 @@
 //! The batched decode engine: a common [`Decoder`] trait over the layered and
-//! flooding schedules, single-frame zero-allocation decoding via
-//! [`Decoder::decode_into`], and frame-parallel [`Decoder::decode_batch`].
+//! flooding schedules, zero-allocation group decoding via
+//! [`Decoder::decode_group_into`] (with [`Decoder::decode_into`] as a group
+//! of one), and frame-parallel [`Decoder::decode_batch`].
 //!
 //! The paper's architecture reaches 1 Gbps by keeping `z` SISO decoders busy
 //! on independent rows while the control ROM supplies a precompiled schedule.
@@ -76,6 +77,44 @@ pub(crate) fn validate_custom_order(order: &[usize], num_layers: usize) {
             l < num_layers && !order[..i].contains(&l),
             "order must be a permutation"
         );
+    }
+}
+
+/// Checks that `llrs` holds exactly one frame of `compiled`.
+pub(crate) fn check_frame_len(compiled: &CompiledCode, llrs: &[f64]) -> Result<(), DecodeError> {
+    if llrs.len() == compiled.n() {
+        Ok(())
+    } else {
+        Err(DecodeError::LlrLengthMismatch {
+            expected: compiled.n(),
+            actual: llrs.len(),
+        })
+    }
+}
+
+/// Checks the channel LLRs of a `frames`-frame group before any of them is
+/// quantised: exactly `frames · n` values, every one finite.
+pub(crate) fn check_group_llrs(
+    compiled: &CompiledCode,
+    llrs: &[f64],
+    frames: usize,
+) -> Result<(), DecodeError> {
+    let n = compiled.n();
+    if llrs.len() != frames * n {
+        return Err(DecodeError::BatchShape {
+            reason: format!(
+                "group of {frames} outputs needs {} LLRs, got {}",
+                frames * n,
+                llrs.len()
+            ),
+        });
+    }
+    match llrs.iter().position(|l| !l.is_finite()) {
+        Some(i) => Err(DecodeError::NonFiniteLlr {
+            frame: i / n,
+            index: i % n,
+        }),
+        None => Ok(()),
     }
 }
 
@@ -230,11 +269,12 @@ pub fn batch_threads(frames: usize) -> usize {
 
 /// Common interface of the layered and flooding decode schedules.
 ///
-/// The trait splits decoding into a cheap, allocation-free kernel
-/// ([`decode_into`](Decoder::decode_into)) and convenience entry points built
-/// on it: compatibility single-frame [`decode`](Decoder::decode) (compiles the
-/// schedule on the fly) and the batched, thread-parallel
-/// [`decode_batch`](Decoder::decode_batch).
+/// The one required decode method is the allocation-free group kernel
+/// [`decode_group_into`](Decoder::decode_group_into). Every other entry point
+/// is built on it: [`decode_into`](Decoder::decode_into) is a group of one,
+/// compatibility single-frame [`decode`](Decoder::decode) compiles the
+/// schedule on the fly, and the batched, thread-parallel
+/// [`decode_batch`](Decoder::decode_batch) cuts the batch into groups.
 pub trait Decoder {
     /// The arithmetic back-end (message format + check-node update rule).
     type Arith: DecoderArithmetic;
@@ -248,7 +288,8 @@ pub trait Decoder {
     /// Human-readable schedule name ("layered" / "flooding").
     fn schedule_name(&self) -> &'static str;
 
-    /// Decodes one frame into `out`, reusing `ws` for all intermediate state.
+    /// Decodes one frame into `out`, reusing `ws` for all intermediate state:
+    /// a [`decode_group_into`](Decoder::decode_group_into) of one frame.
     ///
     /// Steady state (a workspace already sized for `compiled`, an output from
     /// a previous frame of the same code) performs **zero heap allocations**;
@@ -256,17 +297,22 @@ pub trait Decoder {
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError::LlrLengthMismatch`] if `llrs.len() != n`.
+    /// Returns [`DecodeError::LlrLengthMismatch`] if `llrs.len() != n` and
+    /// [`DecodeError::NonFiniteLlr`] if an LLR is NaN or infinite.
     fn decode_into(
         &self,
         compiled: &CompiledCode,
         llrs: &[f64],
         ws: &mut DecodeWorkspace<MsgOf<Self>>,
         out: &mut DecodeOutput,
-    ) -> Result<(), DecodeError>;
+    ) -> Result<(), DecodeError> {
+        check_frame_len(compiled, llrs)?;
+        self.decode_group_into(compiled, llrs, ws, std::slice::from_mut(out))
+    }
 
-    /// A workspace pre-sized for `compiled`, so the first `decode_into` is
-    /// already allocation-free.
+    /// A workspace pre-sized for single frames of `compiled`, so the first
+    /// layered or cascade `decode_into` is already allocation-free (the
+    /// flooding schedule sizes its two extra buffers on its first frame).
     fn workspace_for(&self, compiled: &CompiledCode) -> DecodeWorkspace<MsgOf<Self>> {
         DecodeWorkspace::for_code(compiled)
     }
@@ -280,14 +326,18 @@ pub trait Decoder {
         None
     }
 
-    /// A workspace for one batch worker: pooled when the decoder keeps a
-    /// [`workspace_pool`](Decoder::workspace_pool), freshly built otherwise.
-    /// Return it with [`finish_worker_workspace`](Decoder::finish_worker_workspace).
+    /// A workspace for one batch worker, sized for groups of
+    /// [`preferred_group_width`](Decoder::preferred_group_width): pooled when
+    /// the decoder keeps a [`workspace_pool`](Decoder::workspace_pool),
+    /// freshly built otherwise. Return it with
+    /// [`finish_worker_workspace`](Decoder::finish_worker_workspace).
     fn worker_workspace(&self, compiled: &CompiledCode) -> DecodeWorkspace<MsgOf<Self>> {
-        match self.workspace_pool() {
+        let mut ws = match self.workspace_pool() {
             Some(pool) => pool.checkout(compiled),
             None => self.workspace_for(compiled),
-        }
+        };
+        ws.reserve_for(compiled, self.preferred_group_width(compiled).max(1));
+        ws
     }
 
     /// Returns a batch worker's workspace to the pool (a no-op for decoders
@@ -309,40 +359,26 @@ pub trait Decoder {
     }
 
     /// Decodes `outs.len()` consecutive frames (`llrs` holds them flattened,
-    /// `outs.len() · n` values) as one frame-major group. Frame `i` of the
-    /// result is **bit-identical** to
-    /// [`decode_into`](Decoder::decode_into) on `llrs[i·n..(i+1)·n]` alone —
-    /// the group is purely an execution-shape change. The default
-    /// implementation is that sequential loop; [`crate::LayeredDecoder`]
-    /// overrides it with the frame-major SoA driver.
+    /// `outs.len() · n` values) as one group, reusing `ws` for all
+    /// intermediate state. Frame `i` of the result is **bit-identical** to
+    /// decoding `llrs[i·n..(i+1)·n]` as a group of one — the group width is
+    /// purely an execution-shape change. [`crate::LayeredDecoder`] runs its
+    /// one frame-major driver here for every width, a single frame included;
+    /// [`crate::FloodingDecoder`] decodes the frames one after another.
     ///
     /// # Errors
     ///
     /// Returns [`DecodeError::BatchShape`] if `llrs` does not hold exactly
-    /// `outs.len()` frames of the code length.
+    /// `outs.len()` frames of the code length, and
+    /// [`DecodeError::NonFiniteLlr`] (frame index within the group) if an
+    /// LLR is NaN or infinite.
     fn decode_group_into(
         &self,
         compiled: &CompiledCode,
         llrs: &[f64],
         ws: &mut DecodeWorkspace<MsgOf<Self>>,
         outs: &mut [DecodeOutput],
-    ) -> Result<(), DecodeError> {
-        let n = compiled.n();
-        if llrs.len() != outs.len() * n {
-            return Err(DecodeError::BatchShape {
-                reason: format!(
-                    "group of {} outputs needs {} LLRs, got {}",
-                    outs.len(),
-                    outs.len() * n,
-                    llrs.len()
-                ),
-            });
-        }
-        for (frame, out) in llrs.chunks_exact(n).zip(outs.iter_mut()) {
-            self.decode_into(compiled, frame, ws, out)?;
-        }
-        Ok(())
-    }
+    ) -> Result<(), DecodeError>;
 
     /// Per-stage work counters, for decoders that run a stage ladder
     /// ([`crate::cascade::CascadeDecoder`] returns its live snapshot; plain
@@ -418,7 +454,8 @@ pub trait Decoder {
     /// # Errors
     ///
     /// Returns [`DecodeError::BatchShape`] if the batch frame length does not
-    /// match the code.
+    /// match the code, and [`DecodeError::NonFiniteLlr`] (frame index within
+    /// the batch) if an LLR is NaN or infinite.
     fn decode_batch(
         &self,
         compiled: &CompiledCode,
@@ -608,7 +645,16 @@ fn decode_chunk_grouped<D: Decoder + ?Sized>(
     while start < outs.len() {
         let group = width.min(outs.len() - start);
         let llrs = batch.frames_slice(first_frame + start, group);
-        decoder.decode_group_into(compiled, llrs, ws, &mut outs[start..start + group])?;
+        decoder
+            .decode_group_into(compiled, llrs, ws, &mut outs[start..start + group])
+            .map_err(|e| match e {
+                // Report the offending frame by its index in the batch.
+                DecodeError::NonFiniteLlr { frame, index } => DecodeError::NonFiniteLlr {
+                    frame: first_frame + start + frame,
+                    index,
+                },
+                e => e,
+            })?;
         start += group;
     }
     Ok(())

@@ -24,6 +24,15 @@ pub enum DecodeError {
         /// Explanation of the violation.
         reason: String,
     },
+    /// A channel LLR is NaN or infinite: no quantiser or message format can
+    /// represent it, so the frame is refused instead of "decoded".
+    NonFiniteLlr {
+        /// Frame of the first offending LLR (within the batch or group the
+        /// call was given; 0 for a single frame).
+        frame: usize,
+        /// Position of that LLR within its frame.
+        index: usize,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -40,6 +49,9 @@ impl fmt::Display for DecodeError {
             }
             DecodeError::BatchShape { reason } => {
                 write!(f, "invalid batch shape: {reason}")
+            }
+            DecodeError::NonFiniteLlr { frame, index } => {
+                write!(f, "non-finite channel LLR at frame {frame}, index {index}")
             }
         }
     }

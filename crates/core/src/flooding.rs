@@ -15,12 +15,12 @@
 use ldpc_codes::{CompiledCode, QcCode};
 
 use crate::arith::DecoderArithmetic;
-use crate::decoder::DecoderConfig;
+use crate::decoder::{group_frame_stats, DecoderConfig};
 use crate::early_term::{check_frames, message_threshold};
 use crate::engine::Decoder;
 use crate::error::DecodeError;
 use crate::pool::WorkspacePool;
-use crate::result::{DecodeOutput, DecodeStats};
+use crate::result::DecodeOutput;
 use crate::workspace::DecodeWorkspace;
 
 /// Two-phase (flooding) LDPC decoder, the classic baseline schedule.
@@ -79,43 +79,21 @@ impl<A: DecoderArithmetic> FloodingDecoder<A> {
     pub fn decode(&self, code: &QcCode, channel_llrs: &[f64]) -> Result<DecodeOutput, DecodeError> {
         Decoder::decode(self, code, channel_llrs)
     }
-}
 
-impl<A: DecoderArithmetic> Decoder for FloodingDecoder<A> {
-    type Arith = A;
-
-    fn arithmetic(&self) -> &A {
-        &self.arith
-    }
-
-    fn config(&self) -> &DecoderConfig {
-        &self.config
-    }
-
-    fn schedule_name(&self) -> &'static str {
-        "flooding"
-    }
-
-    fn workspace_pool(&self) -> Option<&WorkspacePool<A::Msg>> {
-        Some(&self.pool)
-    }
-
-    fn decode_into(
+    /// Decodes one frame of checked LLRs with the flooding schedule.
+    fn decode_frame(
         &self,
         compiled: &CompiledCode,
         llrs: &[f64],
         ws: &mut DecodeWorkspace<A::Msg>,
         out: &mut DecodeOutput,
-    ) -> Result<(), DecodeError> {
-        if llrs.len() != compiled.n() {
-            return Err(DecodeError::LlrLengthMismatch {
-                expected: compiled.n(),
-                actual: llrs.len(),
-            });
-        }
+    ) {
+        let n = compiled.n();
+        let edges = compiled.num_edges();
         #[cfg(debug_assertions)]
-        let steady_fingerprint = ws
-            .is_ready_for(compiled, true)
+        let steady_fingerprint = (ws.is_ready_for(compiled, 1)
+            && ws.chan.capacity() >= n
+            && ws.lambda_alt.capacity() >= edges)
             .then(|| ws.allocation_fingerprint());
 
         let arith = &self.arith;
@@ -125,13 +103,20 @@ impl<A: DecoderArithmetic> Decoder for FloodingDecoder<A> {
         let col_index = compiled.col_index();
 
         // Check-to-variable messages R live in `ws.lambda`, double-buffered
-        // against `ws.lambda_alt`; posteriors live in `ws.app`.
-        ws.prepare(compiled, arith.zero(), true);
+        // against `ws.lambda_alt`; posteriors live in `ws.app`. The layered
+        // driver's workspace sizing does not cover the flooding-only
+        // buffers, so they are sized here. Every edge of `lambda_alt` is
+        // written before it is read; only its length must match for the
+        // buffer swap.
+        ws.prepare(compiled, arith.zero(), 1);
+        ws.chan.clear();
+        ws.chan.resize(n, arith.zero());
+        ws.lambda_alt.clear();
+        ws.lambda_alt.resize(edges, arith.zero());
         arith.from_channel_slice(llrs, &mut ws.chan);
         ws.app.copy_from_slice(&ws.chan);
         let et_threshold = message_threshold(arith, self.config.early_termination.as_ref());
 
-        let mut stats = DecodeStats::default();
         let mut iterations = 0usize;
         let mut early_terminated = false;
 
@@ -141,7 +126,6 @@ impl<A: DecoderArithmetic> Decoder for FloodingDecoder<A> {
             // edge of the alternate buffer is written before the swap.
             for l in 0..num_layers {
                 let entries = compiled.layer_entries(l);
-                stats.sub_iterations += 1;
                 for r in 0..z {
                     ws.row_in.clear();
                     for e in entries {
@@ -150,8 +134,6 @@ impl<A: DecoderArithmetic> Decoder for FloodingDecoder<A> {
                         ws.row_in.push(arith.sub(ws.app[col], ws.lambda[edge]));
                     }
                     arith.check_node_update(&ws.row_in, &mut ws.row_out);
-                    stats.check_node_updates += 1;
-                    stats.messages_processed += ws.row_in.len();
                     for (slot, e) in entries.iter().enumerate() {
                         ws.lambda_alt[e.edge_base as usize + r] = ws.row_out[slot];
                     }
@@ -197,7 +179,7 @@ impl<A: DecoderArithmetic> Decoder for FloodingDecoder<A> {
             out,
             iterations,
             early_terminated,
-            stats,
+            group_frame_stats(compiled, iterations),
         );
 
         #[cfg(debug_assertions)]
@@ -205,8 +187,41 @@ impl<A: DecoderArithmetic> Decoder for FloodingDecoder<A> {
             debug_assert_eq!(
                 fingerprint,
                 ws.allocation_fingerprint(),
-                "steady-state decode_into must not reallocate workspace buffers"
+                "steady-state flooding decode must not reallocate workspace buffers"
             );
+        }
+    }
+}
+
+impl<A: DecoderArithmetic> Decoder for FloodingDecoder<A> {
+    type Arith = A;
+
+    fn arithmetic(&self) -> &A {
+        &self.arith
+    }
+
+    fn config(&self) -> &DecoderConfig {
+        &self.config
+    }
+
+    fn schedule_name(&self) -> &'static str {
+        "flooding"
+    }
+
+    fn workspace_pool(&self) -> Option<&WorkspacePool<A::Msg>> {
+        Some(&self.pool)
+    }
+
+    fn decode_group_into(
+        &self,
+        compiled: &CompiledCode,
+        llrs: &[f64],
+        ws: &mut DecodeWorkspace<A::Msg>,
+        outs: &mut [DecodeOutput],
+    ) -> Result<(), DecodeError> {
+        crate::engine::check_group_llrs(compiled, llrs, outs.len())?;
+        for (frame, out) in llrs.chunks_exact(compiled.n()).zip(outs.iter_mut()) {
+            self.decode_frame(compiled, frame, ws, out);
         }
         Ok(())
     }

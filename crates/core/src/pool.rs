@@ -280,7 +280,7 @@ mod tests {
         let code = compiled(576);
         let ws = pool.checkout(&code);
         assert_eq!(pool.workspaces_created(), 1);
-        assert!(ws.is_ready_for(&code, true));
+        assert!(ws.is_ready_for(&code, 1));
         let fp = ws.allocation_fingerprint();
         pool.checkin(&code, ws);
         assert_eq!(pool.pooled(code.spec()), 1);
@@ -302,7 +302,7 @@ mod tests {
         // A different mode builds its own workspace instead of draining the
         // small shelf.
         let ws = pool.checkout(&big);
-        assert!(ws.is_ready_for(&big, true));
+        assert!(ws.is_ready_for(&big, 1));
         assert_eq!(pool.workspaces_created(), 2);
         assert_eq!(pool.pooled(small.spec()), 1);
     }

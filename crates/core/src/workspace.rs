@@ -5,11 +5,16 @@
 //! software analogue of the paper's dedicated L/Λ memory banks, which exist
 //! once in silicon and are merely re-initialised between frames. It also owns
 //! the slot-major lane buffers and [`LaneScratch`] the lane-parallel SISO
-//! kernels run out of (see [`crate::arith::LaneKernel`]). A workspace
-//! is created (or grown) on first use with a given code and then reused:
-//! every subsequent [`Decoder::decode_into`](crate::engine::Decoder::decode_into)
-//! with the same code performs **zero heap allocations**, which the engine
-//! enforces with a debug assertion on the buffer fingerprints.
+//! kernels run out of (see [`crate::arith::LaneKernel`]).
+//!
+//! There is one decode driver, and a single frame is a group of width 1, so
+//! the workspace is sized by the group width alone:
+//! [`DecodeWorkspace::reserve_for`]`(compiled, width)` grows every buffer,
+//! [`DecodeWorkspace::is_ready_for`] says whether a `width`-frame group is
+//! allocation-free, and one [`DecodeWorkspace::allocation_fingerprint`]
+//! covers every buffer. Once a workspace is ready, every further decode of
+//! that code at that width or narrower performs **zero heap allocations**,
+//! which the drivers enforce with a debug assertion on the fingerprint.
 
 use ldpc_codes::CompiledCode;
 
@@ -93,161 +98,24 @@ impl<M: Copy> DecodeWorkspace<M> {
         }
     }
 
-    /// A workspace with capacity pre-allocated for `compiled` (including the
-    /// flooding-only buffers), so even the first decode is allocation-free.
+    /// A workspace with capacity pre-allocated for single frames of
+    /// `compiled`, so even the first layered or cascade decode of one frame
+    /// is allocation-free.
     #[must_use]
     pub fn for_code(compiled: &CompiledCode) -> Self {
         let mut ws = Self::new();
-        ws.reserve_for(compiled, true);
+        ws.reserve_for(compiled, 1);
         ws
     }
 
-    /// Grows every buffer to the capacity `compiled` needs.
-    pub fn reserve_for(&mut self, compiled: &CompiledCode, flooding: bool) {
-        let n = compiled.n();
-        let edges = compiled.num_edges();
-        let degree = compiled.max_degree();
-        let info = compiled.info_bits();
-        reserve_to(&mut self.app, n);
-        reserve_to(&mut self.lambda, edges);
-        reserve_to(&mut self.row_in, degree);
-        reserve_to(&mut self.row_out, degree);
-        reserve_to(&mut self.lane_in, degree * compiled.z());
-        reserve_to(&mut self.lane_out, degree * compiled.z());
-        self.lane_scratch.reserve(degree, compiled.z());
-        reserve_to(&mut self.hard, n);
-        reserve_to(&mut self.decisions, info);
-        reserve_to(&mut self.verdicts, verdict_capacity(1));
-        if flooding {
-            reserve_to(&mut self.chan, n);
-            reserve_to(&mut self.lambda_alt, edges);
-        }
-    }
-
-    /// Whether every buffer already has the capacity `compiled` needs, i.e.
-    /// whether the next `prepare` for this code is guaranteed allocation-free.
-    #[must_use]
-    pub fn is_ready_for(&self, compiled: &CompiledCode, flooding: bool) -> bool {
-        let n = compiled.n();
-        let edges = compiled.num_edges();
-        let degree = compiled.max_degree();
-        let info = compiled.info_bits();
-        self.app.capacity() >= n
-            && self.lambda.capacity() >= edges
-            && self.row_in.capacity() >= degree
-            && self.row_out.capacity() >= degree
-            && self.lane_in.capacity() >= degree * compiled.z()
-            && self.lane_out.capacity() >= degree * compiled.z()
-            && self.lane_scratch.is_ready(degree, compiled.z())
-            && self.hard.capacity() >= n
-            && self.decisions.capacity() >= info
-            && self.verdicts.capacity() >= verdict_capacity(1)
-            && (!flooding || (self.chan.capacity() >= n && self.lambda_alt.capacity() >= edges))
-    }
-
-    /// Resets the per-frame state: Λ memory zeroed, APP sized to `n` (the
-    /// engine refills it from the channel LLRs), early-termination record
-    /// reset.
-    pub(crate) fn prepare(&mut self, compiled: &CompiledCode, zero: M, flooding: bool) {
-        self.reserve_for(compiled, flooding);
-        self.app.clear();
-        self.app.resize(compiled.n(), zero);
-        self.lambda.clear();
-        self.lambda.resize(compiled.num_edges(), zero);
-        // The lane buffers are fully written before every read; only their
-        // *length* must cover a whole layer so the engine can slice them.
-        let lane_len = compiled.max_degree() * compiled.z();
-        self.lane_in.clear();
-        self.lane_in.resize(lane_len, zero);
-        self.lane_out.clear();
-        self.lane_out.resize(lane_len, zero);
-        self.decisions.clear();
-        self.decisions.resize(compiled.info_bits(), NO_DECISION);
-        if flooding {
-            self.chan.clear();
-            self.chan.resize(compiled.n(), zero);
-            // The flooding schedule writes every edge of `lambda_alt` before
-            // reading it, so its contents need no initialisation — only its
-            // length must match for the buffer swap.
-            self.lambda_alt.clear();
-            self.lambda_alt.resize(compiled.num_edges(), zero);
-        }
-    }
-
-    /// Grows every buffer the frame-major group path touches to the capacity
-    /// a `width`-frame group of `compiled` needs (see [`crate::group`] for
-    /// the layout): the single-frame buffers scaled by `width`, plus the
-    /// per-frame decision records and the group bookkeeping scratch.
-    pub fn reserve_for_group(&mut self, compiled: &CompiledCode, width: usize) {
-        let n = compiled.n();
-        let edges = compiled.num_edges();
-        let degree = compiled.max_degree();
-        let info = compiled.info_bits();
-        let zw = compiled.z() * width;
-        reserve_to(&mut self.app, n * width);
-        reserve_to(&mut self.lambda, edges * width);
-        reserve_to(&mut self.row_in, degree);
-        reserve_to(&mut self.row_out, degree);
-        reserve_to(&mut self.lane_in, degree * zw);
-        reserve_to(&mut self.lane_out, degree * zw);
-        self.lane_scratch.reserve(degree, zw);
-        reserve_to(&mut self.hard, n);
-        reserve_to(&mut self.decisions, info * width);
-        reserve_to(&mut self.verdicts, verdict_capacity(width));
-        reserve_to(&mut self.group_active, width);
-        reserve_to(&mut self.group_keep, width);
-        reserve_to(&mut self.group_frame, n);
-    }
-
-    /// Whether preparing a group decode (`prepare_group`) with these parameters is
-    /// guaranteed allocation-free.
-    #[must_use]
-    pub fn is_ready_for_group(&self, compiled: &CompiledCode, width: usize) -> bool {
-        let n = compiled.n();
-        let info = compiled.info_bits();
-        let zw = compiled.z() * width;
-        let degree = compiled.max_degree();
-        self.app.capacity() >= n * width
-            && self.lambda.capacity() >= compiled.num_edges() * width
-            && self.lane_in.capacity() >= degree * zw
-            && self.lane_out.capacity() >= degree * zw
-            && self.lane_scratch.is_ready(degree, zw)
-            && self.hard.capacity() >= n
-            && self.decisions.capacity() >= info * width
-            && self.verdicts.capacity() >= verdict_capacity(width)
-            && self.group_active.capacity() >= width
-            && self.group_keep.capacity() >= width
-            && self.group_frame.capacity() >= n
-    }
-
-    /// Resets the workspace for a `width`-frame group decode: Λ memory zeroed
-    /// at group stride, APP sized for the group (the group driver packs it
-    /// from the channel LLRs), the active set reset to all frames, every
-    /// per-frame decision record reset.
-    pub(crate) fn prepare_group(&mut self, compiled: &CompiledCode, zero: M, width: usize) {
-        self.reserve_for_group(compiled, width);
-        self.app.clear();
-        self.app.resize(compiled.n() * width, zero);
-        self.lambda.clear();
-        self.lambda.resize(compiled.num_edges() * width, zero);
-        let lane_len = compiled.max_degree() * compiled.z() * width;
-        self.lane_in.clear();
-        self.lane_in.resize(lane_len, zero);
-        self.lane_out.clear();
-        self.lane_out.resize(lane_len, zero);
-        self.group_active.clear();
-        self.group_active.extend(0..width as u32);
-        self.decisions.clear();
-        self.decisions
-            .resize(compiled.info_bits() * width, NO_DECISION);
-    }
-
-    /// Grows every buffer a [`crate::cascade::CascadeDecoder`] needs for a
-    /// `width`-frame group of `compiled`: the group-path buffers plus the
-    /// escalation scratch (pending list, handoff LLRs and stage output
-    /// slots, all sized for the worst case of every frame escalating).
-    pub fn reserve_for_cascade(&mut self, compiled: &CompiledCode, width: usize) {
-        self.reserve_for_group(compiled, width);
+    /// Grows every buffer to the capacity a `width`-frame group of
+    /// `compiled` needs (see [`crate::group`] for the layout): the
+    /// per-message buffers scaled by `width`, the per-frame decision records,
+    /// the group bookkeeping and the cascade escalation scratch (sized for
+    /// the worst case of every frame escalating). The flooding-only buffers
+    /// are sized by the flooding decoder itself.
+    pub fn reserve_for(&mut self, compiled: &CompiledCode, width: usize) {
+        self.reserve_decode(compiled, width);
         reserve_to(&mut self.cascade_pending, width);
         reserve_to(&mut self.cascade_llrs, compiled.n() * width);
         if self.cascade_outs.len() < width {
@@ -256,76 +124,95 @@ impl<M: Copy> DecodeWorkspace<M> {
         }
     }
 
-    /// Whether a cascade decode of a `width`-frame group is guaranteed not to
-    /// grow any workspace-owned buffer. (The stage output slots' *inner*
-    /// buffers still grow on the first escalation that reaches them — they
-    /// are swapped against caller outputs, so their contents are not part of
-    /// the workspace's steady state.)
+    /// The part of [`DecodeWorkspace::reserve_for`] the layered driver needs.
+    /// It leaves the cascade scratch alone: a cascade lends those buffers out
+    /// of the workspace while its later stages decode through it.
+    fn reserve_decode(&mut self, compiled: &CompiledCode, width: usize) {
+        let n = compiled.n();
+        let degree = compiled.max_degree();
+        let zw = compiled.z() * width;
+        reserve_to(&mut self.app, n * width);
+        reserve_to(&mut self.lambda, compiled.num_edges() * width);
+        reserve_to(&mut self.row_in, degree);
+        reserve_to(&mut self.row_out, degree);
+        reserve_to(&mut self.lane_in, degree * zw);
+        reserve_to(&mut self.lane_out, degree * zw);
+        self.lane_scratch.reserve(degree, zw);
+        reserve_to(&mut self.hard, n);
+        reserve_to(&mut self.decisions, compiled.info_bits() * width);
+        reserve_to(&mut self.verdicts, verdict_capacity(width));
+        reserve_to(&mut self.group_active, width);
+        reserve_to(&mut self.group_keep, width);
+        reserve_to(&mut self.group_frame, n);
+    }
+
+    /// Whether every buffer [`DecodeWorkspace::reserve_for`] sizes already
+    /// has the capacity a `width`-frame group of `compiled` needs, i.e.
+    /// whether decoding such a group is guaranteed allocation-free.
     #[must_use]
-    pub fn is_ready_for_cascade(&self, compiled: &CompiledCode, width: usize) -> bool {
-        self.is_ready_for_group(compiled, width)
+    pub fn is_ready_for(&self, compiled: &CompiledCode, width: usize) -> bool {
+        let n = compiled.n();
+        let degree = compiled.max_degree();
+        let zw = compiled.z() * width;
+        self.app.capacity() >= n * width
+            && self.lambda.capacity() >= compiled.num_edges() * width
+            && self.row_in.capacity() >= degree
+            && self.row_out.capacity() >= degree
+            && self.lane_in.capacity() >= degree * zw
+            && self.lane_out.capacity() >= degree * zw
+            && self.lane_scratch.is_ready(degree, zw)
+            && self.hard.capacity() >= n
+            && self.decisions.capacity() >= compiled.info_bits() * width
+            && self.verdicts.capacity() >= verdict_capacity(width)
+            && self.group_active.capacity() >= width
+            && self.group_keep.capacity() >= width
+            && self.group_frame.capacity() >= n
             && self.cascade_pending.capacity() >= width
-            && self.cascade_llrs.capacity() >= compiled.n() * width
+            && self.cascade_llrs.capacity() >= n * width
             && self.cascade_outs.len() >= width
     }
 
-    /// Pointer/capacity fingerprint of the cascade buffers on top of
-    /// [`DecodeWorkspace::group_fingerprint`]. The stage output slots
-    /// contribute only their outer vector (their inner buffers are swapped
-    /// with caller outputs, so their identity legitimately changes).
-    #[must_use]
-    pub fn cascade_fingerprint(&self) -> Vec<(usize, usize)> {
-        let mut fp = self.group_fingerprint();
-        fp.push((
-            self.cascade_pending.as_ptr() as usize,
-            self.cascade_pending.capacity(),
-        ));
-        fp.push((
-            self.cascade_llrs.as_ptr() as usize,
-            self.cascade_llrs.capacity(),
-        ));
-        fp.push((
-            self.cascade_outs.as_ptr() as usize,
-            self.cascade_outs.capacity(),
-        ));
-        fp
-    }
-
-    /// Pointer/capacity fingerprint of the group-path buffers (everything
-    /// [`DecodeWorkspace::allocation_fingerprint`] covers, plus the group
-    /// bookkeeping). Building the vector
-    /// allocates, so this is a test/debug aid, not a hot-path call.
-    #[must_use]
-    pub fn group_fingerprint(&self) -> Vec<(usize, usize)> {
-        let mut fp: Vec<(usize, usize)> = self.allocation_fingerprint().to_vec();
-        fp.push((
-            self.group_active.as_ptr() as usize,
-            self.group_active.capacity(),
-        ));
-        fp.push((
-            self.group_keep.as_ptr() as usize,
-            self.group_keep.capacity(),
-        ));
-        fp.push((
-            self.group_frame.as_ptr() as usize,
-            self.group_frame.capacity(),
-        ));
-        fp
+    /// Resets the workspace for decoding a `width`-frame group: Λ memory
+    /// zeroed at group stride, APP sized for the group (the driver packs it
+    /// from the channel LLRs), the active set reset to all frames, every
+    /// per-frame decision record reset.
+    pub(crate) fn prepare(&mut self, compiled: &CompiledCode, zero: M, width: usize) {
+        self.reserve_decode(compiled, width);
+        self.app.clear();
+        self.app.resize(compiled.n() * width, zero);
+        self.lambda.clear();
+        self.lambda.resize(compiled.num_edges() * width, zero);
+        // The lane buffers are fully written before every read; only their
+        // *length* must cover a whole layer so the driver can slice them.
+        let lane_len = compiled.max_degree() * compiled.z() * width;
+        self.lane_in.clear();
+        self.lane_in.resize(lane_len, zero);
+        self.lane_out.clear();
+        self.lane_out.resize(lane_len, zero);
+        self.group_active.clear();
+        self.group_active.extend(0..width as u32);
+        self.group_frame.clear();
+        self.group_frame.resize(compiled.n(), zero);
+        self.decisions.clear();
+        self.decisions
+            .resize(compiled.info_bits() * width, NO_DECISION);
     }
 
     /// Pointer/capacity fingerprint of every buffer. Two equal fingerprints
-    /// around a `decode_into` call prove the call performed no reallocation
-    /// (and therefore no heap allocation, as the engine owns no other state).
+    /// around a decode call prove the call performed no reallocation (and
+    /// therefore no heap allocation, as the decoders own no other state).
+    /// The cascade's output slots contribute only their outer vector: their
+    /// inner buffers are swapped with caller outputs, so their identity
+    /// legitimately changes.
     #[must_use]
-    pub fn allocation_fingerprint(&self) -> [(usize, usize); 14] {
+    pub fn allocation_fingerprint(&self) -> [(usize, usize); 20] {
+        fn fp<T>(buf: &Vec<T>) -> (usize, usize) {
+            (buf.as_ptr() as usize, buf.capacity())
+        }
         // The flooding schedule swaps `lambda` and `lambda_alt` every
         // iteration; order the pair by address so the swap (which moves no
         // memory) does not change the fingerprint.
-        let lambda = (self.lambda.as_ptr() as usize, self.lambda.capacity());
-        let lambda_alt = (
-            self.lambda_alt.as_ptr() as usize,
-            self.lambda_alt.capacity(),
-        );
+        let (lambda, lambda_alt) = (fp(&self.lambda), fp(&self.lambda_alt));
         let (lo, hi) = if lambda <= lambda_alt {
             (lambda, lambda_alt)
         } else {
@@ -333,20 +220,26 @@ impl<M: Copy> DecodeWorkspace<M> {
         };
         let scratch = self.lane_scratch.fingerprint();
         [
-            (self.app.as_ptr() as usize, self.app.capacity()),
-            (self.chan.as_ptr() as usize, self.chan.capacity()),
+            fp(&self.app),
+            fp(&self.chan),
             lo,
             hi,
-            (self.row_in.as_ptr() as usize, self.row_in.capacity()),
-            (self.row_out.as_ptr() as usize, self.row_out.capacity()),
-            (self.lane_in.as_ptr() as usize, self.lane_in.capacity()),
-            (self.lane_out.as_ptr() as usize, self.lane_out.capacity()),
+            fp(&self.row_in),
+            fp(&self.row_out),
+            fp(&self.lane_in),
+            fp(&self.lane_out),
             scratch[0],
             scratch[1],
             scratch[2],
-            (self.hard.as_ptr() as usize, self.hard.capacity()),
-            (self.decisions.as_ptr() as usize, self.decisions.capacity()),
-            (self.verdicts.as_ptr() as usize, self.verdicts.capacity()),
+            fp(&self.hard),
+            fp(&self.decisions),
+            fp(&self.verdicts),
+            fp(&self.group_active),
+            fp(&self.group_keep),
+            fp(&self.group_frame),
+            fp(&self.cascade_pending),
+            fp(&self.cascade_llrs),
+            fp(&self.cascade_outs),
         ]
     }
 }
@@ -373,29 +266,36 @@ mod tests {
     fn for_code_is_ready_immediately() {
         let compiled = compiled();
         let ws = DecodeWorkspace::<f64>::for_code(&compiled);
-        assert!(ws.is_ready_for(&compiled, false));
-        assert!(ws.is_ready_for(&compiled, true));
+        assert!(ws.is_ready_for(&compiled, 1));
+        assert!(
+            !ws.is_ready_for(&compiled, 2),
+            "groups need a wider reserve"
+        );
     }
 
     #[test]
     fn empty_workspace_becomes_ready_after_prepare() {
         let compiled = compiled();
         let mut ws = DecodeWorkspace::<f64>::new();
-        assert!(!ws.is_ready_for(&compiled, false));
-        ws.prepare(&compiled, 0.0, false);
-        assert!(ws.is_ready_for(&compiled, false));
+        assert!(!ws.is_ready_for(&compiled, 1));
+        ws.prepare(&compiled, 0.0, 1);
         assert_eq!(ws.lambda.len(), compiled.num_edges());
         assert!(ws.lambda.iter().all(|&v| v == 0.0));
+        // `prepare` sizes what the layered driver touches; the cascade
+        // scratch joins on the full reserve.
+        assert!(!ws.is_ready_for(&compiled, 1));
+        ws.reserve_for(&compiled, 1);
+        assert!(ws.is_ready_for(&compiled, 1));
     }
 
     #[test]
     fn prepare_is_allocation_free_once_ready() {
         let compiled = compiled();
-        let mut ws = DecodeWorkspace::<f64>::for_code(&compiled);
-        ws.prepare(&compiled, 0.0, true);
+        let mut ws = DecodeWorkspace::<f64>::new();
+        ws.reserve_for(&compiled, 3);
         let fp = ws.allocation_fingerprint();
-        for _ in 0..3 {
-            ws.prepare(&compiled, 0.0, true);
+        for width in [3, 1, 2, 3] {
+            ws.prepare(&compiled, 0.0, width);
         }
         assert_eq!(fp, ws.allocation_fingerprint());
     }
@@ -408,10 +308,10 @@ mod tests {
             .unwrap()
             .compile();
         let mut ws = DecodeWorkspace::<f64>::for_code(&small);
-        assert!(!ws.is_ready_for(&big, false));
-        ws.prepare(&big, 0.0, false);
-        assert!(ws.is_ready_for(&big, false));
+        assert!(!ws.is_ready_for(&big, 1));
+        ws.reserve_for(&big, 1);
+        assert!(ws.is_ready_for(&big, 1));
         // And it still serves the small code without shrinking.
-        assert!(ws.is_ready_for(&small, false));
+        assert!(ws.is_ready_for(&small, 1));
     }
 }

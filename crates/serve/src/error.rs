@@ -88,8 +88,8 @@ pub enum SubmitError {
         /// Position of the first non-finite LLR in the submitted buffer.
         index: usize,
     },
-    /// The shard's ingest queue is at capacity (backpressure; only from
-    /// `try_submit` — blocking submission parks instead).
+    /// The shard's ingest queue is at capacity (backpressure; only from a
+    /// non-blocking submission — blocking submission parks instead).
     QueueFull {
         /// The submitted LLRs, returned for a retry.
         llrs: Vec<f64>,

@@ -4,7 +4,7 @@
 //! Completion is a one-shot slot shared between the submitting caller and the
 //! shard worker: the worker fills it exactly once ([`Slot::complete`]), the
 //! handle blocks on it ([`FrameHandle::wait`]). The service guarantees that
-//! every *accepted* frame — every successful `submit`/`try_submit` — is
+//! every *accepted* frame — every successful `submit`, blocking or not — is
 //! eventually completed, including through shutdown, so `wait` cannot hang on
 //! an accepted frame.
 

@@ -258,15 +258,14 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
 }
 
 /// Per-frame submission options for
-/// [`DecodeService::submit`](crate::DecodeService::submit) — the one entry
-/// point subsuming the old `submit` / `submit_with_deadline` / `try_submit` /
-/// `try_submit_with_deadline` matrix.
+/// [`DecodeService::submit`](crate::DecodeService::submit), the one
+/// submission entry point: deadline, blocking behaviour and priority are all
+/// set here.
 ///
 /// `submit` takes `impl Into<SubmitOptions>`, so the common cases stay terse:
 ///
-/// * `()` — blocking, no deadline (the old `submit`);
-/// * an [`Instant`] — blocking with that deadline (the old
-///   `submit_with_deadline`);
+/// * `()` — blocking, no deadline;
+/// * an [`Instant`] — blocking with that deadline;
 /// * a [`Priority`] — blocking, no deadline, in that class;
 /// * a full `SubmitOptions` for everything else, e.g.
 ///   `SubmitOptions::new().deadline(t).non_blocking()`.
@@ -282,7 +281,7 @@ pub struct SubmitOptions {
     /// Whether a full shard queue parks the caller (`true`, the default) or
     /// refuses with
     /// [`SubmitError::QueueFull`](crate::SubmitError::QueueFull) handing the
-    /// frame back (`false`, the old `try_submit`).
+    /// frame back (`false`).
     pub blocking: bool,
     /// The frame's [`Priority`] within its shard queue.
     pub priority: Priority,
@@ -356,7 +355,7 @@ impl From<Priority> for SubmitOptions {
 /// implements it as its own factory — `builder(decoder)` call sites from the
 /// pre-policy API compile unchanged — and
 /// [`CascadePolicy`](crate::CascadePolicy) implements it by building the
-/// cascade it describes, replacing the old `cascade_builder` special case.
+/// cascade it describes.
 pub trait DecoderPolicy {
     /// The decoder type this policy builds.
     type Decoder: Decoder + Clone + Send + Sync + 'static;

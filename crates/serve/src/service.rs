@@ -719,17 +719,6 @@ pub struct DecodeService<D> {
     label: String,
 }
 
-impl DecodeService<CascadeDecoder> {
-    /// Starts building a cascade service.
-    #[deprecated(
-        note = "use DecodeService::builder(policy) — CascadePolicy implements DecoderPolicy"
-    )]
-    #[must_use]
-    pub fn cascade_builder(policy: CascadePolicy) -> DecodeServiceBuilder<CascadeDecoder> {
-        DecodeService::builder(policy)
-    }
-}
-
 impl<D> DecodeService<D>
 where
     D: Decoder + Clone + Send + Sync + 'static,
@@ -801,39 +790,6 @@ where
         options: impl Into<SubmitOptions>,
     ) -> Result<FrameHandle, SubmitError> {
         self.submit_inner(code, llrs, options.into())
-    }
-
-    /// Blocking submission with a completion deadline.
-    #[deprecated(note = "use submit(code, llrs, deadline) — an Instant converts into \
-                         SubmitOptions")]
-    pub fn submit_with_deadline(
-        &self,
-        code: CodeId,
-        llrs: Vec<f64>,
-        deadline: Instant,
-    ) -> Result<FrameHandle, SubmitError> {
-        self.submit(code, llrs, deadline)
-    }
-
-    /// Non-blocking submission without a deadline.
-    #[deprecated(note = "use submit(code, llrs, SubmitOptions::new().non_blocking())")]
-    pub fn try_submit(&self, code: CodeId, llrs: Vec<f64>) -> Result<FrameHandle, SubmitError> {
-        self.submit(code, llrs, SubmitOptions::new().non_blocking())
-    }
-
-    /// Non-blocking submission with a completion deadline.
-    #[deprecated(note = "use submit(code, llrs, SubmitOptions::new().deadline(d).non_blocking())")]
-    pub fn try_submit_with_deadline(
-        &self,
-        code: CodeId,
-        llrs: Vec<f64>,
-        deadline: Instant,
-    ) -> Result<FrameHandle, SubmitError> {
-        self.submit(
-            code,
-            llrs,
-            SubmitOptions::new().deadline(deadline).non_blocking(),
-        )
     }
 
     fn submit_inner(
@@ -2006,35 +1962,6 @@ mod tests {
             "only the noisy frame escalates"
         );
         assert_eq!(stats[0].cascade_escalations, 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_serve() {
-        let code = wimax576();
-        let service = DecodeService::builder(decoder())
-            .register(code)
-            .unwrap()
-            .build()
-            .unwrap();
-        let future = Instant::now() + Duration::from_secs(3600);
-        let a = service
-            .submit_with_deadline(code, vec![6.0; code.n], future)
-            .unwrap();
-        let b = service.try_submit(code, vec![6.0; code.n]).unwrap();
-        let c = service
-            .try_submit_with_deadline(code, vec![6.0; code.n], future)
-            .unwrap();
-        assert!(a.wait().is_decoded());
-        assert!(b.wait().is_decoded());
-        assert!(c.wait().is_decoded());
-        let cascade = DecodeService::cascade_builder(CascadePolicy::default())
-            .register(code)
-            .unwrap()
-            .build()
-            .unwrap();
-        assert_eq!(cascade.decoder_label(), "cascade");
-        cascade.shutdown();
     }
 
     #[test]

@@ -1,0 +1,281 @@
+//! The decode entry points share one layered driver (a single frame is a
+//! group of one) and one width-sized workspace. This suite pins what that
+//! sharing must guarantee at the boundary:
+//!
+//! * non-finite channel LLRs (±inf, NaN) are refused with
+//!   `DecodeError::NonFiniteLlr` carrying the offending frame and index, by
+//!   every back-end and through every entry point, instead of being decoded
+//!   into a "parity satisfied" output;
+//! * `decode_into` with a wrong-length frame is `LlrLengthMismatch` for every
+//!   decoder, the cascade included;
+//! * one workspace cycled through flooding, layered single-frame, full and
+//!   ragged groups, the row-serial reference and the cascade keeps one
+//!   allocation fingerprint, and every output matches a fresh workspace's.
+
+use ldpc::core::DecodeError;
+use ldpc::prelude::*;
+
+fn code() -> QcCode {
+    CodeId::new(Standard::Wimax80216e, CodeRate::R1_2, 576)
+        .build()
+        .unwrap()
+}
+
+/// `frames` noisy frames at 2.5 dB, flattened.
+fn noisy_frames(code: &QcCode, frames: usize, seed: u64) -> Vec<f64> {
+    let mut source = FrameSource::random(code, seed).unwrap();
+    let channel = AwgnChannel::from_ebn0_db(2.5, code.rate());
+    (0..frames)
+        .flat_map(|_| {
+            let frame = source.next_frame();
+            channel.transmit(&frame.codeword, source.noise_rng())
+        })
+        .collect()
+}
+
+/// The poisoned inputs of the sweep: one bad value at the first, middle and
+/// last index of a clean frame, and an all-NaN frame. Each comes with the
+/// index the decoder must report.
+fn poisoned_frames(clean: &[f64]) -> Vec<(String, Vec<f64>, usize)> {
+    let n = clean.len();
+    let mut cases = Vec::new();
+    for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        for index in [0, n / 2, n - 1] {
+            let mut frame = clean.to_vec();
+            frame[index] = bad;
+            cases.push((format!("{bad} at {index}"), frame, index));
+        }
+    }
+    cases.push(("all NaN".to_string(), vec![f64::NAN; n], 0));
+    cases
+}
+
+/// Runs the sweep on one decoder through `decode_into`, `decode_group_into`
+/// (poisoned frame in the middle of a group) and `decode_batch` (poisoned
+/// frame near the end of a batch spanning several groups).
+fn sweep<D: Decoder + Sync>(name: &str, decoder: &D, code: &QcCode) {
+    let compiled = &code.compile();
+    let n = compiled.n();
+    let clean = noisy_frames(code, 1, 5);
+    let width = decoder.preferred_group_width(compiled).max(2);
+    let batch_frames = 2 * width + 1;
+    let background = noisy_frames(code, batch_frames, 9);
+    let mut ws = decoder.workspace_for(compiled);
+
+    for (case, frame, index) in poisoned_frames(&clean) {
+        let expect = |frame| DecodeError::NonFiniteLlr { frame, index };
+
+        let mut out = DecodeOutput::empty();
+        let got = decoder.decode_into(compiled, &frame, &mut ws, &mut out);
+        assert_eq!(got, Err(expect(0)), "{name} decode_into, {case}");
+
+        let bad = width / 2;
+        let mut group = background[..width * n].to_vec();
+        group[bad * n..(bad + 1) * n].copy_from_slice(&frame);
+        let mut outs = vec![DecodeOutput::empty(); width];
+        let got = decoder.decode_group_into(compiled, &group, &mut ws, &mut outs);
+        assert_eq!(got, Err(expect(bad)), "{name} decode_group_into, {case}");
+
+        let bad = batch_frames - 2;
+        let mut batch = background.clone();
+        batch[bad * n..(bad + 1) * n].copy_from_slice(&frame);
+        let got = decoder.decode_batch(compiled, LlrBatch::new(&batch, n).unwrap());
+        assert_eq!(got.err(), Some(expect(bad)), "{name} decode_batch, {case}");
+    }
+}
+
+#[test]
+fn non_finite_llrs_are_refused_by_every_decoder_and_entry_point() {
+    let code = code();
+    let config = DecoderConfig::default();
+    sweep(
+        "float BP",
+        &LayeredDecoder::new(FloatBpArithmetic::default(), config.clone()).unwrap(),
+        &code,
+    );
+    sweep(
+        "fixed BP (sum-extract)",
+        &LayeredDecoder::new(FixedBpArithmetic::default(), config.clone()).unwrap(),
+        &code,
+    );
+    sweep(
+        "fixed BP (forward/backward)",
+        &LayeredDecoder::new(FixedBpArithmetic::forward_backward(), config.clone()).unwrap(),
+        &code,
+    );
+    sweep(
+        "fixed Min-Sum",
+        &LayeredDecoder::new(FixedMinSumArithmetic::default(), config.clone()).unwrap(),
+        &code,
+    );
+    sweep("cascade", &CascadeDecoder::default(), &code);
+    sweep(
+        "flooding",
+        &FloodingDecoder::new(FloatBpArithmetic::default(), config.clone()).unwrap(),
+        &code,
+    );
+}
+
+#[test]
+fn non_finite_llrs_are_refused_by_the_reference_kernel() {
+    let code = code();
+    let compiled = code.compile();
+    let decoder =
+        LayeredDecoder::new(FixedBpArithmetic::default(), DecoderConfig::default()).unwrap();
+    let mut ws = decoder.workspace_for(&compiled);
+    let mut out = DecodeOutput::empty();
+    for (case, frame, index) in poisoned_frames(&noisy_frames(&code, 1, 5)) {
+        assert_eq!(
+            decoder.decode_into_reference(&compiled, &frame, &mut ws, &mut out),
+            Err(DecodeError::NonFiniteLlr { frame: 0, index }),
+            "{case}"
+        );
+    }
+}
+
+fn assert_length_mismatch<D: Decoder>(name: &str, decoder: &D, compiled: &CompiledCode) {
+    let n = compiled.n();
+    let mut ws = decoder.workspace_for(compiled);
+    let mut out = DecodeOutput::empty();
+    for actual in [0, n - 1, n + 1, 2 * n] {
+        assert_eq!(
+            decoder.decode_into(compiled, &vec![1.0; actual], &mut ws, &mut out),
+            Err(DecodeError::LlrLengthMismatch {
+                expected: n,
+                actual
+            }),
+            "{name}, {actual} LLRs"
+        );
+    }
+}
+
+#[test]
+fn decode_into_reports_wrong_lengths_as_length_mismatch() {
+    let compiled = code().compile();
+    let config = DecoderConfig::default();
+    assert_length_mismatch(
+        "float BP",
+        &LayeredDecoder::new(FloatBpArithmetic::default(), config.clone()).unwrap(),
+        &compiled,
+    );
+    assert_length_mismatch(
+        "fixed BP",
+        &LayeredDecoder::new(FixedBpArithmetic::default(), config.clone()).unwrap(),
+        &compiled,
+    );
+    assert_length_mismatch(
+        "fixed Min-Sum",
+        &LayeredDecoder::new(FixedMinSumArithmetic::default(), config.clone()).unwrap(),
+        &compiled,
+    );
+    assert_length_mismatch("cascade", &CascadeDecoder::default(), &compiled);
+    assert_length_mismatch(
+        "flooding",
+        &FloodingDecoder::new(FixedBpArithmetic::default(), config).unwrap(),
+        &compiled,
+    );
+}
+
+#[test]
+fn one_workspace_serves_every_driver_and_width_without_reallocating() {
+    let code = code();
+    let compiled = code.compile();
+    let n = compiled.n();
+    let config = DecoderConfig::default();
+    let flooding = FloodingDecoder::new(FixedBpArithmetic::default(), config.clone()).unwrap();
+    let layered = LayeredDecoder::new(FixedBpArithmetic::default(), config).unwrap();
+    let cascade = CascadeDecoder::default();
+    let width = layered.preferred_group_width(&compiled);
+    assert!(width >= 2, "the cycle needs a real group width");
+    let llrs = noisy_frames(&code, width, 31);
+    let one = &llrs[..n];
+    let ragged = &llrs[..(width - 1) * n];
+
+    // The expected outputs, each from a fresh workspace.
+    let fresh_group = |decoder: &dyn Fn(&mut DecodeWorkspace<i16>, &mut [DecodeOutput]),
+                       frames: usize| {
+        let mut ws = DecodeWorkspace::new();
+        let mut outs = vec![DecodeOutput::empty(); frames];
+        decoder(&mut ws, &mut outs);
+        outs
+    };
+    type Step<'a> = (
+        &'a str,
+        usize,
+        Box<dyn Fn(&mut DecodeWorkspace<i16>, &mut [DecodeOutput]) + 'a>,
+    );
+    let steps: Vec<Step<'_>> = vec![
+        (
+            "flooding decode_into",
+            1,
+            Box::new(|ws, outs| {
+                flooding
+                    .decode_into(&compiled, one, ws, &mut outs[0])
+                    .unwrap()
+            }),
+        ),
+        (
+            "layered decode_into",
+            1,
+            Box::new(|ws, outs| {
+                layered
+                    .decode_into(&compiled, one, ws, &mut outs[0])
+                    .unwrap()
+            }),
+        ),
+        (
+            "full group",
+            width,
+            Box::new(|ws, outs| {
+                layered
+                    .decode_group_into(&compiled, &llrs, ws, outs)
+                    .unwrap();
+            }),
+        ),
+        (
+            "ragged group",
+            width - 1,
+            Box::new(|ws, outs| {
+                layered
+                    .decode_group_into(&compiled, ragged, ws, outs)
+                    .unwrap();
+            }),
+        ),
+        (
+            "decode_into_reference",
+            1,
+            Box::new(|ws, outs| {
+                layered
+                    .decode_into_reference(&compiled, one, ws, &mut outs[0])
+                    .unwrap();
+            }),
+        ),
+        (
+            "cascade group",
+            width,
+            Box::new(|ws, outs| {
+                cascade
+                    .decode_group_into(&compiled, &llrs, ws, outs)
+                    .unwrap();
+            }),
+        ),
+    ];
+    let expected: Vec<Vec<DecodeOutput>> = steps
+        .iter()
+        .map(|(_, frames, step)| fresh_group(step.as_ref(), *frames))
+        .collect();
+
+    let mut ws = DecodeWorkspace::new();
+    let mut outs = vec![DecodeOutput::empty(); width];
+    let mut fingerprint = None;
+    for round in 0..4 {
+        for ((name, frames, step), expect) in steps.iter().zip(&expected) {
+            step(&mut ws, &mut outs[..*frames]);
+            assert_eq!(&outs[..*frames], &expect[..], "round {round}: {name}");
+        }
+        // Round 0 warms the workspace; the three rounds after it must reuse
+        // exactly the same buffers.
+        let now = ws.allocation_fingerprint();
+        assert_eq!(*fingerprint.get_or_insert(now), now, "round {round}");
+    }
+}

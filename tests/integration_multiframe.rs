@@ -255,7 +255,7 @@ fn group_decode_allocation_fingerprint_is_stable() {
     decoder
         .decode_group_into(&compiled, &llrs, &mut ws, &mut outs)
         .unwrap();
-    let fingerprint = ws.group_fingerprint();
+    let fingerprint = ws.allocation_fingerprint();
     for _ in 0..3 {
         decoder
             .decode_group_into(&compiled, &llrs, &mut ws, &mut outs)
@@ -263,7 +263,7 @@ fn group_decode_allocation_fingerprint_is_stable() {
     }
     assert_eq!(
         fingerprint,
-        ws.group_fingerprint(),
+        ws.allocation_fingerprint(),
         "steady-state group decoding must not reallocate"
     );
 }

@@ -97,7 +97,7 @@ fn bounded_queue_rejects_when_full_and_recovers() {
         .unwrap();
 
     // Deterministic: the worker is paused, so exactly `queue_capacity`
-    // frames are accepted and the next try_submit is refused.
+    // frames are accepted and the next non-blocking submit is refused.
     let mut handles = Vec::new();
     for _ in 0..3 {
         handles.push(
