@@ -49,8 +49,9 @@ pub struct DatapathConfig {
 
 impl DatapathConfig {
     /// The paper's multi-mode decoder: 96 Radix-4 lanes at up to 450 MHz,
-    /// covering every IEEE 802.16e and 802.11n mode, 10 iterations, early
-    /// termination enabled.
+    /// covering every IEEE 802.16e and 802.11n mode, the 8-bit ⊟ SISO
+    /// datapath with argmin exclusion (`FixedBpArithmetic::default()`),
+    /// 10 iterations, early termination enabled.
     ///
     /// # Panics
     ///
@@ -63,7 +64,7 @@ impl DatapathConfig {
             lambda_slots_per_lane: rom.max_nnz_blocks(),
             block_cols_max: 24,
             radix: SisoRadix::Radix4,
-            arithmetic: FixedBpArithmetic::forward_backward(),
+            arithmetic: FixedBpArithmetic::default(),
             pipeline: PipelineOptions::default(),
             max_iterations: 10,
             early_termination: Some(EarlyTermination::default()),

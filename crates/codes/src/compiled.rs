@@ -41,7 +41,7 @@
 //! independence that lets hardware run `z` SISO units in lock-step and lets
 //! software vectorise across lanes. The per-edge `col_index` table (the
 //! expanded form of the same mapping) is retained for the row-serial
-//! reference path and the syndrome check.
+//! reference path; the syndrome check runs on the two-span contract too.
 //!
 //! Compile once per code, decode millions of frames.
 
@@ -299,21 +299,40 @@ impl CompiledCode {
     /// Whether `hard` (one 0/1 value per code bit) satisfies every parity
     /// check. Allocation-free syndrome test for the decode hot path.
     ///
+    /// Runs on the lane-major rotation contract: per layer, each entry's
+    /// block column is XORed into one parity panel of the layer's `z`
+    /// lanes as two stride-1 spans (lanes wider than the stack panel are
+    /// taken a panel at a time).
+    ///
     /// # Panics
     ///
     /// Panics if `hard.len() != n`.
     #[must_use]
     pub fn syndrome_ok(&self, hard: &[u8]) -> bool {
+        /// Lanes per stack parity panel.
+        const PANEL: usize = 256;
         assert_eq!(hard.len(), self.n(), "codeword length mismatch");
         let z = self.z();
+        let mut panel = [0u8; PANEL];
         for layer in 0..self.block_rows() {
-            let entries = self.layer_entries(layer);
-            for r in 0..z {
-                let mut parity = 0u8;
-                for e in entries {
-                    parity ^= hard[self.col_index[e.edge_base as usize + r] as usize] & 1;
+            let lanes = self.layer_lanes(layer);
+            for first_lane in (0..z).step_by(PANEL) {
+                let parity = &mut panel[..PANEL.min(z - first_lane)];
+                parity.fill(0);
+                for (&col, &shift) in lanes.col_base.iter().zip(lanes.shift) {
+                    let block = &hard[col as usize..col as usize + z];
+                    // Lane r reads block[(r + shift) mod z]: one span up to
+                    // the end of the block, the rest from its start.
+                    let start = (first_lane + shift as usize) % z;
+                    let (head, tail) = parity.split_at_mut(parity.len().min(z - start));
+                    for (p, &bit) in head.iter_mut().zip(&block[start..]) {
+                        *p ^= bit;
+                    }
+                    for (p, &bit) in tail.iter_mut().zip(block) {
+                        *p ^= bit;
+                    }
                 }
-                if parity != 0 {
+                if parity.iter().any(|&p| p & 1 != 0) {
                     return false;
                 }
             }
@@ -462,6 +481,75 @@ mod tests {
             cols.sort_unstable();
             cols.dedup();
             assert_eq!(cols.len(), lanes.degree(), "layer {l} repeats a block");
+        }
+    }
+
+    /// The row-serial syndrome through the per-edge `col_index` table: the
+    /// reference [`CompiledCode::syndrome_ok`] is pinned against.
+    fn syndrome_ok_row_serial(compiled: &CompiledCode, hard: &[u8]) -> bool {
+        let z = compiled.z();
+        (0..compiled.block_rows()).all(|layer| {
+            (0..z).all(|r| {
+                let parity = compiled.layer_entries(layer).iter().fold(0u8, |p, e| {
+                    p ^ (hard[compiled.edge_col(e.edge_base as usize + r)] & 1)
+                });
+                parity == 0
+            })
+        })
+    }
+
+    #[test]
+    fn lane_span_syndrome_matches_the_row_serial_form_on_every_mode() {
+        use crate::encoder::Encoder;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut codes: Vec<QcCode> = Standard::ALL
+            .into_iter()
+            .flat_map(CodeId::all_modes)
+            .map(|id| id.build().unwrap())
+            .collect();
+        // z wider than one stack parity panel.
+        codes.push(
+            crate::construction::ConstructionParams::for_mode(
+                Standard::Wimax80216e,
+                CodeRate::R1_2,
+            )
+            .build_code(600)
+            .unwrap(),
+        );
+        for code in codes {
+            let id = code.spec().id();
+            let compiled = CompiledCode::compile(&code);
+            let n = compiled.n();
+            let codeword = match Encoder::new(&code) {
+                Ok(encoder) => {
+                    let info: Vec<u8> = (0..code.info_bits())
+                        .map(|_| rng.gen_range(0..=1u8))
+                        .collect();
+                    encoder.encode(&info).unwrap()
+                }
+                Err(_) => vec![0u8; n],
+            };
+            assert!(compiled.syndrome_ok(&codeword), "{id}: codeword rejected");
+            assert!(syndrome_ok_row_serial(&compiled, &codeword));
+            // One flipped bit anywhere, including the last layer's
+            // columns, fails both forms.
+            for _ in 0..4 {
+                let mut word = codeword.clone();
+                word[rng.gen_range(0..n)] ^= 1;
+                assert!(!compiled.syndrome_ok(&word), "{id}: flip accepted");
+                assert!(!syndrome_ok_row_serial(&compiled, &word));
+            }
+            for _ in 0..4 {
+                let word: Vec<u8> = (0..n).map(|_| rng.gen_range(0..=1u8)).collect();
+                assert_eq!(
+                    compiled.syndrome_ok(&word),
+                    syndrome_ok_row_serial(&compiled, &word),
+                    "{id}: random word"
+                );
+            }
         }
     }
 

@@ -17,22 +17,36 @@ use crate::lut::{CorrectionKind, CorrectionLut};
 ///
 /// The paper's SISO datapath (Fig. 3) forms the total row sum `S_m` with the
 /// `f(·)` recursion and then *extracts* each extrinsic message with the `g(·)`
-/// unit, `Λ_mn = S_m ⊟ λ_mn` (Eq. 1). Our reproduction finds that this
-/// extraction is numerically fragile at the 8-bit / 3-bit-LUT operating point:
-/// the information that `g` must recover lives in the small difference
-/// `|λ_mn| − |S_m|`, which the coarse quantisation destroys, costing more than
-/// 0.5 dB and producing an error floor at high SNR. A forward/backward
-/// `f(·)`-only recursion at the *same* 8-bit precision matches the
-/// floating-point decoder. Both modes are provided; the ablation benchmark
-/// (`ablation_fixedpoint`) quantifies the difference.
+/// unit, `Λ_mn = S_m ⊟ λ_mn` (Eq. 1). At the 8-bit / 3-bit-LUT operating
+/// point that extraction fails for exactly one edge per row: the weakest
+/// one. Its exact extrinsic message is at least the row's second minimum,
+/// but `S_m ⊟ λ_min` has to recover it from the small difference
+/// `|λ_min| − |S_m|`, which the coarse quantisation destroys; it comes back
+/// near `|λ_min|`, so the least reliable bit is told that it is the least
+/// reliable and stays wrong. The default mode therefore keeps a second
+/// running sum in the same `f(·)` pass — the ⊞ of every edge except the
+/// current argmin — and hands that to the weakest edge (one more `f(·)`
+/// unit, a magnitude compare and an index register per SISO). That datapath
+/// decodes as well as the forward/backward recursion at the same 8-bit
+/// precision; bare ⊟ extraction is kept only as the ablation row that shows
+/// the failure (`ablation_fixedpoint`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CheckNodeMode {
-    /// Paper-faithful: total ⊞ sum followed by ⊟ extraction (Fig. 3).
+    /// The paper's ⊟ extraction with argmin exclusion (the default). While
+    /// folding slot `s`, a strictly weaker `|λ_s|` than the running minimum
+    /// sets `S' ← S` and `argmin ← s`; otherwise `S' ← S' ⊞ λ_s`; either
+    /// way `S ← S ⊞ λ_s` (ties keep the first argmin). Output:
+    /// `Λ_argmin = S'`, `Λ_n = S ⊟ λ_n` elsewhere; a degree-1 row outputs
+    /// the saturated positive code.
     #[default]
+    SumExtractArgmin,
+    /// Bare Fig. 3: total ⊞ sum followed by ⊟ extraction of every edge.
+    /// **Fails at 8 bits** (FER ≈ 0.97 on WiMAX-2304 at 2/4/6 dB, where the
+    /// default mode reaches ≈ 0.01); kept only as an ablation row.
     SumExtract,
-    /// Forward/backward partial ⊞ sums (no ⊟). Same message format, more
-    /// robust to quantisation; needs a second `f(·)` unit instead of the
-    /// `g(·)` unit and a reversing buffer in hardware.
+    /// Forward/backward partial ⊞ sums (no ⊟). Same message format; needs a
+    /// second `f(·)` unit instead of the `g(·)` unit and a reversing buffer
+    /// in hardware.
     ForwardBackward,
 }
 
@@ -56,7 +70,7 @@ pub struct FixedBpArithmetic {
 
 impl Default for FixedBpArithmetic {
     /// The paper's datapath: 8-bit messages, 3-bit correction LUTs, ⊟
-    /// extraction.
+    /// extraction with argmin exclusion.
     fn default() -> Self {
         FixedBpArithmetic::new(FixedFormat::default(), 3)
     }
@@ -64,7 +78,8 @@ impl Default for FixedBpArithmetic {
 
 impl FixedBpArithmetic {
     /// Creates the arithmetic for an arbitrary message format and LUT size,
-    /// using the paper's ⊟-extraction check-node mode.
+    /// using the default ([`CheckNodeMode::SumExtractArgmin`]) check-node
+    /// mode.
     #[must_use]
     pub fn new(format: FixedFormat, lut_address_bits: u32) -> Self {
         Self::with_mode(format, lut_address_bits, CheckNodeMode::default())
@@ -114,7 +129,7 @@ impl FixedBpArithmetic {
         self.simd.unwrap_or_else(simd::active_level)
     }
 
-    /// The 8-bit datapath with the robust forward/backward check-node mode.
+    /// The 8-bit datapath with the forward/backward check-node mode.
     #[must_use]
     pub fn forward_backward() -> Self {
         Self::with_mode(FixedFormat::default(), 3, CheckNodeMode::ForwardBackward)
@@ -269,6 +284,34 @@ impl DecoderArithmetic for FixedBpArithmetic {
         }
         let plus = |a: i32, b: i16| self.boxplus_codes(a, i32::from(b));
         match self.mode {
+            CheckNodeMode::SumExtractArgmin => {
+                if lambdas.len() == 1 {
+                    out.push(self.format.max_code() as i16);
+                    return;
+                }
+                // One f(·) pass carries S (every edge) and S' (every edge
+                // but the weakest so far) …
+                let mut total = i32::from(lambdas[0]);
+                let (mut excluded, mut min, mut argmin) = (0, lambdas[0].unsigned_abs(), 0);
+                for (slot, &l) in lambdas.iter().enumerate().skip(1) {
+                    if l.unsigned_abs() < min {
+                        (excluded, min, argmin) = (total, l.unsigned_abs(), slot);
+                    } else if slot == 1 {
+                        excluded = i32::from(l);
+                    } else {
+                        excluded = plus(excluded, l);
+                    }
+                    total = plus(total, l);
+                }
+                // … the weakest edge gets S', every other edge S ⊟ λ.
+                out.extend(lambdas.iter().enumerate().map(|(slot, &l)| {
+                    if slot == argmin {
+                        excluded as i16
+                    } else {
+                        self.boxminus_codes(total, i32::from(l)) as i16
+                    }
+                }));
+            }
             CheckNodeMode::SumExtract => {
                 // Serial f(·) recursion to form S_m …
                 let total = lambdas[1..]
@@ -313,7 +356,10 @@ impl DecoderArithmetic for FixedBpArithmetic {
 
     fn name(&self) -> &'static str {
         match self.mode {
-            CheckNodeMode::SumExtract => "full-BP fixed 8-bit (3-bit LUT, ⊟ extraction)",
+            CheckNodeMode::SumExtractArgmin => {
+                "full-BP fixed 8-bit (3-bit LUT, ⊟ extraction, argmin excluded)"
+            }
+            CheckNodeMode::SumExtract => "full-BP fixed 8-bit (3-bit LUT, bare ⊟ extraction)",
             CheckNodeMode::ForwardBackward => "full-BP fixed 8-bit (3-bit LUT, fwd/bwd)",
         }
     }
@@ -321,12 +367,15 @@ impl DecoderArithmetic for FixedBpArithmetic {
 
 /// Hand-written lane kernels for the fixed-point BP datapath.
 ///
-/// Both check-node modes run the *same recursion in the same order* as the
+/// Every check-node mode runs the *same recursion in the same order* as the
 /// scalar [`DecoderArithmetic::check_node_update`], but with the slot loop
 /// outside and the lane loop inside, so every inner loop is a stride-1 sweep
 /// of independent `i16` codes (one per SISO lane; the frame-major engine
 /// passes `z · F` lanes per panel). Each ⊞/⊟ step over a panel is one
-/// [`simd::boxplus_panel`] / [`simd::boxminus_panel`] call, dispatched to
+/// [`simd::boxplus_panel`] / [`simd::boxminus_panel`] call (for the
+/// argmin-excluded mode, one [`simd::boxplus_dual_panel`] per slot for the
+/// two running sums and one [`simd::boxminus_select_panel`] per slot for
+/// the extraction), dispatched to
 /// the instance's kernel tier ([`FixedBpArithmetic::simd_level`]): on the
 /// SIMD tiers, when the correction table fits 16 bytes (the paper's 3-bit
 /// tables do), the whole operator runs as a single fused register-resident
@@ -377,6 +426,58 @@ impl LaneKernel for FixedBpArithmetic {
         let max_code = self.format.max_code() as i16;
         let level = self.simd_level();
         match self.mode {
+            CheckNodeMode::SumExtractArgmin => {
+                if degree == 1 {
+                    lanes_out[..z].fill(max_code);
+                    return;
+                }
+                // State panels S, S', |min|, argmin, then the three-pass
+                // ⊞/⊟ scratch (unused by the fused tiers): 7 ≤ 2d + 3.
+                let buf = scratch.lanes_mut(7 * z, 0);
+                let (total, rest) = buf.split_at_mut(z);
+                let (excl, rest) = rest.split_at_mut(z);
+                let (min, rest) = rest.split_at_mut(z);
+                let (argmin, rest) = rest.split_at_mut(z);
+                let (mins, rest) = rest.split_at_mut(z);
+                let (sums, diffs) = rest.split_at_mut(z);
+                total.copy_from_slice(&lanes_in[..z]);
+                for (slot, inc) in lanes_in.chunks_exact(z).enumerate().skip(1) {
+                    simd::boxplus_dual_panel(
+                        level,
+                        &self.lut_plus,
+                        max_code,
+                        slot as i16,
+                        inc,
+                        total,
+                        excl,
+                        min,
+                        argmin,
+                        mins,
+                        sums,
+                        diffs,
+                    );
+                }
+                for (slot, (out, inc)) in lanes_out
+                    .chunks_exact_mut(z)
+                    .zip(lanes_in.chunks_exact(z))
+                    .enumerate()
+                {
+                    simd::boxminus_select_panel(
+                        level,
+                        &self.lut_minus,
+                        max_code,
+                        slot as i16,
+                        total,
+                        excl,
+                        argmin,
+                        inc,
+                        out,
+                        mins,
+                        sums,
+                        diffs,
+                    );
+                }
+            }
             CheckNodeMode::SumExtract => {
                 // Serial f(·) recursion across slots to form the lane of total
                 // sums S_m — one ⊞ panel step per slot (fused on the SIMD
@@ -651,6 +752,7 @@ mod tests {
         let msg = |i: usize| ((i as i16 * 37) % 255) - 127;
         for arith in [
             FixedBpArithmetic::default(),
+            FixedBpArithmetic::with_mode(FixedFormat::default(), 3, CheckNodeMode::SumExtract),
             FixedBpArithmetic::forward_backward(),
         ] {
             for (z, degree) in [(1usize, 3usize), (4, 1), (27, 2), (96, 7), (24, 20)] {
@@ -661,12 +763,48 @@ mod tests {
 
     #[test]
     fn lane_kernel_degree_one_saturates_like_scalar() {
-        let fx = FixedBpArithmetic::forward_backward();
-        let mut scratch = crate::arith::LaneScratch::new();
-        scratch.reserve(1, 4);
-        let mut out = [0i16; 4];
-        fx.check_node_update_lanes(4, &[7, -3, 1, 127], &mut out, &mut scratch);
-        assert_eq!(out, [fx.format().max_code() as i16; 4]);
+        for fx in [
+            FixedBpArithmetic::forward_backward(),
+            FixedBpArithmetic::default(),
+        ] {
+            let max = fx.format().max_code() as i16;
+            let mut scratch = crate::arith::LaneScratch::new();
+            scratch.reserve(1, 4);
+            let mut out = [0i16; 4];
+            fx.check_node_update_lanes(4, &[7, -3, 1, 127], &mut out, &mut scratch);
+            assert_eq!(out, [max; 4]);
+            let mut row = Vec::new();
+            fx.check_node_update(&[-9], &mut row);
+            assert_eq!(row, vec![max]);
+        }
+    }
+
+    #[test]
+    fn argmin_edge_receives_the_boxplus_of_the_other_edges() {
+        let fx = FixedBpArithmetic::default();
+        assert_eq!(fx.mode(), CheckNodeMode::SumExtractArgmin);
+        let bare =
+            FixedBpArithmetic::with_mode(FixedFormat::default(), 3, CheckNodeMode::SumExtract);
+        let plus = |a: i32, b: i32| fx.boxplus_codes(a, b);
+        // The weakest edge is slot 1 (|−6|); a tie later (slot 4) must not
+        // move the argmin.
+        let row = [24i16, -6, 32, -40, 6];
+        let (mut out, mut reference) = (Vec::new(), Vec::new());
+        fx.check_node_update(&row, &mut out);
+        bare.check_node_update(&row, &mut reference);
+        let others = [24, 32, -40, 6].into_iter().reduce(plus).unwrap();
+        assert_eq!(i32::from(out[1]), others);
+        for slot in [0, 2, 3, 4] {
+            assert_eq!(out[slot], reference[slot], "slot {slot} keeps S ⊟ λ");
+        }
+        // Bare ⊟ hands the weakest edge roughly its own magnitude back,
+        // far below the true extrinsic (≥ the second minimum, 6).
+        assert!(out[1].abs() > reference[1].abs());
+        // A new minimum in slot 1 seeds S' with λ_0.
+        fx.check_node_update(&[20, -3], &mut out);
+        assert_eq!(out[1], 20);
+        fx.check_node_update(&[3, -20], &mut out);
+        assert_eq!(out[0], -20);
     }
 
     #[test]

@@ -54,8 +54,10 @@ impl<M: Copy> LaneScratch<M> {
     /// as a function of the maximum check-node degree: the forward/backward
     /// fixed-BP kernel needs `2 · degree` lanes (prefix and suffix ⊞ sums)
     /// plus 3 transient panels for the branch-free ⊞ decomposition
-    /// (min/sum/diff magnitudes feeding the LUT lookup); the Min-Sum kernel
-    /// needs 4 (min1/min2/argmin/parity), covered by the same bound.
+    /// (min/sum/diff magnitudes feeding the LUT lookup); the argmin-excluded
+    /// fixed-BP kernel needs 7 (S, S', minimum, argmin and the same 3) for
+    /// degree ≥ 2, and the Min-Sum kernel 4 (min1/min2/argmin/parity), both
+    /// covered by the same bound.
     #[must_use]
     pub fn lane_factor(max_degree: usize) -> usize {
         2 * max_degree + 3
@@ -265,11 +267,13 @@ mod tests {
 
     #[test]
     fn lane_factor_covers_min_sum_and_fwd_bwd() {
-        // Every provided kernel fits: fwd/bwd needs 2d + 3 panels, sum-extract
-        // needs 4 (total + min/sum/diff), min-sum needs 4.
+        // Every provided kernel fits: fwd/bwd needs 2d + 3 panels, bare
+        // sum-extract needs 4 (total + min/sum/diff), argmin-excluded
+        // sum-extract 7 from degree 2 on, min-sum 4.
         assert_eq!(LaneScratch::<i32>::lane_factor(1), 5);
         assert_eq!(LaneScratch::<i32>::lane_factor(2), 7);
         assert_eq!(LaneScratch::<i32>::lane_factor(7), 17);
         assert!((1..=24).all(|d| LaneScratch::<i32>::lane_factor(d) >= 4));
+        assert!((2..=24).all(|d| LaneScratch::<i32>::lane_factor(d) >= 7));
     }
 }

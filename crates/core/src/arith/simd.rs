@@ -16,6 +16,11 @@
 //!   table lookups and the sign/saturate combine with no round-trips
 //!   through the `LaneScratch` panels. Channel quantisation
 //!   ([`quantize_codes`]) runs four `f64` lanes at a time.
+//!   The argmin-excluded check-node update fuses the same way: one pass per
+//!   slot updates the running total `S`, the argmin-excluded sum `S'`, the
+//!   minimum magnitude and the argmin together ([`boxplus_dual_panel`]),
+//!   and extraction is one ⊟ pass blended with `S'` at the argmin
+//!   ([`boxminus_select_panel`]).
 //! * **SSE4.1** — the same kernels on 8-lane `epi16` vectors; `pshufb`
 //!   ([`_mm_shuffle_epi8`]) is available here too, so this tier fuses as
 //!   well.
@@ -393,6 +398,116 @@ pub(crate) mod scalar {
         }
     }
 
+    /// The select half of one argmin-tracking slot, per lane: `kept` is the
+    /// lane's `S' ⊞ λ` (or `λ` itself on the seed slot 1, where `total`
+    /// still holds `λ_0` and the state lanes are write-only). A strictly
+    /// weaker `λ` displaces the argmin and takes the old total as `S'`.
+    #[inline(always)]
+    fn dual_select_lane(
+        slot: i16,
+        l: i16,
+        kept: i16,
+        total: i16,
+        excl: &mut i16,
+        min: &mut i16,
+        argmin: &mut i16,
+    ) {
+        let (m, am) = if slot == 1 {
+            (total.wrapping_abs(), 0)
+        } else {
+            (*min, *argmin)
+        };
+        let a = l.wrapping_abs();
+        let displaces = a < m;
+        *excl = if displaces { total } else { kept };
+        *argmin = if displaces { slot } else { am };
+        *min = a.min(m);
+    }
+
+    /// [`dual_select_lane`] over a panel whose `excl` already holds
+    /// `S' ⊞ λ` (three-pass fallback; ignored on slot 1). `total` is the
+    /// pre-update `S`.
+    pub(crate) fn dual_select(
+        slot: i16,
+        inc: &[i16],
+        total: &[i16],
+        excl: &mut [i16],
+        min: &mut [i16],
+        argmin: &mut [i16],
+    ) {
+        for ((((&l, &s), e), m), am) in inc
+            .iter()
+            .zip(total)
+            .zip(excl.iter_mut())
+            .zip(min.iter_mut())
+            .zip(argmin.iter_mut())
+        {
+            let kept = if slot == 1 { l } else { *e };
+            dual_select_lane(slot, l, kept, s, e, m, am);
+        }
+    }
+
+    /// One fused argmin-tracking slot over a shuffle table: `S' ⊞ λ`, the
+    /// select, and `S = S ⊞ λ` per lane — the scalar twin of the vector
+    /// kernel.
+    pub(crate) fn boxplus_dual_shuffle(
+        table: &[u8; 16],
+        max_code: i16,
+        slot: i16,
+        inc: &[i16],
+        total: &mut [i16],
+        excl: &mut [i16],
+        min: &mut [i16],
+        argmin: &mut [i16],
+    ) {
+        let lut = |x| shuffle_lane(table, x);
+        for ((((&l, s), e), m), am) in inc
+            .iter()
+            .zip(total.iter_mut())
+            .zip(excl.iter_mut())
+            .zip(min.iter_mut())
+            .zip(argmin.iter_mut())
+        {
+            let kept = if slot == 1 {
+                l
+            } else {
+                box_lane::<false>(max_code, *e, l, lut)
+            };
+            dual_select_lane(slot, l, kept, *s, e, m, am);
+            *s = box_lane::<false>(max_code, *s, l, lut);
+        }
+    }
+
+    /// Replaces `out` with `excl` on the lanes whose argmin is `slot`.
+    pub(crate) fn select_slot(slot: i16, excl: &[i16], argmin: &[i16], out: &mut [i16]) {
+        for ((o, &e), &am) in out.iter_mut().zip(excl).zip(argmin) {
+            if am == slot {
+                *o = e;
+            }
+        }
+    }
+
+    /// Fused shuffle-table argmin-excluded extraction of one slot:
+    /// `S'` where the argmin is `slot`, `S ⊟ λ` elsewhere.
+    pub(crate) fn boxminus_select_shuffle(
+        table: &[u8; 16],
+        max_code: i16,
+        slot: i16,
+        total: &[i16],
+        excl: &[i16],
+        argmin: &[i16],
+        inc: &[i16],
+        out: &mut [i16],
+    ) {
+        for ((((o, &s), &e), &am), &l) in out.iter_mut().zip(total).zip(excl).zip(argmin).zip(inc) {
+            *o = if am == slot {
+                e
+            } else {
+                box_lane::<true>(max_code, s, l, |x| shuffle_lane(table, x))
+            };
+        }
+    }
+
     /// `λ = L − Λ` with saturating subtraction (a 16-bit APP code minus a
     /// message code can leave `i16`), clamped to `[lo, hi]`, with the
     /// fixed-BP ±1-LSB zero remap in select form.
@@ -700,6 +815,123 @@ macro_rules! x86_panel_kernels {
                 let (t, vmax) = (load_table(table), $set1(max_code));
                 // SAFETY (all accesses): every offset is ≤ n − WIDTH.
                 let op = |i| box_core::<true>(t, vmax, ld(a, i), ld(b, i));
+                let tail = op(n - WIDTH);
+                let mut i = 0;
+                while i + WIDTH <= n {
+                    st(out, i, op(i));
+                    i += WIDTH;
+                }
+                st(out, n - WIDTH, tail);
+            }
+
+            /// The slot loop of [`boxplus_dual_shuffle`]; `SEED` is slot 1.
+            ///
+            /// # Safety
+            /// The CPU must support the module's target feature, and every
+            /// slice must have the same length `n ≥ WIDTH`.
+            #[target_feature(enable = $feature)]
+            unsafe fn boxplus_dual_pass<const SEED: bool>(
+                t: $vec,
+                vmax: $vec,
+                slot: i16,
+                inc: &[i16],
+                total: &mut [i16],
+                excl: &mut [i16],
+                min: &mut [i16],
+                argmin: &mut [i16],
+            ) {
+                let n = inc.len();
+                let vslot = $set1(slot);
+                // SAFETY (all accesses): every offset is ≤ n − WIDTH; each
+                // span of the state is loaded before it is stored.
+                let op = |s: &[i16], e: &[i16], m: &[i16], am: &[i16], i| {
+                    let l = ld(inc, i);
+                    let vs = ld(s, i);
+                    let a = $abs(l);
+                    let (vm, vam, kept) = if SEED {
+                        ($abs(vs), $setzero(), l)
+                    } else {
+                        (ld(m, i), ld(am, i), box_core::<false>(t, vmax, ld(e, i), l))
+                    };
+                    // `a < m`: a strictly weaker λ displaces the argmin
+                    // (ties keep the earlier one) and takes the old S as S'.
+                    let displaces = $cmpgt(vm, a);
+                    (
+                        box_core::<false>(t, vmax, vs, l),
+                        $blendv(kept, vs, displaces),
+                        $min(a, vm),
+                        $blendv(vam, vslot, displaces),
+                    )
+                };
+                let tail = op(total, excl, min, argmin, n - WIDTH);
+                let mut i = 0;
+                while i + WIDTH <= n {
+                    let r = op(total, excl, min, argmin, i);
+                    st(total, i, r.0);
+                    st(excl, i, r.1);
+                    st(min, i, r.2);
+                    st(argmin, i, r.3);
+                    i += WIDTH;
+                }
+                st(total, n - WIDTH, tail.0);
+                st(excl, n - WIDTH, tail.1);
+                st(min, n - WIDTH, tail.2);
+                st(argmin, n - WIDTH, tail.3);
+            }
+
+            /// # Safety
+            /// The CPU must support the module's target feature.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn boxplus_dual_shuffle(
+                table: &[u8; 16],
+                max_code: i16,
+                slot: i16,
+                inc: &[i16],
+                total: &mut [i16],
+                excl: &mut [i16],
+                min: &mut [i16],
+                argmin: &mut [i16],
+            ) {
+                assert_same_len!(inc, total, excl, min, argmin);
+                if inc.len() < WIDTH {
+                    return scalar::boxplus_dual_shuffle(
+                        table, max_code, slot, inc, total, excl, min, argmin,
+                    );
+                }
+                let (t, vmax) = (load_table(table), $set1(max_code));
+                if slot == 1 {
+                    boxplus_dual_pass::<true>(t, vmax, slot, inc, total, excl, min, argmin)
+                } else {
+                    boxplus_dual_pass::<false>(t, vmax, slot, inc, total, excl, min, argmin)
+                }
+            }
+
+            /// # Safety
+            /// The CPU must support the module's target feature.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn boxminus_select_shuffle(
+                table: &[u8; 16],
+                max_code: i16,
+                slot: i16,
+                total: &[i16],
+                excl: &[i16],
+                argmin: &[i16],
+                inc: &[i16],
+                out: &mut [i16],
+            ) {
+                assert_same_len!(total, excl, argmin, inc, out);
+                let n = inc.len();
+                if n < WIDTH {
+                    return scalar::boxminus_select_shuffle(
+                        table, max_code, slot, total, excl, argmin, inc, out,
+                    );
+                }
+                let (t, vmax, vslot) = (load_table(table), $set1(max_code), $set1(slot));
+                // SAFETY (all accesses): every offset is ≤ n − WIDTH.
+                let op = |i| {
+                    let r = box_core::<true>(t, vmax, ld(total, i), ld(inc, i));
+                    $blendv(r, ld(excl, i), $cmpeq(ld(argmin, i), vslot))
+                };
                 let tail = op(n - WIDTH);
                 let mut i = 0;
                 while i + WIDTH <= n {
@@ -1212,6 +1444,82 @@ pub fn boxminus_panel(
     }
 }
 
+/// One slot of the argmin-tracking ⊞ recursion over a panel. Per lane,
+/// with `λ = inc`: a strictly weaker `|λ|` than `min` sets `S' ← S`
+/// (`excl`), `min ← |λ|` and `argmin ← slot`; otherwise `S' ← S' ⊞ λ`.
+/// Either way `S ← S ⊞ λ` (`total`). Slot 1 is the seed: `total` must hold
+/// `λ_0`, the other state panels are write-only and `S'` starts as `λ_0`
+/// or `λ_1`. On a SIMD tier with a 16-byte table this is one
+/// register-resident pass with two fused ⊞ cores; otherwise two three-pass
+/// ⊞ steps through `mins`/`sums`/`diffs` around a select pass.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length or `lut` has no dense table.
+pub fn boxplus_dual_panel(
+    level: SimdLevel,
+    lut: &CorrectionLut,
+    max_code: i16,
+    slot: i16,
+    inc: &[i16],
+    total: &mut [i16],
+    excl: &mut [i16],
+    min: &mut [i16],
+    argmin: &mut [i16],
+    mins: &mut [i16],
+    sums: &mut [i16],
+    diffs: &mut [i16],
+) {
+    assert_same_len!(inc, total, excl, min, argmin);
+    match fused_table(level, lut) {
+        Some(table) => dispatch!(
+            level,
+            boxplus_dual_shuffle(table, max_code, slot, inc, total, excl, min, argmin)
+        ),
+        _ => {
+            if slot != 1 {
+                boxplus_assign_panel(level, lut, max_code, excl, inc, mins, sums, diffs);
+            }
+            scalar::dual_select(slot, inc, total, excl, min, argmin);
+            boxplus_assign_panel(level, lut, max_code, total, inc, mins, sums, diffs);
+        }
+    }
+}
+
+/// Argmin-excluded extraction of one slot over a panel: `out = S'` on the
+/// lanes whose `argmin` is `slot`, `out = S ⊟ λ` elsewhere. Same tiering
+/// as [`boxplus_panel`], the select fused into the ⊟ pass.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length or `lut` has no dense table.
+pub fn boxminus_select_panel(
+    level: SimdLevel,
+    lut: &CorrectionLut,
+    max_code: i16,
+    slot: i16,
+    total: &[i16],
+    excl: &[i16],
+    argmin: &[i16],
+    inc: &[i16],
+    out: &mut [i16],
+    mins: &mut [i16],
+    sums: &mut [i16],
+    diffs: &mut [i16],
+) {
+    assert_same_len!(total, excl, argmin, inc, out);
+    match fused_table(level, lut) {
+        Some(table) => dispatch!(
+            level,
+            boxminus_select_shuffle(table, max_code, slot, total, excl, argmin, inc, out)
+        ),
+        _ => {
+            boxminus_panel(level, lut, max_code, total, inc, out, mins, sums, diffs);
+            scalar::select_slot(slot, excl, argmin, out);
+        }
+    }
+}
+
 /// `λ = L − Λ` over a panel with the fixed-BP ±1-LSB zero remap
 /// (`out = clamp(a − b, lo, hi)` with a saturating subtraction, zeros
 /// remapped to `sign(a)·1`).
@@ -1482,6 +1790,53 @@ mod tests {
                     &mut scratch.2,
                 );
                 assert_eq!(acc1, acc2, "boxplus_assign_panel {level:?} n={n}");
+
+                // Argmin-tracking dual ⊞ over four slots (seed included),
+                // then the selecting ⊟ of every slot: fused (or the scalar
+                // twin below one vector) vs the scalar-tier three-pass path.
+                let slots = [&a, &b, &mags, &b];
+                let mut dual1 = [a.clone(), vec![0; n], vec![0; n], vec![0; n]];
+                let mut dual2 = dual1.clone();
+                for (slot, inc) in slots.iter().enumerate().skip(1) {
+                    for (lvl, [total, excl, min, argmin]) in
+                        [(SimdLevel::Scalar, &mut dual1), (level, &mut dual2)]
+                    {
+                        boxplus_dual_panel(
+                            lvl,
+                            &lut,
+                            max_code,
+                            slot as i16,
+                            inc,
+                            total,
+                            excl,
+                            min,
+                            argmin,
+                            &mut scratch.0,
+                            &mut scratch.1,
+                            &mut scratch.2,
+                        );
+                    }
+                    assert_eq!(dual1, dual2, "boxplus_dual slot {slot} {level:?} n={n}");
+                }
+                for (slot, inc) in slots.iter().enumerate() {
+                    for (lvl, out) in [(SimdLevel::Scalar, &mut o1), (level, &mut o2)] {
+                        boxminus_select_panel(
+                            lvl,
+                            &lut,
+                            max_code,
+                            slot as i16,
+                            &dual1[0],
+                            &dual1[1],
+                            &dual1[3],
+                            inc,
+                            out,
+                            &mut scratch.0,
+                            &mut scratch.1,
+                            &mut scratch.2,
+                        );
+                    }
+                    assert_eq!(o1, o2, "boxminus_select slot {slot} {level:?} n={n}");
+                }
 
                 // sub/add lanes
                 scalar::sub_lanes_remap(lo, hi, &a, &b, &mut o1);

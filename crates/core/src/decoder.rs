@@ -655,9 +655,9 @@ mod tests {
 
     #[test]
     fn fixed_bp_sum_extract_still_corrects_errors() {
-        // The paper-faithful ⊟-extraction datapath is measurably weaker at
-        // 8 bits (see CheckNodeMode docs); it must still remove a substantial
-        // fraction of the channel errors at a moderate operating point.
+        // The paper's ⊟-extraction datapath with argmin exclusion (the
+        // default, see CheckNodeMode docs) decodes like the 8-bit
+        // forward/backward recursion: same bound.
         let (fixed_errors, channel_errors, _) = decode_frames(
             FixedBpArithmetic::default(),
             DecoderConfig::default(),
@@ -667,8 +667,8 @@ mod tests {
         );
         assert!(channel_errors > 0);
         assert!(
-            fixed_errors * 2 < channel_errors,
-            "⊟-extraction datapath should at least halve the channel errors: \
+            fixed_errors * 20 < channel_errors,
+            "⊟-extraction datapath should remove almost all channel errors: \
              {fixed_errors} vs {channel_errors}"
         );
     }

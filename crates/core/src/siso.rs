@@ -10,12 +10,19 @@
 //! that two messages are absorbed (and two extracted) per cycle, doubling the
 //! throughput at the cost of roughly twice the combinational area (Table 2).
 //!
+//! With argmin-excluded extraction ([`CheckNodeMode::SumExtractArgmin`],
+//! the default of [`FixedBpArithmetic`]) the `f(·)` stage carries a second
+//! running sum `S'` — the ⊞ of every edge except the weakest so far — in a
+//! second `f(·)` unit, and the `g(·)` stage hands that to the weakest edge
+//! instead of `S_m ⊟ λ_min` (one magnitude compare and an index register
+//! on top).
+//!
 //! These models are *functionally* bit-accurate (they reuse the same ⊞/⊟
 //! arithmetic as the layered decoder) and *cycle-annotated* (they report how
 //! many clock cycles each stage of the row computation occupies), which is
 //! what the architecture-level pipeline model consumes.
 
-use crate::arith::{DecoderArithmetic, FixedBpArithmetic, FloatBpArithmetic};
+use crate::arith::{CheckNodeMode, DecoderArithmetic, FixedBpArithmetic, FloatBpArithmetic};
 
 /// Check-recursion arithmetic: the pairwise ⊞/⊟ operators a SISO core is
 /// built from. Implemented by the full-BP back-ends (the paper's SISO decoder
@@ -25,6 +32,13 @@ pub trait BoxArithmetic: DecoderArithmetic {
     fn box_plus(&self, a: Self::Msg, b: Self::Msg) -> Self::Msg;
     /// Pairwise ⊟ (`g` unit).
     fn box_minus(&self, a: Self::Msg, b: Self::Msg) -> Self::Msg;
+    /// `Some(saturation)` when the `g(·)` stage is argmin-excluded: the
+    /// row's weakest edge (strict minimum magnitude, first wins) receives
+    /// `S'`, the ⊞ of the other edges, and `saturation` is the output of a
+    /// degree-1 row. `None` (the default) extracts every edge as `S ⊟ λ`.
+    fn argmin_exclusion(&self) -> Option<Self::Msg> {
+        None
+    }
 }
 
 impl BoxArithmetic for FloatBpArithmetic {
@@ -44,6 +58,72 @@ impl BoxArithmetic for FixedBpArithmetic {
 
     fn box_minus(&self, a: i16, b: i16) -> i16 {
         self.boxminus_codes(i32::from(a), i32::from(b)) as i16
+    }
+
+    fn argmin_exclusion(&self) -> Option<i16> {
+        (self.mode() == CheckNodeMode::SumExtractArgmin).then(|| self.format().max_code() as i16)
+    }
+}
+
+/// The `f(·)` stage state: the running total `S` and, for argmin-excluded
+/// extraction, `S'` with the weakest edge's magnitude and slot.
+struct FoldState<M> {
+    total: Option<M>,
+    excluded: Option<M>,
+    min: f64,
+    argmin: usize,
+}
+
+impl<M: Copy> FoldState<M> {
+    fn new() -> Self {
+        FoldState {
+            total: None,
+            excluded: None,
+            min: f64::INFINITY,
+            argmin: 0,
+        }
+    }
+
+    /// `acc ⊞ x`, with an empty accumulator as the identity.
+    fn plus<A: BoxArithmetic<Msg = M>>(arith: &A, acc: Option<M>, x: M) -> M {
+        acc.map_or(x, |acc| arith.box_plus(acc, x))
+    }
+
+    /// Argmin bookkeeping for one absorbed group of edges whose weakest is
+    /// `weak` at `slot`: a strict new minimum sets `S'` to `displaced` (the
+    /// old total ⊞ the group's other edges); otherwise `kept` (the whole
+    /// group) is folded into `S'`. Runs before `S` absorbs the group.
+    fn track<A: BoxArithmetic<Msg = M>>(
+        &mut self,
+        arith: &A,
+        slot: usize,
+        weak: M,
+        displaced: Option<M>,
+        kept: M,
+    ) {
+        let magnitude = arith.magnitude(weak);
+        if magnitude < self.min {
+            (self.excluded, self.min, self.argmin) = (displaced, magnitude, slot);
+        } else {
+            self.excluded = Some(Self::plus(arith, self.excluded, kept));
+        }
+    }
+
+    /// Stage 2: the `g(·)` extraction of every edge.
+    fn extract<A: BoxArithmetic<Msg = M>>(&self, arith: &A, lambdas: &[M], out: &mut Vec<M>) {
+        let Some(total) = self.total else {
+            return;
+        };
+        let saturation = arith.argmin_exclusion();
+        out.extend(
+            lambdas
+                .iter()
+                .enumerate()
+                .map(|(slot, &l)| match saturation {
+                    Some(sat) if slot == self.argmin => self.excluded.unwrap_or(sat),
+                    _ => arith.box_minus(total, l),
+                }),
+        );
     }
 }
 
@@ -126,15 +206,18 @@ impl<A: BoxArithmetic> R2Siso<A> {
     pub fn process_row(&self, lambdas: &[A::Msg]) -> SisoRowResult<A::Msg> {
         let degree = lambdas.len();
         let mut check_messages = Vec::with_capacity(degree);
-        if degree > 0 {
-            // Stage 1: serial f(·) recursion, one λ per cycle.
-            let mut total = lambdas[0];
-            for &l in &lambdas[1..] {
-                total = self.arith.box_plus(total, l);
+        // Stage 1: serial f(·) recursion, one λ per cycle (with argmin
+        // exclusion, the second f(·) unit folds S' in the same cycle).
+        let mut state = FoldState::new();
+        let tracks = self.arith.argmin_exclusion().is_some();
+        for (slot, &l) in lambdas.iter().enumerate() {
+            if tracks {
+                state.track(&self.arith, slot, l, state.total, l);
             }
-            // Stage 2: serial g(·) extraction, one Λ per cycle.
-            check_messages.extend(lambdas.iter().map(|&l| self.arith.box_minus(total, l)));
+            state.total = Some(FoldState::plus(&self.arith, state.total, l));
         }
+        // Stage 2: serial g(·) extraction, one Λ per cycle.
+        state.extract(&self.arith, lambdas, &mut check_messages);
         SisoRowResult {
             check_messages,
             stage1_cycles: SisoRadix::Radix2.stage_cycles(degree),
@@ -169,29 +252,38 @@ impl<A: BoxArithmetic> R4Siso<A> {
     pub fn process_row(&self, lambdas: &[A::Msg]) -> SisoRowResult<A::Msg> {
         let degree = lambdas.len();
         let mut check_messages = Vec::with_capacity(degree);
-        if degree > 0 {
-            // Stage 1: look-ahead f(·) recursion, two λ per cycle:
-            // S ← f(S, f(λ_{2n}, λ_{2n+1})).
-            let mut chunks = lambdas.chunks_exact(2);
-            let mut total: Option<A::Msg> = None;
-            for pair in &mut chunks {
-                let combined = self.arith.box_plus(pair[0], pair[1]);
-                total = Some(match total {
-                    Some(t) => self.arith.box_plus(t, combined),
-                    None => combined,
-                });
+        // Stage 1: look-ahead f(·) recursion, two λ per cycle:
+        // S ← f(S, f(λ_{2n}, λ_{2n+1})). With argmin exclusion the third
+        // f(·) unit updates S' ← f(S', f(λ_{2n}, λ_{2n+1})), or
+        // S' ← f(S, partner) when the pair's weaker λ is a new minimum.
+        let mut state = FoldState::new();
+        let tracks = self.arith.argmin_exclusion().is_some();
+        let mut chunks = lambdas.chunks_exact(2);
+        for (pair_index, pair) in (&mut chunks).enumerate() {
+            let combined = self.arith.box_plus(pair[0], pair[1]);
+            if tracks {
+                let second_weaker = self.arith.magnitude(pair[1]) < self.arith.magnitude(pair[0]);
+                let (weak, partner) = if second_weaker { (1, 0) } else { (0, 1) };
+                let displaced = FoldState::plus(&self.arith, state.total, pair[partner]);
+                state.track(
+                    &self.arith,
+                    2 * pair_index + weak,
+                    pair[weak],
+                    Some(displaced),
+                    combined,
+                );
             }
-            if let Some(&last) = chunks.remainder().first() {
-                total = Some(match total {
-                    Some(t) => self.arith.box_plus(t, last),
-                    None => last,
-                });
-            }
-            let total = total.expect("degree > 0");
-            // Stage 2: two g(·) units extract two Λ per cycle; functionally
-            // identical to the Radix-2 extraction.
-            check_messages.extend(lambdas.iter().map(|&l| self.arith.box_minus(total, l)));
+            state.total = Some(FoldState::plus(&self.arith, state.total, combined));
         }
+        if let Some(&last) = chunks.remainder().first() {
+            if tracks {
+                state.track(&self.arith, degree - 1, last, state.total, last);
+            }
+            state.total = Some(FoldState::plus(&self.arith, state.total, last));
+        }
+        // Stage 2: two g(·) units extract two Λ per cycle; functionally
+        // identical to the Radix-2 extraction.
+        state.extract(&self.arith, lambdas, &mut check_messages);
         SisoRowResult {
             check_messages,
             stage1_cycles: SisoRadix::Radix4.stage_cycles(degree),
@@ -238,6 +330,58 @@ mod tests {
         let mut reference = Vec::new();
         arith.check_node_update(&lambdas, &mut reference);
         assert_eq!(result.check_messages, reference);
+    }
+
+    #[test]
+    fn r2_fixed_is_bit_identical_in_every_sum_extract_mode() {
+        for mode in [CheckNodeMode::SumExtract, CheckNodeMode::SumExtractArgmin] {
+            let arith = FixedBpArithmetic::with_mode(FixedFormat::default(), 3, mode);
+            let siso = R2Siso::new(arith.clone());
+            for lambdas in [
+                &[5, -13, 22, -7, 3, 19, -28, 1][..],
+                &[-2, 9, -2, 40],
+                &[7, -3],
+                &[-3, 7],
+                &[11],
+            ] {
+                let mut reference = Vec::new();
+                arith.check_node_update(lambdas, &mut reference);
+                assert_eq!(
+                    siso.process_row(lambdas).check_messages,
+                    reference,
+                    "{mode:?} {lambdas:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn r4_argmin_exclusion_tracks_r2_wherever_the_minimum_sits() {
+        let arith = FixedBpArithmetic::default();
+        let (r2, r4) = (R2Siso::new(arith.clone()), R4Siso::new(arith.clone()));
+        // The weakest edge first or second in a pair, tied across pairs,
+        // and in the odd leftover slot.
+        for lambdas in [
+            vec![3, -20, 24, 18, -30, 15, 22],
+            vec![-20, 3, 24, 18, -30, 15, 22],
+            vec![20, 24, -4, 18, 4, -15],
+            vec![20, 24, -14, 18, 30, -15, 2],
+        ] {
+            let out2 = r2.process_row(&lambdas).check_messages;
+            let out4 = r4.process_row(&lambdas).check_messages;
+            for (a, b) in out2.iter().zip(&out4) {
+                assert!(
+                    (a - b).abs() <= 4,
+                    "{lambdas:?}: R2 {out2:?} vs R4 {out4:?}"
+                );
+            }
+        }
+        let sat = arith.format().max_code() as i16;
+        assert_eq!(r4.process_row(&[-9]).check_messages, vec![sat]);
+        // Degree 2: the weaker edge receives the other one exactly.
+        let pair = r4.process_row(&[9, -4]).check_messages;
+        assert_eq!(pair[1], 9);
+        assert_eq!(pair, r2.process_row(&[9, -4]).check_messages);
     }
 
     #[test]

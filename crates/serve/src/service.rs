@@ -1366,6 +1366,7 @@ where
     let mut live: Vec<PendingFrame> = Vec::with_capacity(core.config.max_batch);
     let mut llr_buf: Vec<f64> = Vec::new();
     let mut outputs: Vec<DecodeOutput> = Vec::new();
+    let mut finished: Vec<(PendingFrame, DecodeOutcome)> = Vec::new();
     loop {
         core.gate.wait_open();
         let Some(idx) = core.claim_next() else {
@@ -1381,6 +1382,7 @@ where
             &mut live,
             &mut llr_buf,
             &mut outputs,
+            &mut finished,
         );
         drop(claim);
         current.store(usize::MAX, Ordering::Relaxed);
@@ -1389,8 +1391,9 @@ where
 
 /// Serves one claimed shard: drain a group-width-snapped batch, expire and
 /// shed what cannot make its deadline, decode the rest (with quarantine
-/// bisection if the decode panics), complete the handles and fold the
-/// observed cost into the shard's estimate.
+/// bisection if the decode panics), fold the observed cost into the
+/// shard's estimate, stamp the end of the dispatch and only then complete
+/// the handles.
 fn serve_shard<D>(
     core: &ServiceCore<D>,
     shard: &ShardState<D>,
@@ -1398,6 +1401,7 @@ fn serve_shard<D>(
     live: &mut Vec<PendingFrame>,
     llr_buf: &mut Vec<f64>,
     outputs: &mut Vec<DecodeOutput>,
+    finished: &mut Vec<(PendingFrame, DecodeOutcome)>,
 ) where
     D: Decoder + Sync,
 {
@@ -1510,7 +1514,9 @@ fn serve_shard<D>(
             std::thread::sleep(plan.stall_for);
         }
     }
-    decode_segment(core, shard, live, llr_buf, outputs);
+    decode_segment(core, shard, live, llr_buf, outputs, finished);
+    // The dispatch ends before any handle of the batch resolves, so a
+    // caller woken by its frame always sees the shard's recency stamped.
     shard.counters.end_dispatch(core.now_nanos(Instant::now()));
     // Mirror stage-ladder counters (cascade decoders only) into the shard
     // counters so snapshots taken between batches see the decoder's exact
@@ -1518,9 +1524,13 @@ fn serve_shard<D>(
     if let Some(stats) = shard.decoder.cascade_stats() {
         shard.counters.mirror_cascade(stats);
     }
+    for (frame, outcome) in finished.drain(..) {
+        frame.complete(outcome);
+    }
 }
 
-/// Decodes one segment of a dispatched batch, completing every frame in it.
+/// Decodes one segment of a dispatched batch, moving every frame in it to
+/// `finished` with its outcome (the caller completes them).
 ///
 /// On a clean decode the frames resolve as `Decoded`/`Failed` exactly as
 /// before. If the decode **panics**, the segment is bisected and each half
@@ -1537,6 +1547,7 @@ fn decode_segment<D>(
     frames: &mut Vec<PendingFrame>,
     llr_buf: &mut Vec<f64>,
     outputs: &mut Vec<DecodeOutput>,
+    finished: &mut Vec<(PendingFrame, DecodeOutcome)>,
 ) where
     D: Decoder + Sync,
 {
@@ -1562,26 +1573,26 @@ fn decode_segment<D>(
                     .counters
                     .latency
                     .record(done.saturating_duration_since(frame.arrival));
-                frame.complete(DecodeOutcome::Decoded(out));
+                finished.push((frame, DecodeOutcome::Decoded(out)));
             }
         }
         Ok(Err(e)) => {
             for frame in frames.drain(..) {
                 shard.counters.failed.fetch_add(1, Ordering::Relaxed);
-                frame.complete(DecodeOutcome::Failed(e.clone()));
+                finished.push((frame, DecodeOutcome::Failed(e.clone())));
             }
         }
         Err(()) => {
             if frames.len() == 1 {
                 let frame = frames.pop().expect("length checked above");
                 shard.counters.quarantined.fetch_add(1, Ordering::Relaxed);
-                frame.complete(DecodeOutcome::Poisoned);
+                finished.push((frame, DecodeOutcome::Poisoned));
             } else {
                 // Quarantine bisection: split and retry each half. The
                 // split allocates only on this (exceptional) path.
                 let mut back = frames.split_off(frames.len() / 2);
-                decode_segment(core, shard, frames, llr_buf, outputs);
-                decode_segment(core, shard, &mut back, llr_buf, outputs);
+                decode_segment(core, shard, frames, llr_buf, outputs, finished);
+                decode_segment(core, shard, &mut back, llr_buf, outputs, finished);
             }
         }
     }
@@ -2201,16 +2212,11 @@ mod tests {
         assert!(h2.wait().is_decoded());
         let drained = service.health();
         assert_eq!(drained.shards[0].queue_depth, 0);
-        // Frames complete inside the dispatch, a beat before end_dispatch
-        // stamps recency — poll rather than race it.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while service.health().shards[0].last_dispatch_age.is_none() {
-            assert!(
-                Instant::now() < deadline,
-                "a completed dispatch never stamped recency"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        // The dispatch is stamped finished before its handles resolve.
+        assert!(
+            drained.shards[0].last_dispatch_age.is_some(),
+            "a completed dispatch stamps recency"
+        );
         service.shutdown();
     }
 

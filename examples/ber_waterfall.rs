@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         frames,
     )?;
     run_curve(
-        "full BP (8-bit, paper ⊟ extraction)",
+        "full BP (8-bit, ⊟ + argmin exclusion)",
         FixedBpArithmetic::default(),
         &code,
         &ebn0_points,
@@ -143,8 +143,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("\nFull BP reaches a given BER at a lower Eb/N0 than Min-Sum; the 8-bit");
-    println!("forward/backward datapath tracks the float reference closely, while the");
-    println!("⊟-extraction datapath of the paper pays a visible quantisation penalty.");
+    println!("forward/backward and argmin-excluded ⊟ datapaths track each other and the");
+    println!("float reference down to their high-SNR floor.");
     println!("The cascade matches fixed BP within confidence at every point (asserted).");
     Ok(())
 }

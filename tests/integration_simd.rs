@@ -453,9 +453,10 @@ fn min_sum_minima_tracking_matches_scalar_with_ties_and_saturation() {
 }
 
 /// Full check-node panel kernels at every tier vs the row-serial scalar
-/// reference, for both fixed back-ends (and both fixed-BP check-node
-/// modes), across ragged panel widths that are not a multiple of either
-/// vector width and messages spanning the full code range.
+/// reference, for both fixed back-ends (and every fixed-BP check-node
+/// mode), across ragged panel widths that are not a multiple of either
+/// vector width, messages spanning the full code range, and small
+/// magnitudes full of argmin ties.
 #[test]
 fn check_node_panels_are_bit_identical_across_tiers_and_ragged_widths() {
     // Saturation-heavy deterministic messages (same recipe as the lane
@@ -512,23 +513,40 @@ fn check_node_panels_are_bit_identical_across_tiers_and_ragged_widths() {
         (97, 3),
     ] {
         let lanes_in: Vec<i16> = (0..degree * z).map(msg).collect();
-        sweep_one(
-            "fixed_bp_sum_extract",
-            |lvl| FixedBpArithmetic::default().with_simd_level(lvl),
-            z,
-            degree,
-            &lanes_in,
-        );
+        let ties: Vec<i16> = (0..degree * z)
+            .map(|i| [3, -1, 2, 1, -3, -2, 1][(i * 5 + i / z) % 7])
+            .collect();
+        for lanes_in in [&lanes_in, &ties] {
+            sweep_one(
+                "fixed_bp_argmin",
+                |lvl| FixedBpArithmetic::default().with_simd_level(lvl),
+                z,
+                degree,
+                lanes_in,
+            );
+            sweep_one(
+                "fixed_bp_argmin_10_4_three_pass",
+                |lvl| FixedBpArithmetic::new(FixedFormat::new(10, 4), 3).with_simd_level(lvl),
+                z,
+                degree,
+                lanes_in,
+            );
+            for format in [FixedFormat::default(), FixedFormat::new(10, 4)] {
+                sweep_one(
+                    "fixed_bp_bare_sum_extract",
+                    |lvl| {
+                        FixedBpArithmetic::with_mode(format, 3, CheckNodeMode::SumExtract)
+                            .with_simd_level(lvl)
+                    },
+                    z,
+                    degree,
+                    lanes_in,
+                );
+            }
+        }
         sweep_one(
             "fixed_bp_fwd_bwd",
             |lvl| FixedBpArithmetic::forward_backward().with_simd_level(lvl),
-            z,
-            degree,
-            &lanes_in,
-        );
-        sweep_one(
-            "fixed_bp_10_4_three_pass",
-            |lvl| FixedBpArithmetic::new(FixedFormat::new(10, 4), 3).with_simd_level(lvl),
             z,
             degree,
             &lanes_in,
@@ -599,8 +617,12 @@ fn full_decode_is_bit_identical_across_kernel_tiers() {
                 }
             }};
         }
-        sweep!("fixed_bp_sum_extract", |lvl| FixedBpArithmetic::default()
+        sweep!("fixed_bp_argmin", |lvl| FixedBpArithmetic::default()
             .with_simd_level(lvl));
+        sweep!("fixed_bp_bare_sum_extract", |lvl| {
+            FixedBpArithmetic::with_mode(FixedFormat::default(), 3, CheckNodeMode::SumExtract)
+                .with_simd_level(lvl)
+        });
         sweep!("fixed_bp_fwd_bwd", |lvl| {
             FixedBpArithmetic::forward_backward().with_simd_level(lvl)
         });
