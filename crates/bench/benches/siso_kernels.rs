@@ -1,9 +1,11 @@
 //! Criterion micro-benchmarks of the SISO decoder kernels: the ⊞/⊟
 //! operators, the check-node update variants (scalar per-row and lane-major
-//! across a whole layer) and the R2/R4 row processing.
+//! across a whole layer), the fused vs three-call layer update and the R2/R4
+//! row processing.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ldpc_core::arith::DecoderArithmetic;
+use ldpc_codes::{CodeId, CodeRate, Standard};
+use ldpc_core::arith::{layer_update_unfused, DecoderArithmetic};
 use ldpc_core::boxplus::{boxminus, boxplus};
 use ldpc_core::siso::{R2Siso, R4Siso};
 use ldpc_core::{
@@ -308,6 +310,70 @@ fn bench_simd_panels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fused layer update (`FixedBpArithmetic::layer_update_lanes`, one
+/// register-resident pass per chunk of lanes) against the three-call body it
+/// replaces (`layer_update_unfused`: `sub_lanes`, `check_node_update_lanes`,
+/// `add_lanes` through slot-major scratch panels), per pinned kernel tier.
+/// One iteration updates every layer of one frame group in place, at the
+/// decoder's group width: WiMAX-2304 (`z · F = 96 · 2 = 192` lanes) and
+/// WiMAX-576 (`24 · 6 = 144`). Report-only.
+fn bench_layer_update(c: &mut Criterion) {
+    let mut group = c.benchmark_group("layer_update");
+    for n in [2304usize, 576] {
+        let code = CodeId::new(Standard::Wimax80216e, CodeRate::R1_2, n)
+            .build()
+            .unwrap();
+        let compiled = code.compile();
+        let (z, layers) = (compiled.z(), compiled.block_rows());
+        let width = ldpc_core::group_width_for(z);
+        let reference = FixedBpArithmetic::default();
+        let app0: Vec<i16> = (0..n * width)
+            .map(|i| reference.from_channel(((i * 37 % 23) as f64 - 9.0) * 0.7 + 0.35))
+            .collect();
+        let mut scratch = LaneScratch::new();
+        scratch.reserve(compiled.max_degree(), z * width);
+        for level in [SimdLevel::Scalar, SimdLevel::Sse41, SimdLevel::Avx2] {
+            let arith = FixedBpArithmetic::default().with_simd_level(level);
+            let tier = level.effective().name();
+            for fused in [true, false] {
+                let side = if fused { "fused" } else { "three_call" };
+                let mut app = app0.clone();
+                let mut lambda = vec![0i16; compiled.num_edges() * width];
+                group.bench_function(format!("wimax{n}_zw{}_{side}_{tier}", z * width), |b| {
+                    b.iter(|| {
+                        for layer in 0..layers {
+                            let lanes = compiled.layer_lanes(layer);
+                            let (app, lambda) = (&mut app[..], &mut lambda[..]);
+                            if fused {
+                                arith.layer_update_lanes(
+                                    &lanes,
+                                    z,
+                                    width,
+                                    app,
+                                    lambda,
+                                    &mut scratch,
+                                );
+                            } else {
+                                layer_update_unfused(
+                                    &arith,
+                                    &lanes,
+                                    z,
+                                    width,
+                                    app,
+                                    lambda,
+                                    &mut scratch,
+                                );
+                            }
+                        }
+                        black_box(&app);
+                    })
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
 fn bench_siso_rows(c: &mut Criterion) {
     let mut group = c.benchmark_group("siso_row_degree20");
     let arith = FixedBpArithmetic::default();
@@ -322,6 +388,6 @@ fn bench_siso_rows(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_operators, bench_check_node_updates, bench_lane_kernels, bench_lut_gather, bench_simd_panels, bench_siso_rows
+    targets = bench_operators, bench_check_node_updates, bench_lane_kernels, bench_lut_gather, bench_simd_panels, bench_layer_update, bench_siso_rows
 }
 criterion_main!(benches);

@@ -7,11 +7,12 @@
 //! codes travel through the decoder as `i16` (messages of up to 14 bits, the
 //! APP memory two bits wider), 16 lanes per AVX2 operation.
 
-use super::lanes::{LaneKernel, LaneScratch};
+use super::lanes::{layer_update_unfused, LaneKernel, LaneScratch};
 use super::simd::{self, SimdLevel};
 use super::DecoderArithmetic;
 use crate::fixedpoint::{FixedFormat, MAX_MESSAGE_BITS};
 use crate::lut::{CorrectionKind, CorrectionLut};
+use ldpc_codes::LaneLayer;
 
 /// How the fixed-point check-node update extracts the extrinsic messages.
 ///
@@ -408,6 +409,46 @@ impl LaneKernel for FixedBpArithmetic {
     fn add_lanes(&self, lam: &[i16], upd: &[i16], out: &mut [i16]) {
         let hi = self.app_format.max_code() as i16;
         simd::add_lanes_clamp(self.simd_level(), -hi, hi, lam, upd, out);
+    }
+
+    /// The argmin-excluded mode with both tables in `pshufb` form (the
+    /// paper's 3-bit tables) runs the whole layer as one fused pass,
+    /// [`simd::layer_update_argmin`], at every kernel tier: L and Λ are read
+    /// and written once per lane-edge, and on the SIMD tiers `λ` and the
+    /// row state stay in registers. Every other mode and format, and layers
+    /// of degree 1 or above [`simd::MAX_FUSED_DEGREE`], take the three-call
+    /// body.
+    fn layer_update_lanes(
+        &self,
+        layer: &LaneLayer<'_>,
+        z: usize,
+        width: usize,
+        app: &mut [i16],
+        lambda: &mut [i16],
+        scratch: &mut LaneScratch<i16>,
+    ) {
+        let fused = (2..=simd::MAX_FUSED_DEGREE).contains(&layer.degree());
+        match (
+            self.mode,
+            self.lut_plus.shuffle_table(),
+            self.lut_minus.shuffle_table(),
+        ) {
+            (CheckNodeMode::SumExtractArgmin, Some(plus), Some(minus)) if fused => {
+                simd::layer_update_argmin(
+                    self.simd_level(),
+                    plus,
+                    minus,
+                    self.format.max_code() as i16,
+                    self.app_format.max_code() as i16,
+                    layer,
+                    z,
+                    width,
+                    app,
+                    lambda,
+                );
+            }
+            _ => layer_update_unfused(self, layer, z, width, app, lambda, scratch),
+        }
     }
 
     fn check_node_update_lanes(

@@ -18,6 +18,13 @@
 //! updates allocate transient row buffers on every call; the lane kernels
 //! allocate nothing in steady state).
 //!
+//! One level up, [`LaneKernel::layer_update_lanes`] is a whole layered
+//! sub-iteration in place on the APP and Λ memory, the one call the decode
+//! driver makes per layer. Its provided body, [`layer_update_unfused`],
+//! composes the slice kernels through slot-major [`LaneScratch`] panels;
+//! the fixed-point BP default overrides it with one fused pass that keeps
+//! `λ` and the row state in registers.
+//!
 //! Underneath the slice kernels sits a third tier: the fixed-point
 //! overrides dispatch their panel passes through
 //! [`crate::arith::simd`] — explicit AVX2/SSE4.1 intrinsics on 16-bit
@@ -34,6 +41,8 @@
 //! engine's lane path is required to stay bit-identical to the row-serial
 //! reference for every back-end.
 
+use ldpc_codes::LaneLayer;
+
 use super::DecoderArithmetic;
 
 /// Reusable scratch for [`LaneKernel`] implementations, owned by the decode
@@ -47,6 +56,11 @@ pub struct LaneScratch<M> {
     /// Lane workspace of the vector kernels (capacity ≥ `lane_factor · z`,
     /// see [`LaneScratch::reserve`]).
     pub(crate) lanes: Vec<M>,
+    /// Slot-major `λ` panels of one layer (`degree · z`), gathered by
+    /// [`layer_update_unfused`] for [`LaneKernel::check_node_update_lanes`].
+    pub(crate) lane_in: Vec<M>,
+    /// Slot-major `Λ′` panels of one layer (`degree · z`).
+    pub(crate) lane_out: Vec<M>,
 }
 
 impl<M: Copy> LaneScratch<M> {
@@ -70,6 +84,8 @@ impl<M: Copy> LaneScratch<M> {
             row_in: Vec::new(),
             row_out: Vec::new(),
             lanes: Vec::new(),
+            lane_in: Vec::new(),
+            lane_out: Vec::new(),
         }
     }
 
@@ -79,6 +95,8 @@ impl<M: Copy> LaneScratch<M> {
         reserve_to(&mut self.row_in, max_degree);
         reserve_to(&mut self.row_out, max_degree);
         reserve_to(&mut self.lanes, Self::lane_factor(max_degree) * z);
+        reserve_to(&mut self.lane_in, max_degree * z);
+        reserve_to(&mut self.lane_out, max_degree * z);
     }
 
     /// Whether [`LaneScratch::reserve`] with these parameters would allocate.
@@ -87,17 +105,22 @@ impl<M: Copy> LaneScratch<M> {
         self.row_in.capacity() >= max_degree
             && self.row_out.capacity() >= max_degree
             && self.lanes.capacity() >= Self::lane_factor(max_degree) * z
+            && self.lane_in.capacity() >= max_degree * z
+            && self.lane_out.capacity() >= max_degree * z
     }
 
     /// Pointer/capacity fingerprint (see
     /// [`DecodeWorkspace::allocation_fingerprint`](crate::workspace::DecodeWorkspace::allocation_fingerprint)).
     #[must_use]
-    pub fn fingerprint(&self) -> [(usize, usize); 3] {
+    pub fn fingerprint(&self) -> [(usize, usize); 5] {
         [
-            (self.row_in.as_ptr() as usize, self.row_in.capacity()),
-            (self.row_out.as_ptr() as usize, self.row_out.capacity()),
-            (self.lanes.as_ptr() as usize, self.lanes.capacity()),
+            &self.row_in,
+            &self.row_out,
+            &self.lanes,
+            &self.lane_in,
+            &self.lane_out,
         ]
+        .map(|buf| (buf.as_ptr() as usize, buf.capacity()))
     }
 
     /// A zero-copy `len`-element view of the lane workspace, filled with
@@ -201,6 +224,117 @@ pub trait LaneKernel: DecoderArithmetic {
             }
         }
     }
+
+    /// One whole layered sub-iteration over a `width`-frame group: for every
+    /// row of `layer` in every packed frame, `λ = L − Λ`, the check-node
+    /// update and the write-back of `Λ′` and `L′ = λ + Λ′`, in place in the
+    /// group's APP memory `app` and Λ memory `lambda` (the frame-innermost
+    /// layout of [`crate::group`]: every single-frame span scales by
+    /// `width`, so each block column is one `z · width`-lane panel).
+    ///
+    /// The provided body is [`layer_update_unfused`]: gather `λ` into
+    /// [`LaneScratch`] panels with [`LaneKernel::sub_lanes`], run
+    /// [`LaneKernel::check_node_update_lanes`], scatter with
+    /// [`LaneKernel::add_lanes`]. A back-end may override it with a pass
+    /// that keeps `λ` and the row state in registers; the override must be
+    /// bit-identical to that body. Lanes are independent and the slots of a
+    /// layer address pairwise disjoint block columns, which is what lets an
+    /// override update `app` chunk by chunk in place.
+    ///
+    /// # Panics
+    ///
+    /// May panic if a slot's block column or Λ span lies outside `app` or
+    /// `lambda`, or if a shift is not below `z`.
+    fn layer_update_lanes(
+        &self,
+        layer: &LaneLayer<'_>,
+        z: usize,
+        width: usize,
+        app: &mut [Self::Msg],
+        lambda: &mut [Self::Msg],
+        scratch: &mut LaneScratch<Self::Msg>,
+    ) {
+        layer_update_unfused(self, layer, z, width, app, lambda, scratch);
+    }
+}
+
+/// The three-call layer update, the provided body of
+/// [`LaneKernel::layer_update_lanes`] (and what a back-end's override falls
+/// back to for shapes it does not fuse):
+///
+/// 1. **Read**: gather `λ = L − Λ` for all `z · width` lanes of each block
+///    column with [`LaneKernel::sub_lanes`]. Lane `r` of a slot with shift
+///    `s` reads `L` at `col_base + ((r + s) mod z)`, so the lanes split into
+///    two contiguous spans of the column; Λ is lane-contiguous.
+/// 2. **Decode**: [`LaneKernel::check_node_update_lanes`] across all lanes.
+/// 3. **Write back**: `Λ ← Λ′` is a straight copy; `L ← λ + Λ′` scatters
+///    through the same two spans with [`LaneKernel::add_lanes`].
+///
+/// The slot-major `λ`/`Λ′` panels live in `scratch`, grown to
+/// `degree · z · width` on first use (allocation-free once
+/// [`LaneScratch::reserve`] covered the shape).
+pub fn layer_update_unfused<K: LaneKernel + ?Sized>(
+    arith: &K,
+    layer: &LaneLayer<'_>,
+    z: usize,
+    width: usize,
+    app: &mut [K::Msg],
+    lambda: &mut [K::Msg],
+    scratch: &mut LaneScratch<K::Msg>,
+) {
+    let zw = z * width;
+    let degree = layer.degree();
+    let len = degree * zw;
+    // The panels leave the scratch while it is lent to the check-node
+    // update, and go back afterwards (pointer moves, no allocation).
+    let mut gathered = std::mem::take(&mut scratch.lane_in);
+    let mut updated = std::mem::take(&mut scratch.lane_out);
+    for panel in [&mut gathered, &mut updated] {
+        if panel.len() < len {
+            panel.resize(len, arith.zero());
+        }
+    }
+    let (lane_in, lane_out) = (&mut gathered[..len], &mut updated[..len]);
+    // Slot `s` as (Λ span, lanes before the rotation split, L span start).
+    let span = |slot: usize| {
+        let split = (z - layer.shift[slot] as usize) * width;
+        let cb = layer.col_base[slot] as usize * width;
+        (layer.edge_base[slot] as usize * width, split, cb)
+    };
+
+    for (slot, lam) in lane_in.chunks_exact_mut(zw).enumerate() {
+        let (eb, split, cb) = span(slot);
+        let lambda = &lambda[eb..eb + zw];
+        arith.sub_lanes(
+            &app[cb + zw - split..cb + zw],
+            &lambda[..split],
+            &mut lam[..split],
+        );
+        arith.sub_lanes(
+            &app[cb..cb + zw - split],
+            &lambda[split..],
+            &mut lam[split..],
+        );
+    }
+
+    arith.check_node_update_lanes(zw, lane_in, lane_out, scratch);
+
+    for (slot, (lam, upd)) in lane_in
+        .chunks_exact(zw)
+        .zip(lane_out.chunks_exact(zw))
+        .enumerate()
+    {
+        let (eb, split, cb) = span(slot);
+        lambda[eb..eb + zw].copy_from_slice(upd);
+        arith.add_lanes(
+            &lam[..split],
+            &upd[..split],
+            &mut app[cb + zw - split..cb + zw],
+        );
+        arith.add_lanes(&lam[split..], &upd[split..], &mut app[cb..cb + zw - split]);
+    }
+    scratch.lane_in = gathered;
+    scratch.lane_out = updated;
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ pub mod simd;
 
 pub use fixed_bp::{CheckNodeMode, FixedBpArithmetic};
 pub use float_bp::FloatBpArithmetic;
-pub use lanes::{LaneKernel, LaneScratch};
+pub use lanes::{layer_update_unfused, LaneKernel, LaneScratch};
 pub use min_sum::{FixedMinSumArithmetic, FloatMinSumArithmetic};
 pub use simd::SimdLevel;
 

@@ -21,13 +21,21 @@
 //!   minimum magnitude and the argmin together ([`boxplus_dual_panel`]),
 //!   and extraction is one ⊟ pass blended with `S'` at the argmin
 //!   ([`boxminus_select_panel`]).
+//!   [`layer_update_argmin`] fuses the whole layer update around them: per
+//!   vector of lanes it reads `L` (through the rotation) and `Λ` of every
+//!   slot once, forms `λ = L − Λ`, folds `S`, `S'`, `|min|` and the argmin
+//!   in registers, then writes `Λ′` and `L′ = λ + Λ′` once. `λ` of the
+//!   chunk's slots is the only thing that may spill, to a stack array.
 //! * **SSE4.1** — the same kernels on 8-lane `epi16` vectors; `pshufb`
 //!   ([`_mm_shuffle_epi8`]) is available here too, so this tier fuses as
 //!   well.
 //! * **Scalar** — the universal fallback: branch-free loops that mirror
 //!   the vector instructions lane by lane (kept in [`mod@self`] as the
 //!   bit-identity reference), used on non-x86 targets, on CPUs without
-//!   SSE4.1, and whenever `LDPC_FORCE_SCALAR` is set.
+//!   SSE4.1, and whenever `LDPC_FORCE_SCALAR` is set. The fused layer
+//!   update has a scalar twin that runs the same passes a chunk of lanes
+//!   at a time through these loops; the vector tiers hand it the lanes
+//!   past their last whole vector.
 //!
 //! Formats whose dense table is larger than 16 entries (and the scalar
 //! tier) keep the three-pass structure: magnitude split, clamped-index
@@ -61,14 +69,26 @@
 //!    offset `i + WIDTH ≤ n`: a ragged end is covered by one overlapping
 //!    vector at `n − WIDTH`, and panels shorter than one vector go to the
 //!    safe scalar reference. The 16-byte shuffle table is a `&[u8; 16]`, so
-//!    its one load is in-bounds by type.
+//!    its one load is in-bounds by type. The fused layer update addresses
+//!    the APP and Λ memory at rotated offsets instead: on entry it asserts,
+//!    for every slot, `cb + zw ≤ app.len()` and `eb + zw ≤ lambda.len()`
+//!    (`cb`, `eb` the slot's block-column and Λ bases, `zw = z · width`)
+//!    and `shift < z`, and every access is then at `cb + o` or `eb + i`
+//!    with `o + WIDTH ≤ zw` and `i + WIDTH ≤ zw`. A vector the rotation
+//!    splits is read and written through a `2 · WIDTH` stack window over
+//!    the column's last and first `WIDTH` lanes (the vector path runs only
+//!    when `zw ≥ 2 · WIDTH`, so the two are disjoint), and lanes past the
+//!    last whole vector go to the safe scalar twin.
 //!
 //! `pshufb` never reads memory: each lane's shuffle index is clamped with
 //! an **unsigned** 16-bit min against 15 and its high byte forced to `0x80`
 //! (which zeroes the high result byte), so every lane selects a table byte
 //! `0..=15` — mirroring the scalar `table[min(x as u16, 15)]` (the table is
 //! padded with its saturation entry, so this equals
-//! `dense[min(x, dense.len() − 1)]`).
+//! `dense[min(x, dense.len() − 1)]`). Inside the fused ⊞/⊟ core the two
+//! lookups skip the `0x80` byte: each then carries the same `table[0] << 8`
+//! in its high byte, and only their wrapping difference is used, where it
+//! cancels.
 //!
 //! # Bit-identity contract
 //!
@@ -90,6 +110,7 @@
 #![allow(clippy::too_many_arguments)]
 
 use crate::lut::CorrectionLut;
+use ldpc_codes::LaneLayer;
 use std::sync::OnceLock;
 
 /// A kernel tier: which instruction-set extension the panel kernels run on.
@@ -208,6 +229,101 @@ macro_rules! assert_same_len {
 /// `|x| < 2^52`, without a libm call.
 const HALF_DOWN: f64 = 0.499_999_999_999_999_94;
 
+/// The most slots [`layer_update_argmin`] handles: per chunk of lanes, `λ`
+/// of every slot stays in a fixed-size stack array between the fold and the
+/// write-back. Wider layers take the unfused path.
+pub const MAX_FUSED_DEGREE: usize = 32;
+
+/// Where one slot of a layer lives in a `zw = z · width`-lane group: its
+/// block column starts at `app` in the APP memory, its Λ panel at `lambda`,
+/// and lane `i` reads and writes the APP value at
+/// `app + ((i + rot) mod zw)`.
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotSpan {
+    app: usize,
+    lambda: usize,
+    rot: usize,
+}
+
+impl SlotSpan {
+    /// Lane `i`'s offset within the block column (`i, rot < zw`).
+    #[inline(always)]
+    fn rotated(&self, i: usize, zw: usize) -> usize {
+        let o = i + self.rot;
+        if o >= zw {
+            o - zw
+        } else {
+            o
+        }
+    }
+
+    /// The APP ranges of lanes `i..i + w` (`w ≤ zw`): up to the end of the
+    /// block column, then (when the rotation wraps) from its start.
+    fn app_ranges(&self, i: usize, w: usize, zw: usize) -> [std::ops::Range<usize>; 2] {
+        let o = self.rotated(i, zw);
+        let k = w.min(zw - o);
+        [self.app + o..self.app + o + k, self.app..self.app + w - k]
+    }
+}
+
+/// The slot spans of one layer, bounds-checked once on construction. Every
+/// APP and Λ access of the fused layer kernels is at a lane offset below
+/// `zw` from one of these bases, so the asserts here are what make their
+/// raw-pointer loads and stores in-bounds.
+struct LayerSpans {
+    slots: [SlotSpan; MAX_FUSED_DEGREE],
+    degree: usize,
+    zw: usize,
+}
+
+impl LayerSpans {
+    /// # Panics
+    ///
+    /// Panics unless the degree is in `2..=MAX_FUSED_DEGREE`, every shift
+    /// is below `z`, and for every slot `app + zw ≤ app_len` and
+    /// `lambda + zw ≤ lambda_len`.
+    fn new(
+        layer: &LaneLayer<'_>,
+        z: usize,
+        width: usize,
+        app_len: usize,
+        lambda_len: usize,
+    ) -> Self {
+        let degree = layer.degree();
+        assert!(
+            (2..=MAX_FUSED_DEGREE).contains(&degree),
+            "fused layer update of degree {degree} (needs 2..={MAX_FUSED_DEGREE})"
+        );
+        let zw = z.checked_mul(width).expect("group panel size overflows");
+        // The start of a `zw`-lane span at `base · width`, if it ends by `len`.
+        let start = |base: u32, len: usize| {
+            let start = (base as usize).checked_mul(width)?;
+            (start.checked_add(zw)? <= len).then_some(start)
+        };
+        let mut slots = [SlotSpan::default(); MAX_FUSED_DEGREE];
+        for (s, span) in slots[..degree].iter_mut().enumerate() {
+            let shift = layer.shift[s] as usize;
+            assert!(shift < z, "circulant shift {shift} not below z = {z}");
+            let (Some(app), Some(lambda)) = (
+                start(layer.col_base[s], app_len),
+                start(layer.edge_base[s], lambda_len),
+            ) else {
+                panic!("layer slot {s} lies outside the APP or Λ memory");
+            };
+            *span = SlotSpan {
+                app,
+                lambda,
+                rot: shift * width,
+            };
+        }
+        LayerSpans { slots, degree, zw }
+    }
+
+    fn slots(&self) -> &[SlotSpan] {
+        &self.slots[..self.degree]
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Scalar reference implementations
 // ---------------------------------------------------------------------------
@@ -217,7 +333,9 @@ const HALF_DOWN: f64 = 0.499_999_999_999_999_94;
 /// Each loop applies, per lane, the lane semantics of the vector
 /// instructions the SIMD tiers use.
 pub(crate) mod scalar {
-    use super::HALF_DOWN;
+    use super::{LayerSpans, HALF_DOWN, MAX_FUSED_DEGREE};
+    use ldpc_codes::LaneLayer;
+    use std::ops::Range;
 
     /// The fused ⊞/⊟ core of one lane: `lut` maps a magnitude to its
     /// correction. `MINUS` selects ⊟ (corrections swapped, floor 0, the
@@ -508,14 +626,134 @@ pub(crate) mod scalar {
         }
     }
 
+    /// One lane of [`sub_lanes_remap`].
+    #[inline(always)]
+    fn sub_remap_lane(lo: i16, hi: i16, a: i16, b: i16) -> i16 {
+        let r = a.saturating_sub(b).clamp(lo, hi);
+        let zero_remap = (a >> 15) | 1;
+        if r == 0 {
+            zero_remap
+        } else {
+            r
+        }
+    }
+
     /// `λ = L − Λ` with saturating subtraction (a 16-bit APP code minus a
     /// message code can leave `i16`), clamped to `[lo, hi]`, with the
     /// fixed-BP ±1-LSB zero remap in select form.
     pub(crate) fn sub_lanes_remap(lo: i16, hi: i16, app: &[i16], lambda: &[i16], out: &mut [i16]) {
         for ((o, &a), &b) in out.iter_mut().zip(app).zip(lambda) {
-            let r = a.saturating_sub(b).clamp(lo, hi);
-            let zero_remap = (a >> 15) | 1;
-            *o = if r == 0 { zero_remap } else { r };
+            *o = sub_remap_lane(lo, hi, a, b);
+        }
+    }
+
+    /// The fused argmin-excluded layer update over all lanes (see
+    /// [`super::layer_update_argmin`]).
+    pub(crate) fn layer_update_argmin(
+        plus: &[u8; 16],
+        minus: &[u8; 16],
+        max_code: i16,
+        app_max: i16,
+        layer: &LaneLayer<'_>,
+        z: usize,
+        width: usize,
+        app: &mut [i16],
+        lambda: &mut [i16],
+    ) {
+        let spans = LayerSpans::new(layer, z, width, app.len(), lambda.len());
+        let lanes = 0..spans.zw;
+        layer_update_argmin_lanes(plus, minus, max_code, app_max, &spans, lanes, app, lambda);
+    }
+
+    /// Lanes per step of [`layer_update_argmin_lanes`].
+    const CHUNK: usize = 64;
+
+    /// The magnitude split and both shuffle-table lookups of a ⊞/⊟ over
+    /// one chunk, into `split` = (min, corrected sum, corrected difference).
+    fn split_chunk(
+        table: &[u8; 16],
+        max_code: i16,
+        a: &[i16],
+        b: &[i16],
+        split: &mut [[i16; CHUNK]; 3],
+    ) {
+        let [mins, sums, diffs] = split.each_mut().map(|x| &mut x[..a.len()]);
+        magnitude_split(max_code, a, b, mins, sums, diffs);
+        lut_shuffle_map(table, sums);
+        lut_shuffle_map(table, diffs);
+    }
+
+    /// `acc = acc ⊞ b` over one chunk in the three-pass form (the split
+    /// and combine loops vectorise; the lookups are scalar loads).
+    fn boxplus_assign_chunk(
+        table: &[u8; 16],
+        max_code: i16,
+        acc: &mut [i16],
+        b: &[i16],
+        split: &mut [[i16; CHUNK]; 3],
+    ) {
+        split_chunk(table, max_code, acc, b, split);
+        let [mins, sums, diffs] = split.each_ref().map(|x| &x[..acc.len()]);
+        combine_plus_assign(max_code, acc, b, mins, sums, diffs);
+    }
+
+    /// The fused layer update of `lanes` — the scalar twin of the vector
+    /// kernel, lane for lane, which also hands it the lanes past its last
+    /// whole vector. Per lane: `λ_s = L − Λ` of every slot, the
+    /// argmin-tracking ⊞ fold of `S`, `S'`, `|min|` and the argmin, then
+    /// `Λ′_s = S'` at the argmin and `S ⊟ λ_s` elsewhere, and
+    /// `L′_s = clamp(λ_s + Λ′_s)` to the APP range. A lane touches only its
+    /// own APP and Λ addresses. The lanes go [`CHUNK`] at a time through
+    /// the panel loops of this module, slot-outer like the vector kernel,
+    /// with every `λ` and the fold state on the stack.
+    pub(super) fn layer_update_argmin_lanes(
+        plus: &[u8; 16],
+        minus: &[u8; 16],
+        max_code: i16,
+        app_max: i16,
+        spans: &LayerSpans,
+        lanes: Range<usize>,
+        app: &mut [i16],
+        lambda: &mut [i16],
+    ) {
+        let (slots, zw) = (spans.slots(), spans.zw);
+        let mut lam = [[0i16; CHUNK]; MAX_FUSED_DEGREE];
+        let mut state = [[0i16; CHUNK]; 5];
+        let mut split = [[0i16; CHUNK]; 3];
+        let mut start = lanes.start;
+        while start < lanes.end {
+            let w = CHUNK.min(lanes.end - start);
+            let [total, excl, min, argmin, upd] = state.each_mut().map(|x| &mut x[..w]);
+            let lam = &mut lam[..slots.len()];
+            for (l, span) in lam.iter_mut().zip(slots) {
+                let (l, edges) = (&mut l[..w], &lambda[span.lambda + start..][..w]);
+                let [head, tail] = span.app_ranges(start, w, zw);
+                let k = head.len();
+                sub_lanes_remap(-max_code, max_code, &app[head], &edges[..k], &mut l[..k]);
+                sub_lanes_remap(-max_code, max_code, &app[tail], &edges[k..], &mut l[k..]);
+            }
+            total.copy_from_slice(&lam[0][..w]);
+            for (slot, l) in lam.iter().enumerate().skip(1) {
+                let l = &l[..w];
+                if slot != 1 {
+                    boxplus_assign_chunk(plus, max_code, excl, l, &mut split);
+                }
+                dual_select(slot as i16, l, total, excl, min, argmin);
+                boxplus_assign_chunk(plus, max_code, total, l, &mut split);
+            }
+            for (slot, (l, span)) in lam.iter().zip(slots).enumerate() {
+                let l = &l[..w];
+                split_chunk(minus, max_code, total, l, &mut split);
+                let [mins, sums, diffs] = split.each_ref().map(|x| &x[..w]);
+                combine_minus(max_code, total, l, mins, sums, diffs, upd);
+                select_slot(slot as i16, excl, argmin, upd);
+                lambda[span.lambda + start..][..w].copy_from_slice(upd);
+                let [head, tail] = span.app_ranges(start, w, zw);
+                let k = head.len();
+                add_lanes_clamp(-app_max, app_max, &l[..k], &upd[..k], &mut app[head]);
+                add_lanes_clamp(-app_max, app_max, &l[k..], &upd[k..], &mut app[tail]);
+            }
+            start += w;
         }
     }
 
@@ -665,8 +903,9 @@ macro_rules! x86_panel_kernels {
         $set1_32:ident, $add32:ident, $min32:ident, $max32:ident
     ) => {
         mod $modname {
-            use super::scalar;
+            use super::{scalar, LayerSpans, SlotSpan, MAX_FUSED_DEGREE};
             use core::arch::x86_64::*;
+            use ldpc_codes::LaneLayer;
 
             pub(super) const WIDTH: usize = $width;
             const WIDTH32: usize = $width / 2;
@@ -732,8 +971,13 @@ macro_rules! x86_panel_kernels {
                 let mn = $min(aa, ab);
                 let sm = $min($add(aa, ab), vmax);
                 let df = $abs($sub(aa, ab));
-                let cs = lookup(table, sm);
-                let cd = lookup(table, df);
+                // Both lookups skip the `0x80` high control byte, so each
+                // lane carries `table[0] << 8` on top of its entry. Only the
+                // wrapping difference `cs − cd` is used, where the two
+                // offsets cancel exactly.
+                let fifteen = $set1(15);
+                let cs = $shuffle(table, $minu(sm, fifteen));
+                let cd = $shuffle(table, $minu(df, fifteen));
                 let mag = if MINUS {
                     $max($min($adds(mn, $sub(cd, cs)), vmax), $setzero())
                 } else {
@@ -824,6 +1068,54 @@ macro_rules! x86_panel_kernels {
                 st(out, n - WIDTH, tail);
             }
 
+            /// One argmin-tracking slot on loaded vectors (lane-for-lane the
+            /// scalar `dual_select_lane` around two `box_lane` ⊞s): returns
+            /// the updated `(S, S', |min|, argmin)`. `SEED` is slot 1, where
+            /// `vs` still holds `λ_0` and `ve`/`vm`/`vam` are ignored.
+            ///
+            /// # Safety
+            /// The CPU must support the module's target feature.
+            #[target_feature(enable = $feature)]
+            unsafe fn dual_step<const SEED: bool>(
+                t: $vec,
+                vmax: $vec,
+                vslot: $vec,
+                l: $vec,
+                vs: $vec,
+                ve: $vec,
+                vm: $vec,
+                vam: $vec,
+            ) -> ($vec, $vec, $vec, $vec) {
+                let a = $abs(l);
+                let (vm, vam, kept) = if SEED {
+                    ($abs(vs), $setzero(), l)
+                } else {
+                    (vm, vam, box_core::<false>(t, vmax, ve, l))
+                };
+                // `a < m`: a strictly weaker λ displaces the argmin (ties
+                // keep the earlier one) and takes the old S as S'.
+                let displaces = $cmpgt(vm, a);
+                (
+                    box_core::<false>(t, vmax, vs, l),
+                    $blendv(kept, vs, displaces),
+                    $min(a, vm),
+                    $blendv(vam, vslot, displaces),
+                )
+            }
+
+            /// `λ = L − Λ` clamped to `[vlo, vhi]` with the ±1-LSB zero
+            /// remap, on loaded vectors (lane-for-lane the scalar
+            /// `sub_remap_lane`).
+            ///
+            /// # Safety
+            /// The CPU must support the module's target feature.
+            #[target_feature(enable = $feature)]
+            unsafe fn sub_remap(va: $vec, vb: $vec, vlo: $vec, vhi: $vec) -> $vec {
+                let r = $min($max($subs(va, vb), vlo), vhi);
+                let zero_remap = $or($srai::<15>(va), $set1(1));
+                $blendv(r, zero_remap, $cmpeq(r, $setzero()))
+            }
+
             /// The slot loop of [`boxplus_dual_shuffle`]; `SEED` is slot 1.
             ///
             /// # Safety
@@ -845,23 +1137,13 @@ macro_rules! x86_panel_kernels {
                 // SAFETY (all accesses): every offset is ≤ n − WIDTH; each
                 // span of the state is loaded before it is stored.
                 let op = |s: &[i16], e: &[i16], m: &[i16], am: &[i16], i| {
-                    let l = ld(inc, i);
-                    let vs = ld(s, i);
-                    let a = $abs(l);
-                    let (vm, vam, kept) = if SEED {
-                        ($abs(vs), $setzero(), l)
+                    let (l, vs) = (ld(inc, i), ld(s, i));
+                    if SEED {
+                        let zero = $setzero();
+                        dual_step::<true>(t, vmax, vslot, l, vs, zero, zero, zero)
                     } else {
-                        (ld(m, i), ld(am, i), box_core::<false>(t, vmax, ld(e, i), l))
-                    };
-                    // `a < m`: a strictly weaker λ displaces the argmin
-                    // (ties keep the earlier one) and takes the old S as S'.
-                    let displaces = $cmpgt(vm, a);
-                    (
-                        box_core::<false>(t, vmax, vs, l),
-                        $blendv(kept, vs, displaces),
-                        $min(a, vm),
-                        $blendv(vam, vslot, displaces),
-                    )
+                        dual_step::<false>(t, vmax, vslot, l, vs, ld(e, i), ld(m, i), ld(am, i))
+                    }
                 };
                 let tail = op(total, excl, min, argmin, n - WIDTH);
                 let mut i = 0;
@@ -941,6 +1223,133 @@ macro_rules! x86_panel_kernels {
                 st(out, n - WIDTH, tail);
             }
 
+            /// Lanes `i..i + WIDTH` of one slot's rotated APP view. Where
+            /// the rotation wraps inside the vector, the column's last and
+            /// first `WIDTH` lanes are stored side by side on the stack and
+            /// the vector is read across the seam.
+            ///
+            /// # Safety
+            /// The CPU must support the module's target feature; `span`
+            /// comes from a [`LayerSpans`] built for `app`, and
+            /// `i + WIDTH ≤ zw` with `zw ≥ 2 · WIDTH`.
+            #[target_feature(enable = $feature)]
+            unsafe fn ld_rotated(app: &[i16], span: &SlotSpan, zw: usize, i: usize) -> $vec {
+                let o = span.rotated(i, zw);
+                // SAFETY (all accesses): every APP vector lies in
+                // `span.app..span.app + zw`, inside `app` by
+                // `LayerSpans::new`; the seam vector starts at
+                // `o + WIDTH − zw`, in `1..WIDTH`, of the `2·WIDTH`-lane
+                // stack window.
+                if o + WIDTH <= zw {
+                    return ld(app, span.app + o);
+                }
+                let mut seam = [0i16; 2 * WIDTH];
+                st(&mut seam, 0, ld(app, span.app + zw - WIDTH));
+                st(&mut seam, WIDTH, ld(app, span.app));
+                ld(&seam, o + WIDTH - zw)
+            }
+
+            /// Stores `x` to lanes `i..i + WIDTH` of one slot's rotated APP
+            /// view (the inverse of [`ld_rotated`]). Across the seam, the
+            /// column's last and first `WIDTH` lanes are read, patched on
+            /// the stack and written back whole; the lanes around `x` get
+            /// their own values back.
+            ///
+            /// # Safety
+            /// As [`ld_rotated`]; `zw ≥ 2 · WIDTH` keeps the two windows
+            /// disjoint.
+            #[target_feature(enable = $feature)]
+            unsafe fn st_rotated(app: &mut [i16], span: &SlotSpan, zw: usize, i: usize, x: $vec) {
+                let o = span.rotated(i, zw);
+                // SAFETY (all accesses): as in `ld_rotated`.
+                if o + WIDTH <= zw {
+                    return st(app, span.app + o, x);
+                }
+                let (last, first) = (span.app + zw - WIDTH, span.app);
+                let mut seam = [0i16; 2 * WIDTH];
+                st(&mut seam, 0, ld(app, last));
+                st(&mut seam, WIDTH, ld(app, first));
+                st(&mut seam, o + WIDTH - zw, x);
+                st(app, last, ld(&seam, 0));
+                st(app, first, ld(&seam, WIDTH));
+            }
+
+            /// The fused argmin-excluded layer update (see
+            /// [`super::layer_update_argmin`]): one chunk of `WIDTH` lanes at
+            /// a time, every slot's `λ` and the fold state in registers (the
+            /// `λ` array is a stack spill at most), the lanes past the last
+            /// whole vector by the scalar twin (all lanes when `zw < 2 ·
+            /// WIDTH`). Chunks are disjoint and each reads all of its inputs
+            /// before it writes, so the in-place update needs no overlapping
+            /// tail vector.
+            ///
+            /// # Safety
+            /// The CPU must support the module's target feature.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn layer_update_argmin(
+                plus: &[u8; 16],
+                minus: &[u8; 16],
+                max_code: i16,
+                app_max: i16,
+                layer: &LaneLayer<'_>,
+                z: usize,
+                width: usize,
+                app: &mut [i16],
+                lambda: &mut [i16],
+            ) {
+                let spans = LayerSpans::new(layer, z, width, app.len(), lambda.len());
+                let (slots, zw) = (spans.slots(), spans.zw);
+                let vectors = if zw < 2 * WIDTH { 0 } else { zw - zw % WIDTH };
+                let (tp, tm) = (load_table(plus), load_table(minus));
+                let (vmax, vmin) = ($set1(max_code), $set1(-max_code));
+                let (vapp_max, vapp_min) = ($set1(app_max), $set1(-app_max));
+                let (zero, vone) = ($setzero(), $set1(1));
+                let mut lam = [zero; MAX_FUSED_DEGREE];
+                let lam = &mut lam[..slots.len()];
+                let mut i = 0;
+                // SAFETY (all accesses): i + WIDTH ≤ zw, and every slot's
+                // APP block column and Λ panel hold zw lanes
+                // (`LayerSpans::new`).
+                while i < vectors {
+                    // Pass 1: λ = L − Λ of every slot, folded into S, S',
+                    // |min| and the argmin.
+                    for (l, span) in lam.iter_mut().zip(slots) {
+                        let va = ld_rotated(app, span, zw, i);
+                        *l = sub_remap(va, ld(lambda, span.lambda + i), vmin, vmax);
+                    }
+                    // The slot index rides along as a vector.
+                    let mut vslot = vone;
+                    let (mut s, mut e, mut m, mut am) =
+                        dual_step::<true>(tp, vmax, vslot, lam[1], lam[0], zero, zero, zero);
+                    for &l in &lam[2..] {
+                        vslot = $add(vslot, vone);
+                        (s, e, m, am) = dual_step::<false>(tp, vmax, vslot, l, s, e, m, am);
+                    }
+                    // Pass 2: Λ′ = S' at the argmin, S ⊟ λ elsewhere, and
+                    // L′ = λ + Λ′ clamped to the APP range.
+                    vslot = zero;
+                    for (&l, span) in lam.iter().zip(slots) {
+                        let r = box_core::<true>(tm, vmax, s, l);
+                        let upd = $blendv(r, e, $cmpeq(am, vslot));
+                        vslot = $add(vslot, vone);
+                        st(lambda, span.lambda + i, upd);
+                        let sum = $min($max($adds(l, upd), vapp_min), vapp_max);
+                        st_rotated(app, span, zw, i, sum);
+                    }
+                    i += WIDTH;
+                }
+                scalar::layer_update_argmin_lanes(
+                    plus,
+                    minus,
+                    max_code,
+                    app_max,
+                    &spans,
+                    vectors..zw,
+                    app,
+                    lambda,
+                );
+            }
+
             /// # Safety
             /// The CPU must support the module's target feature.
             #[target_feature(enable = $feature)]
@@ -978,14 +1387,8 @@ macro_rules! x86_panel_kernels {
                     return scalar::sub_lanes_remap(lo, hi, app, lambda, out);
                 }
                 let (vlo, vhi) = ($set1(lo), $set1(hi));
-                let (vone, vzero) = ($set1(1), $setzero());
                 // SAFETY (all accesses): every offset is ≤ n − WIDTH.
-                let op = |i| {
-                    let va = ld(app, i);
-                    let r = $min($max($subs(va, ld(lambda, i)), vlo), vhi);
-                    let zero_remap = $or($srai::<15>(va), vone);
-                    $blendv(r, zero_remap, $cmpeq(r, vzero))
-                };
+                let op = |i| sub_remap(ld(app, i), ld(lambda, i), vlo, vhi);
                 let tail = op(n - WIDTH);
                 let mut i = 0;
                 while i + WIDTH <= n {
@@ -1518,6 +1921,44 @@ pub fn boxminus_select_panel(
             scalar::select_slot(slot, excl, argmin, out);
         }
     }
+}
+
+/// One whole argmin-excluded layer update in a single fused pass, in place:
+/// for every lane `i` of the `z · width`-lane group and every slot `s` of
+/// `layer` (APP block column at `col_base[s] · width`, rotated by
+/// `shift[s] · width` lanes; Λ panel at `edge_base[s] · width`), reads
+/// `λ_s = L − Λ` (clamped to `±max_code`, zero remapped to ±1 LSB), folds
+/// the argmin-tracking ⊞ recursion of [`boxplus_dual_panel`], and writes
+/// `Λ′_s` as [`boxminus_select_panel`] would and `L′_s = λ_s + Λ′_s` clamped
+/// to `±app_max`. Bit-identical to the three-call layer update built from
+/// [`sub_lanes_remap`], those two panels and [`add_lanes_clamp`]; `plus` and
+/// `minus` are the 16-byte `pshufb` forms of the ⊞ and ⊟ tables. On a SIMD
+/// tier each vector of lanes reads its L and Λ once and writes them once;
+/// the scalar tier and the lanes past the last whole vector run the
+/// lane-for-lane scalar twin. The slots must address pairwise distinct
+/// block columns (one circulant per block column per layer).
+///
+/// # Panics
+///
+/// Panics unless the layer degree is in `2..=`[`MAX_FUSED_DEGREE`], every
+/// shift is below `z`, and every slot's block column and Λ panel lie inside
+/// `app` and `lambda`.
+pub fn layer_update_argmin(
+    level: SimdLevel,
+    plus: &[u8; 16],
+    minus: &[u8; 16],
+    max_code: i16,
+    app_max: i16,
+    layer: &LaneLayer<'_>,
+    z: usize,
+    width: usize,
+    app: &mut [i16],
+    lambda: &mut [i16],
+) {
+    dispatch!(
+        level,
+        layer_update_argmin(plus, minus, max_code, app_max, layer, z, width, app, lambda)
+    )
 }
 
 /// `λ = L − Λ` over a panel with the fixed-BP ±1-LSB zero remap

@@ -16,12 +16,13 @@
 //! 3. **Write back** `L'_n` and `Λ'_mn`.
 //!
 //! The hot loop is *lane-major*: the `z` independent rows of a layer are the
-//! lanes, and each step of the sub-iteration processes all of them at once
-//! through the [`LaneKernel`] slice operations — gather `λ` for every lane of
-//! a block column as two stride-1 spans (the rotation contract of
-//! [`CompiledCode`]'s lane layout), run the check-node update across the
-//! whole layer, scatter `Λ'` and `L'` back as stride-1 spans. This is the
-//! software shape of the paper's `z`-wide parallel SISO array and is
+//! lanes, and each sub-iteration processes all of them at once through
+//! [`LaneKernel::layer_update_lanes`] — `λ` for every lane of a block column
+//! read as two stride-1 spans (the rotation contract of [`CompiledCode`]'s
+//! lane layout), the check-node update across the whole layer, `Λ'` and `L'`
+//! written back through the same spans. The fixed-point default datapath
+//! fuses all of it into one register-resident pass per chunk of lanes. This
+//! is the software shape of the paper's `z`-wide parallel SISO array and is
 //! bit-identical to row-serial processing (kept as
 //! [`LayeredDecoder::decode_into_reference`]) because the lanes of a layer
 //! touch pairwise disjoint L-memory addresses.
@@ -156,10 +157,9 @@ impl<'a> ResolvedOrder<'a> {
 }
 
 /// One lane-major sub-iteration over a `width`-frame group: updates every row
-/// of `layer` of every packed frame at once through the [`LaneKernel`] slice
-/// operations. Pure stride-1 gather/compute/scatter per the rotation contract
-/// of [`CompiledCode`]'s lane layout — with the frame-innermost interleave of
-/// [`crate::group`], every single-frame span simply scales by `width`, so the
+/// of `layer` of every packed frame at once through
+/// [`LaneKernel::layer_update_lanes`]. With the frame-innermost interleave of
+/// [`crate::group`] every single-frame span simply scales by `width`, so the
 /// kernels see `z · width`-lane panels. Bit-identical to processing the rows
 /// (and frames) serially because the lanes of a layer touch pairwise disjoint
 /// L-memory addresses and every kernel operation is element-wise per lane.
@@ -171,61 +171,14 @@ fn lane_layer_update<A: LaneKernel>(
     width: usize,
     ws: &mut DecodeWorkspace<A::Msg>,
 ) {
-    let z = compiled.z();
-    let zw = z * width;
-    let lanes = compiled.layer_lanes(layer);
-    let degree = lanes.degree();
-    let lane_in = &mut ws.lane_in[..degree * zw];
-    let lane_out = &mut ws.lane_out[..degree * zw];
-
-    // 1) Read: gather λ = L − Λ for all z·width lanes of each block column.
-    //    Lane (r, f) reads L at (col_base + ((r + shift) mod z))·width + f, so
-    //    the lanes split into the two contiguous spans
-    //    [(col_base+shift)·width, (col_base+z)·width) and
-    //    [col_base·width, (col_base+shift)·width); Λ is lane-contiguous by
-    //    construction.
-    for slot in 0..degree {
-        let eb = lanes.edge_base[slot] as usize * width;
-        let cb = lanes.col_base[slot] as usize * width;
-        let split = (z - lanes.shift[slot] as usize) * width;
-        let lam = &mut lane_in[slot * zw..(slot + 1) * zw];
-        let lambda = &ws.lambda[eb..eb + zw];
-        arith.sub_lanes(
-            &ws.app[cb + zw - split..cb + zw],
-            &lambda[..split],
-            &mut lam[..split],
-        );
-        arith.sub_lanes(
-            &ws.app[cb..cb + zw - split],
-            &lambda[split..],
-            &mut lam[split..],
-        );
-    }
-
-    // 2) Decode: the check-node update of every lane (Eq. 1), vectorised
-    //    across the z·width SISO lanes.
-    arith.check_node_update_lanes(zw, lane_in, lane_out, &mut ws.lane_scratch);
-
-    // 3) Write back: Λ ← Λ′ is a straight lane-contiguous copy; L ← λ + Λ′
-    //    scatters through the same two contiguous spans as the gather.
-    for slot in 0..degree {
-        let eb = lanes.edge_base[slot] as usize * width;
-        let cb = lanes.col_base[slot] as usize * width;
-        let split = (z - lanes.shift[slot] as usize) * width;
-        let lam = &lane_in[slot * zw..(slot + 1) * zw];
-        let upd = &lane_out[slot * zw..(slot + 1) * zw];
-        ws.lambda[eb..eb + zw].copy_from_slice(upd);
-        arith.add_lanes(
-            &lam[..split],
-            &upd[..split],
-            &mut ws.app[cb + zw - split..cb + zw],
-        );
-        arith.add_lanes(
-            &lam[split..],
-            &upd[split..],
-            &mut ws.app[cb..cb + zw - split],
-        );
-    }
+    arith.layer_update_lanes(
+        &compiled.layer_lanes(layer),
+        compiled.z(),
+        width,
+        &mut ws.app,
+        &mut ws.lambda,
+        &mut ws.lane_scratch,
+    );
 }
 
 /// The operation counts of one frame after `iterations` full iterations:

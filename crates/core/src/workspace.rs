@@ -4,8 +4,8 @@
 //! every `decode` call. [`DecodeWorkspace`] owns those buffers instead — the
 //! software analogue of the paper's dedicated L/Λ memory banks, which exist
 //! once in silicon and are merely re-initialised between frames. It also owns
-//! the slot-major lane buffers and [`LaneScratch`] the lane-parallel SISO
-//! kernels run out of (see [`crate::arith::LaneKernel`]).
+//! the [`LaneScratch`] the lane-parallel SISO kernels run out of (see
+//! [`crate::arith::LaneKernel`]).
 //!
 //! There is one decode driver, and a single frame is a group of width 1, so
 //! the workspace is sized by the group width alone:
@@ -40,12 +40,8 @@ pub struct DecodeWorkspace<M> {
     pub(crate) row_in: Vec<M>,
     /// Row output scratch `Λ'`, capacity = max check degree.
     pub(crate) row_out: Vec<M>,
-    /// Lane-major gather buffer `λ` of one layer (slot-major, `degree · z`),
-    /// the input of [`LaneKernel::check_node_update_lanes`](crate::arith::LaneKernel::check_node_update_lanes).
-    pub(crate) lane_in: Vec<M>,
-    /// Lane-major output buffer `Λ'` of one layer (slot-major, `degree · z`).
-    pub(crate) lane_out: Vec<M>,
-    /// Transient storage of the lane kernels (fallback rows + vector lanes).
+    /// Transient storage of the lane kernels (fallback rows, vector lanes
+    /// and the slot-major `λ`/`Λ′` panels of the unfused layer update).
     pub(crate) lane_scratch: LaneScratch<M>,
     /// Hard-decision scratch, length `n`.
     pub(crate) hard: Vec<u8>,
@@ -83,8 +79,6 @@ impl<M: Copy> DecodeWorkspace<M> {
             lambda_alt: Vec::new(),
             row_in: Vec::new(),
             row_out: Vec::new(),
-            lane_in: Vec::new(),
-            lane_out: Vec::new(),
             lane_scratch: LaneScratch::new(),
             hard: Vec::new(),
             decisions: Vec::new(),
@@ -135,8 +129,6 @@ impl<M: Copy> DecodeWorkspace<M> {
         reserve_to(&mut self.lambda, compiled.num_edges() * width);
         reserve_to(&mut self.row_in, degree);
         reserve_to(&mut self.row_out, degree);
-        reserve_to(&mut self.lane_in, degree * zw);
-        reserve_to(&mut self.lane_out, degree * zw);
         self.lane_scratch.reserve(degree, zw);
         reserve_to(&mut self.hard, n);
         reserve_to(&mut self.decisions, compiled.info_bits() * width);
@@ -158,8 +150,6 @@ impl<M: Copy> DecodeWorkspace<M> {
             && self.lambda.capacity() >= compiled.num_edges() * width
             && self.row_in.capacity() >= degree
             && self.row_out.capacity() >= degree
-            && self.lane_in.capacity() >= degree * zw
-            && self.lane_out.capacity() >= degree * zw
             && self.lane_scratch.is_ready(degree, zw)
             && self.hard.capacity() >= n
             && self.decisions.capacity() >= compiled.info_bits() * width
@@ -182,13 +172,6 @@ impl<M: Copy> DecodeWorkspace<M> {
         self.app.resize(compiled.n() * width, zero);
         self.lambda.clear();
         self.lambda.resize(compiled.num_edges() * width, zero);
-        // The lane buffers are fully written before every read; only their
-        // *length* must cover a whole layer so the driver can slice them.
-        let lane_len = compiled.max_degree() * compiled.z() * width;
-        self.lane_in.clear();
-        self.lane_in.resize(lane_len, zero);
-        self.lane_out.clear();
-        self.lane_out.resize(lane_len, zero);
         self.group_active.clear();
         self.group_active.extend(0..width as u32);
         self.group_frame.clear();
@@ -226,11 +209,11 @@ impl<M: Copy> DecodeWorkspace<M> {
             hi,
             fp(&self.row_in),
             fp(&self.row_out),
-            fp(&self.lane_in),
-            fp(&self.lane_out),
             scratch[0],
             scratch[1],
             scratch[2],
+            scratch[3],
+            scratch[4],
             fp(&self.hard),
             fp(&self.decisions),
             fp(&self.verdicts),

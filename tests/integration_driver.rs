@@ -10,8 +10,14 @@
 //!   decoder, the cascade included;
 //! * one workspace cycled through flooding, layered single-frame, full and
 //!   ragged groups, the row-serial reference and the cascade keeps one
-//!   allocation fingerprint, and every output matches a fresh workspace's.
+//!   allocation fingerprint, and every output matches a fresh workspace's;
+//! * finite but adversarial LLRs (`±f64::MAX`, `±1e300`, subnormals, signed
+//!   zeros, mixtures) never yield a NaN posterior or a parity flag that the
+//!   hard decisions do not earn, and the lane path still equals the
+//!   reference. An all-erasure frame ends as the all-zero codeword: the
+//!   syndrome holds, which says nothing about what was sent.
 
+use ldpc::core::fixedpoint::FixedFormat;
 use ldpc::core::DecodeError;
 use ldpc::prelude::*;
 
@@ -278,4 +284,164 @@ fn one_workspace_serves_every_driver_and_width_without_reallocating() {
         let now = ws.allocation_fingerprint();
         assert_eq!(*fingerprint.get_or_insert(now), now, "round {round}");
     }
+}
+
+/// Finite channel values a decoder must survive without lying: the extremes
+/// of `f64`, the smallest subnormals and signed zeros (erasures), each as a
+/// whole frame, and mixed — cycled over one frame, sprinkled into a noisy
+/// frame, and a noisy frame blown up to `±1e300` or half erased.
+fn adversarial_frames(noisy: &[f64]) -> Vec<(String, Vec<f64>)> {
+    let extremes = [
+        f64::MAX,
+        -f64::MAX,
+        1e300,
+        -1e300,
+        5e-324,
+        -5e-324,
+        0.0,
+        -0.0,
+    ];
+    let mut cases: Vec<(String, Vec<f64>)> = extremes
+        .iter()
+        .map(|&x| (format!("all {x:e}"), vec![x; noisy.len()]))
+        .collect();
+    let mix =
+        |f: &dyn Fn(usize, f64) -> f64| noisy.iter().enumerate().map(|(i, &v)| f(i, v)).collect();
+    cases.push(("extremes cycled".into(), mix(&|i, _| extremes[i % 8])));
+    cases.push((
+        "every 7th value extreme".into(),
+        mix(&|i, v| if i % 7 == 0 { extremes[i / 7 % 8] } else { v }),
+    ));
+    cases.push((
+        "noisy frame at ±1e300".into(),
+        mix(&|_, v| v.signum() * 1e300),
+    ));
+    cases.push((
+        "noisy frame half erased".into(),
+        mix(&|i, v| if i % 2 == 0 { 0.0 } else { v }),
+    ));
+    cases
+}
+
+/// What every output must satisfy, whatever the input: finite posteriors and
+/// a parity flag equal to the syndrome of the hard decisions.
+fn assert_honest(code: &QcCode, what: &str, out: &DecodeOutput) {
+    assert!(
+        out.posterior_llrs.iter().all(|l| l.is_finite()),
+        "{what}: non-finite posterior"
+    );
+    assert_eq!(
+        out.parity_satisfied,
+        code.is_codeword(&out.hard_bits).unwrap(),
+        "{what}: parity flag disagrees with the syndrome of the hard bits"
+    );
+}
+
+/// Runs every adversarial frame through `decode_into` and, among noisy
+/// frames, through `decode_batch` (which must agree with `decode_into`),
+/// then checks the all-erasure frames: hard decisions all zero, so the
+/// syndrome holds and `parity_satisfied` is true, but only after the full
+/// iteration budget and without early termination. An erasure carries no
+/// information, so this is "syndrome holds", not "decoded correctly". Returns
+/// every case with its `decode_into` output.
+fn adversarial_sweep<D: Decoder + Sync>(
+    name: &str,
+    decoder: &D,
+    code: &QcCode,
+) -> Vec<(String, Vec<f64>, DecodeOutput)> {
+    let compiled = &code.compile();
+    let n = compiled.n();
+    let background = noisy_frames(code, 5, 13);
+    let mut ws = decoder.workspace_for(compiled);
+    let mut outputs = Vec::new();
+    for (case, frame) in adversarial_frames(&background[..n]) {
+        let what = format!("{name}, {case}");
+        let mut out = DecodeOutput::empty();
+        decoder
+            .decode_into(compiled, &frame, &mut ws, &mut out)
+            .unwrap();
+        assert_honest(code, &format!("{what}, decode_into"), &out);
+
+        let mut batch = background.clone();
+        batch[3 * n..4 * n].copy_from_slice(&frame);
+        let batched = decoder
+            .decode_batch(compiled, LlrBatch::new(&batch, n).unwrap())
+            .unwrap();
+        for (i, b) in batched.iter().enumerate() {
+            assert_honest(code, &format!("{what}, decode_batch frame {i}"), b);
+        }
+        assert_eq!(batched[3], out, "{what}: decode_batch vs decode_into");
+
+        if frame.iter().all(|&x| x == 0.0) {
+            assert!(out.hard_bits.iter().all(|&b| b == 0), "{what}");
+            assert!(out.parity_satisfied && !out.early_terminated, "{what}");
+            assert_eq!(out.iterations, decoder.config().max_iterations, "{what}");
+        }
+        outputs.push((case, frame, out));
+    }
+    outputs
+}
+
+/// Every decoder, through every entry point, on finite adversarial inputs:
+/// no NaN posterior, no parity flag the hard decisions do not earn, and the
+/// layered decoders' lane path (fused for the default fixed-point datapath)
+/// equal to the row-serial reference.
+#[test]
+fn adversarial_finite_llrs_never_yield_nan_or_an_unearned_parity_flag() {
+    let code = code();
+    let compiled = code.compile();
+    let config = DecoderConfig::default();
+    fn with_reference<A: LaneKernel + Clone + Sync>(
+        name: &str,
+        arith: A,
+        code: &QcCode,
+        compiled: &CompiledCode,
+    ) {
+        let decoder = LayeredDecoder::new(arith, DecoderConfig::default()).unwrap();
+        let mut ws = decoder.workspace_for(compiled);
+        for (case, frame, lane) in adversarial_sweep(name, &decoder, code) {
+            let mut out = DecodeOutput::empty();
+            decoder
+                .decode_into_reference(compiled, &frame, &mut ws, &mut out)
+                .unwrap();
+            assert_eq!(out, lane, "{name}, {case}: lane path vs reference");
+        }
+    }
+    with_reference("float BP", FloatBpArithmetic::default(), &code, &compiled);
+    with_reference(
+        "fixed BP (argmin)",
+        FixedBpArithmetic::default(),
+        &code,
+        &compiled,
+    );
+    with_reference(
+        "fixed BP (bare ⊟)",
+        FixedBpArithmetic::with_mode(FixedFormat::default(), 3, CheckNodeMode::SumExtract),
+        &code,
+        &compiled,
+    );
+    with_reference(
+        "fixed BP (forward/backward)",
+        FixedBpArithmetic::forward_backward(),
+        &code,
+        &compiled,
+    );
+    with_reference(
+        "float Min-Sum",
+        FloatMinSumArithmetic::default(),
+        &code,
+        &compiled,
+    );
+    with_reference(
+        "fixed Min-Sum",
+        FixedMinSumArithmetic::default(),
+        &code,
+        &compiled,
+    );
+    adversarial_sweep("cascade", &CascadeDecoder::default(), &code);
+    adversarial_sweep(
+        "flooding",
+        &FloodingDecoder::new(FloatBpArithmetic::default(), config).unwrap(),
+        &code,
+    );
 }

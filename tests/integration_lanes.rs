@@ -3,6 +3,7 @@
 //! back-end, across the standard WiMAX/WiFi code set and batch sizes 1/8/64,
 //! and must preserve the zero-steady-state-allocation invariant.
 
+use ldpc::core::fixedpoint::FixedFormat;
 use ldpc::prelude::*;
 
 /// The standard code set the lane kernels are swept over: one WiMAX-class and
@@ -91,8 +92,14 @@ fn lane_path_matches_reference_float_bp() {
 }
 
 #[test]
-fn lane_path_matches_reference_fixed_bp_sum_extract() {
-    assert_lane_path_matches_reference(FixedBpArithmetic::default(), "fixed BP ⊟-extract");
+fn lane_path_matches_reference_fixed_bp_argmin() {
+    assert_lane_path_matches_reference(FixedBpArithmetic::default(), "fixed BP argmin ⊟");
+}
+
+#[test]
+fn lane_path_matches_reference_fixed_bp_bare_sum_extract() {
+    let bare = FixedBpArithmetic::with_mode(FixedFormat::default(), 3, CheckNodeMode::SumExtract);
+    assert_lane_path_matches_reference(bare, "fixed BP bare ⊟");
 }
 
 #[test]
@@ -177,7 +184,7 @@ where
 #[test]
 fn lane_path_allocation_fingerprint_is_stable() {
     assert_lane_path_fingerprint_stable(FloatBpArithmetic::default(), "float BP");
-    assert_lane_path_fingerprint_stable(FixedBpArithmetic::default(), "fixed BP ⊟-extract");
+    assert_lane_path_fingerprint_stable(FixedBpArithmetic::default(), "fixed BP argmin ⊟");
     assert_lane_path_fingerprint_stable(FixedBpArithmetic::forward_backward(), "fixed BP fwd/bwd");
     assert_lane_path_fingerprint_stable(FloatMinSumArithmetic::default(), "float min-sum");
     assert_lane_path_fingerprint_stable(FixedMinSumArithmetic::default(), "fixed min-sum");

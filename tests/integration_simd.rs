@@ -13,9 +13,11 @@
 //! `LDPC_FORCE_SCALAR=1` CI leg reruns all of this (and every other test)
 //! with the process-wide dispatch pinned to the fallback.
 
+use ldpc::core::arith::layer_update_unfused;
 use ldpc::core::arith::simd::{self, SimdLevel};
 use ldpc::core::fixedpoint::FixedFormat;
 use ldpc::core::lut::{CorrectionKind, CorrectionLut};
+use ldpc::core::MAX_GROUP_WIDTH;
 use ldpc::prelude::*;
 
 const LEVELS: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Sse41, SimdLevel::Avx2];
@@ -631,6 +633,168 @@ fn full_decode_is_bit_identical_across_kernel_tiers() {
         });
         sweep!("fixed_min_sum", |lvl| FixedMinSumArithmetic::default()
             .with_simd_level(lvl));
+    }
+}
+
+/// The modes of the fused-layer sweeps: WiMAX-576 and 2304 at rate 1/2, the
+/// degree-18/19 layers of WiMAX 5/6, and DMB-T 1/5 (`z = 127`, ragged at
+/// every vector width, layers of degree 2 and 3) — each with an Eb/N0 at
+/// which its frames take a few iterations (2–6), so the end-to-end sweep
+/// exercises the update without running every frame to the limit.
+fn fused_modes() -> Vec<(QcCode, f64)> {
+    [
+        (Standard::Wimax80216e, CodeRate::R1_2, 576, 3.0),
+        (Standard::Wimax80216e, CodeRate::R1_2, 2304, 3.0),
+        (Standard::Wimax80216e, CodeRate::R5_6, 576, 4.5),
+        (Standard::DmbT, CodeRate::R1_5, 7620, 5.0),
+    ]
+    .into_iter()
+    .map(|(standard, rate, n, ebn0)| (CodeId::new(standard, rate, n).build().unwrap(), ebn0))
+    .collect()
+}
+
+/// Per layer, on identical `(L, Λ)` state, the fused
+/// `FixedBpArithmetic::layer_update_lanes` must write exactly the APP and Λ
+/// memory of `layer_update_unfused` (`sub_lanes`, `check_node_update_lanes`,
+/// `add_lanes`) — at every tier and every group width, so every rotation
+/// split inside a vector, every ragged remainder and every panel narrower
+/// than two vectors occurs. The state is drawn from small pools dense in the
+/// edge cases: APP codes at `±app_max`, Λ at `±max`, and `L = Λ` (so
+/// `L − Λ` is exactly 0 and takes the ±1-LSB remap). One sweep over the
+/// layers (every fourth of DMB-T's 48, degrees 2 and 3 alike) keeps the
+/// debug-build test short.
+#[test]
+fn fused_layer_update_matches_the_three_call_body_at_every_tier_and_width() {
+    let reference = FixedBpArithmetic::default();
+    let max = reference.format().max_code() as i16;
+    let app_max = reference.app_format().max_code() as i16;
+    let app_pool = [
+        app_max,
+        -app_max,
+        1 - app_max,
+        max,
+        -max,
+        1,
+        -1,
+        2,
+        -2,
+        5,
+        -7,
+        40,
+        -90,
+    ];
+    let lambda_pool = [max, -max, 1, -1, 2, -2, 5, -7, 40, -90, 0];
+    for (code, _) in fused_modes() {
+        let compiled = code.compile();
+        let z = compiled.z();
+        let stride = compiled.block_rows().div_ceil(12);
+        for width in 1..=MAX_GROUP_WIDTH {
+            let app0: Vec<i16> = (0..compiled.n() * width)
+                .map(|i| app_pool[(i * 7 + i / 5) % app_pool.len()])
+                .collect();
+            let lambda0: Vec<i16> = (0..compiled.num_edges() * width)
+                .map(|i| lambda_pool[(i * 3 + i / 11) % lambda_pool.len()])
+                .collect();
+            // The first layer alone meets every edge case.
+            let lanes = compiled.layer_lanes(0);
+            let (mut zero_diff, mut app_sat, mut lambda_sat) = (0, 0, 0);
+            for slot in 0..lanes.degree() {
+                let (cb, eb) = (
+                    lanes.col_base[slot] as usize,
+                    lanes.edge_base[slot] as usize,
+                );
+                for r in 0..z {
+                    let col = cb + (r + lanes.shift[slot] as usize) % z;
+                    for f in 0..width {
+                        let (l, m) = (app0[col * width + f], lambda0[(eb + r) * width + f]);
+                        zero_diff += usize::from(l == m);
+                        app_sat += usize::from(l.abs() == app_max);
+                        lambda_sat += usize::from(m.abs() == max);
+                    }
+                }
+            }
+            assert!(
+                zero_diff > 0 && app_sat > 0 && lambda_sat > 0,
+                "n={} width {width}: state misses an edge case",
+                compiled.n()
+            );
+            for level in LEVELS {
+                let arith = FixedBpArithmetic::default().with_simd_level(level);
+                let (mut app, mut lambda) = (app0.clone(), lambda0.clone());
+                let (mut app_ref, mut lambda_ref) = (app0.clone(), lambda0.clone());
+                let mut scratch = LaneScratch::new();
+                for layer in (0..compiled.block_rows()).step_by(stride) {
+                    let lanes = compiled.layer_lanes(layer);
+                    arith.layer_update_lanes(&lanes, z, width, &mut app, &mut lambda, &mut scratch);
+                    layer_update_unfused(
+                        &arith,
+                        &lanes,
+                        z,
+                        width,
+                        &mut app_ref,
+                        &mut lambda_ref,
+                        &mut scratch,
+                    );
+                    let at = format!("n={} width {width} {level:?} layer {layer}", compiled.n());
+                    assert_eq!(app, app_ref, "APP memory diverged: {at}");
+                    assert_eq!(lambda, lambda_ref, "Λ memory diverged: {at}");
+                }
+            }
+        }
+    }
+}
+
+/// End to end: a group of every width `1..=MAX_GROUP_WIDTH` decoded through
+/// the fused layer update must equal, frame by frame, the row-serial
+/// `decode_into_reference` of each frame. The widths take the tiers in turn
+/// (every tier meets ragged and vector-multiple groups), which keeps the
+/// debug-build test short; the layer sweep above pairs every width with
+/// every tier.
+#[test]
+fn fused_decode_matches_the_row_serial_reference_at_every_tier_and_width() {
+    for (code, ebn0) in fused_modes() {
+        let compiled = code.compile();
+        let n = compiled.n();
+        let mut source = FrameSource::random(&code, 11).unwrap();
+        let channel = AwgnChannel::from_ebn0_db(ebn0, code.rate());
+        let llrs: Vec<f64> = (0..MAX_GROUP_WIDTH)
+            .flat_map(|_| {
+                let frame = source.next_frame();
+                channel.transmit(&frame.codeword, source.noise_rng())
+            })
+            .collect();
+        let config = DecoderConfig::default();
+        let reference_decoder =
+            LayeredDecoder::new(FixedBpArithmetic::default(), config.clone()).unwrap();
+        let mut ws = reference_decoder.workspace_for(&compiled);
+        let reference: Vec<DecodeOutput> = llrs
+            .chunks_exact(n)
+            .map(|frame| {
+                let mut out = DecodeOutput::empty();
+                reference_decoder
+                    .decode_into_reference(&compiled, frame, &mut ws, &mut out)
+                    .unwrap();
+                out
+            })
+            .collect();
+        assert!(
+            reference.iter().any(|o| o.iterations > 1),
+            "n={n}: the noise is too weak to exercise the layer update"
+        );
+        for width in 1..=MAX_GROUP_WIDTH {
+            let level = LEVELS[width % LEVELS.len()];
+            let arith = FixedBpArithmetic::default().with_simd_level(level);
+            let decoder = LayeredDecoder::new(arith, config.clone()).unwrap();
+            let mut outs = vec![DecodeOutput::empty(); width];
+            decoder
+                .decode_group_into(&compiled, &llrs[..width * n], &mut ws, &mut outs)
+                .unwrap();
+            assert_eq!(
+                outs,
+                reference[..width],
+                "n={n} width {width} {level:?}: fused decode diverged from the reference"
+            );
+        }
     }
 }
 
