@@ -119,9 +119,8 @@ impl PipelineModel {
     /// Resolves the layer visiting order for a mode.
     #[must_use]
     fn layer_order(&self, config: &DecoderModeConfig) -> Vec<usize> {
-        match &self.options.layer_order {
+        match self.options.layer_order {
             LayerOrderPolicy::Natural => (0..config.block_rows).collect(),
-            LayerOrderPolicy::Custom(order) => order.clone(),
             LayerOrderPolicy::StallMinimizing => {
                 // Greedy: same policy as ldpc-codes, computed on the config's
                 // layer column sets.

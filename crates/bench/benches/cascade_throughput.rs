@@ -7,8 +7,8 @@
 //! model of a cell where most users sit comfortably above the waterfall and
 //! a minority hug it. Both sides decode the **identical** frames:
 //!
-//! * `wimax2304_mix246_cascade` — [`CascadeDecoder`] with the default
-//!   ladder (4-iteration fixed Min-Sum, failures escalated to
+//! * `wimax2304_mix246_cascade` — [`ldpc_core::CascadeDecoder`] with the
+//!   default ladder (4-iteration fixed Min-Sum, failures escalated to
 //!   early-terminating fixed BP);
 //! * `wimax2304_mix246_fixed_bp` — the production baseline, a
 //!   forward–backward fixed-BP [`LayeredDecoder`] with the default
@@ -24,9 +24,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ldpc_channel::workload::{MixedTraffic, SnrProfile};
 use ldpc_codes::{CodeId, CodeRate, Standard};
 use ldpc_core::decoder::{DecoderConfig, LayeredDecoder};
-use ldpc_core::{
-    CascadeConfig, CascadeDecoder, DecodeOutput, Decoder, FixedBpArithmetic, LlrBatch,
-};
+use ldpc_core::{CascadeConfig, DecodeOutput, Decoder, FixedBpArithmetic, LlrBatch};
 
 const BATCH_FRAMES: usize = 64;
 
@@ -48,7 +46,7 @@ fn bench_cascade(c: &mut Criterion) {
     }
     let batch = LlrBatch::new(&llrs, code.n()).unwrap();
 
-    let cascade = CascadeDecoder::new(CascadeConfig::default()).unwrap();
+    let cascade = CascadeConfig::default().decoder();
     let baseline = LayeredDecoder::new(
         FixedBpArithmetic::forward_backward(),
         DecoderConfig::default(),

@@ -34,7 +34,7 @@ fn main() {
         stop_on_zero_syndrome: true,
         layer_order: LayerOrderPolicy::Natural,
     };
-    let layered = LayeredDecoder::new(FloatBpArithmetic::default(), config.clone()).unwrap();
+    let layered = LayeredDecoder::new(FloatBpArithmetic::default(), config).unwrap();
     let flooding = FloodingDecoder::new(FloatBpArithmetic::default(), config).unwrap();
 
     let mut table = Table::new(

@@ -59,7 +59,7 @@ fn main() {
         let ebn0 = tenth as f64 / 10.0;
         let result = run_monte_carlo(
             FloatBpArithmetic::default(),
-            et_config.clone(),
+            et_config,
             &code,
             McConfig {
                 ebn0_db: ebn0,

@@ -56,7 +56,7 @@
 //!
 //! `--cascade` swaps the per-shard decoder for the SNR-adaptive
 //! [`ldpc_core::CascadeDecoder`] with the default
-//! [`ldpc_serve::CascadePolicy`] ladder (via the uniform
+//! [`ldpc_core::CascadeConfig`] ladder (via the uniform
 //! [`ldpc_serve::DecoderPolicy`] plumbing). The whole contract above still
 //! holds (bit-identity is then against sequential cascade `decode_batch`
 //! calls), and the exit report additionally prints the per-shard
@@ -130,12 +130,12 @@ use std::time::{Duration, Instant};
 use ldpc_channel::{BurstProfile, HarqTraffic, LlrQuantizer, MixedTraffic};
 use ldpc_codes::CodeId;
 use ldpc_core::decoder::{DecoderConfig, LayeredDecoder};
-use ldpc_core::{DecodeOutput, Decoder, FloatBpArithmetic, HarqCombiner, LlrBatch};
+use ldpc_core::{CascadeConfig, DecodeOutput, Decoder, FloatBpArithmetic, HarqCombiner, LlrBatch};
 #[cfg(feature = "fault-injection")]
 use ldpc_serve::FaultPlan;
 use ldpc_serve::{
-    CascadePolicy, DecodeOutcome, DecodeService, DecoderPolicy, FrameHandle, HarqKey, RetryPolicy,
-    ShardPolicy, SubmitOptions,
+    DecodeOutcome, DecodeService, DecoderPolicy, FrameHandle, HarqKey, RetryPolicy, ShardPolicy,
+    SubmitOptions,
 };
 
 struct Args {
@@ -359,7 +359,7 @@ fn main() -> ExitCode {
 
     if args.harq_storm {
         if args.cascade {
-            run_harq(&args, "cascade", CascadePolicy::default())
+            run_harq(&args, "cascade", CascadeConfig::default())
         } else {
             let decoder =
                 LayeredDecoder::new(FloatBpArithmetic::default(), DecoderConfig::default())
@@ -370,7 +370,7 @@ fn main() -> ExitCode {
         // The reference decoder for the bit-identity re-decode is a second
         // cascade instance: cascade decoding is deterministic per frame, so
         // any instance with the same policy reproduces the service outputs.
-        run(&args, "cascade", CascadePolicy::default())
+        run(&args, "cascade", CascadeConfig::default())
     } else {
         let decoder =
             LayeredDecoder::new(FloatBpArithmetic::default(), DecoderConfig::default()).unwrap();

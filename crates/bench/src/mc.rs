@@ -269,10 +269,10 @@ mod tests {
         // The cascade must buy throughput, not coding gain: at a
         // waterfall-region operating point its BER has to sit on the straight
         // fixed-BP curve to within Monte-Carlo confidence.
-        use ldpc_core::{CascadeConfig, CascadeDecoder, FixedBpArithmetic};
+        use ldpc_core::{CascadeConfig, FixedBpArithmetic};
 
         let code = code();
-        let cascade = CascadeDecoder::new(CascadeConfig::default()).unwrap();
+        let cascade = CascadeConfig::default().decoder();
         let baseline = LayeredDecoder::new(
             FixedBpArithmetic::forward_backward(),
             DecoderConfig::default(),

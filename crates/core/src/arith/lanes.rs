@@ -49,9 +49,10 @@ use super::DecoderArithmetic;
 /// workspace so lane kernels are allocation-free in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct LaneScratch<M> {
-    /// Strided-row gather buffer of the scalar fallback (capacity = degree).
+    /// Row gather buffer `λ` of the scalar fallback, the row-serial
+    /// reference and the flooding schedule (capacity = degree).
     pub(crate) row_in: Vec<M>,
-    /// Row output buffer of the scalar fallback (capacity = degree).
+    /// Row output buffer `Λ′` of the same three (capacity = degree).
     pub(crate) row_out: Vec<M>,
     /// Lane workspace of the vector kernels (capacity ≥ `lane_factor · z`,
     /// see [`LaneScratch::reserve`]).

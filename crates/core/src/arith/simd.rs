@@ -11,10 +11,10 @@
 //! * **AVX2** — 16-lane `epi16` vectors. When a correction table's dense
 //!   form fits in 16 bytes (the paper's Q6.2/3-bit tables have 9 entries)
 //!   the LUT fetch is one `vpshufb` ([`_mm256_shuffle_epi8`]) per vector,
-//!   so the whole ⊞/⊟ operator *fuses* into a single register-resident
-//!   pass ([`boxplus_panel`] / [`boxminus_panel`]): magnitude split, both
-//!   table lookups and the sign/saturate combine with no round-trips
-//!   through the `LaneScratch` panels. Channel quantisation
+//!   so the whole ⊞ operator *fuses* into a single register-resident
+//!   pass ([`boxplus_panel`]): magnitude split, both table lookups and the
+//!   sign/saturate combine with no round-trips through the `LaneScratch`
+//!   panels. Channel quantisation
 //!   ([`quantize_codes`]) runs four `f64` lanes at a time.
 //!   The argmin-excluded check-node update fuses the same way: one pass per
 //!   slot updates the running total `S`, the argmin-excluded sum `S'`, the
@@ -169,35 +169,6 @@ pub fn detected_level() -> SimdLevel {
     })
 }
 
-/// Whether a raw `LDPC_FORCE_SCALAR` value requests the scalar fallback.
-///
-/// Unset and the usual falsey spellings (`0`, `false`, `no`, `off`, empty —
-/// trimmed, case-insensitive) leave SIMD dispatch on; the truthy spellings
-/// (`1`, `true`, `yes`, `on`) force scalar. Any other value is diagnosed on
-/// stderr once per process and treated as *forcing scalar* — the user
-/// clearly asked for the fallback, and degrading performance is the safe
-/// way to honour a garbled request.
-fn force_scalar(raw: Option<&str>) -> bool {
-    static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-    let Some(raw) = raw else {
-        return false;
-    };
-    let v = raw.trim().to_ascii_lowercase();
-    match v.as_str() {
-        "" | "0" | "false" | "no" | "off" => false,
-        "1" | "true" | "yes" | "on" => true,
-        _ => {
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "ldpc-core: unrecognised LDPC_FORCE_SCALAR={raw:?} (expected 0/1); \
-                     treating it as set and forcing the scalar kernel tier"
-                );
-            });
-            true
-        }
-    }
-}
-
 /// The kernel tier the decode engine dispatches to: [`detected_level`]
 /// unless the `LDPC_FORCE_SCALAR` environment variable pins the scalar
 /// fallback. Read once per process and cached — changing the variable after
@@ -206,7 +177,7 @@ fn force_scalar(raw: Option<&str>) -> bool {
 pub fn active_level() -> SimdLevel {
     static ACTIVE: OnceLock<SimdLevel> = OnceLock::new();
     *ACTIVE.get_or_init(|| {
-        if force_scalar(std::env::var("LDPC_FORCE_SCALAR").ok().as_deref()) {
+        if crate::env::flag("LDPC_FORCE_SCALAR") {
             SimdLevel::Scalar
         } else {
             detected_level()
@@ -488,31 +459,6 @@ pub(crate) mod scalar {
     ) {
         for ((&a, &b), o) in a.iter().zip(b).zip(out.iter_mut()) {
             *o = box_lane::<false>(max_code, a, b, |x| shuffle_lane(table, x));
-        }
-    }
-
-    /// In-place fused shuffle-table ⊞ (`acc = acc ⊞ b`).
-    pub(crate) fn boxplus_assign_shuffle(
-        table: &[u8; 16],
-        max_code: i16,
-        acc: &mut [i16],
-        b: &[i16],
-    ) {
-        for (acc, &b) in acc.iter_mut().zip(b) {
-            *acc = box_lane::<false>(max_code, *acc, b, |x| shuffle_lane(table, x));
-        }
-    }
-
-    /// Fused shuffle-table ⊟ over a panel.
-    pub(crate) fn boxminus_shuffle(
-        table: &[u8; 16],
-        max_code: i16,
-        a: &[i16],
-        b: &[i16],
-        out: &mut [i16],
-    ) {
-        for ((&a, &b), o) in a.iter().zip(b).zip(out.iter_mut()) {
-            *o = box_lane::<true>(max_code, a, b, |x| shuffle_lane(table, x));
         }
     }
 
@@ -1005,60 +951,6 @@ macro_rules! x86_panel_kernels {
                 let (t, vmax) = (load_table(table), $set1(max_code));
                 // SAFETY (all accesses): every offset is ≤ n − WIDTH.
                 let op = |i| box_core::<false>(t, vmax, ld(a, i), ld(b, i));
-                let tail = op(n - WIDTH);
-                let mut i = 0;
-                while i + WIDTH <= n {
-                    st(out, i, op(i));
-                    i += WIDTH;
-                }
-                st(out, n - WIDTH, tail);
-            }
-
-            /// # Safety
-            /// The CPU must support the module's target feature.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn boxplus_assign_shuffle(
-                table: &[u8; 16],
-                max_code: i16,
-                acc: &mut [i16],
-                b: &[i16],
-            ) {
-                assert_same_len!(acc, b);
-                let n = acc.len();
-                if n < WIDTH {
-                    return scalar::boxplus_assign_shuffle(table, max_code, acc, b);
-                }
-                let (t, vmax) = (load_table(table), $set1(max_code));
-                // SAFETY (all accesses): every offset is ≤ n − WIDTH; each
-                // span of `acc` is loaded before it is stored.
-                let tail = box_core::<false>(t, vmax, ld(acc, n - WIDTH), ld(b, n - WIDTH));
-                let mut i = 0;
-                while i + WIDTH <= n {
-                    let r = box_core::<false>(t, vmax, ld(acc, i), ld(b, i));
-                    st(acc, i, r);
-                    i += WIDTH;
-                }
-                st(acc, n - WIDTH, tail);
-            }
-
-            /// # Safety
-            /// The CPU must support the module's target feature.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn boxminus_shuffle(
-                table: &[u8; 16],
-                max_code: i16,
-                a: &[i16],
-                b: &[i16],
-                out: &mut [i16],
-            ) {
-                assert_same_len!(a, b, out);
-                let n = a.len();
-                if n < WIDTH {
-                    return scalar::boxminus_shuffle(table, max_code, a, b, out);
-                }
-                let (t, vmax) = (load_table(table), $set1(max_code));
-                // SAFETY (all accesses): every offset is ≤ n − WIDTH.
-                let op = |i| box_core::<true>(t, vmax, ld(a, i), ld(b, i));
                 let tail = op(n - WIDTH);
                 let mut i = 0;
                 while i + WIDTH <= n {
@@ -1747,8 +1639,8 @@ pub(crate) fn lut_shuffle_map(level: SimdLevel, table: &[u8; 16], xs: &mut [i16]
     dispatch!(level, lut_shuffle_map(table, xs))
 }
 
-/// The shuffle table [`boxplus_panel`]/[`boxminus_panel`] fuse through at
-/// this level: `Some` on a SIMD tier when the table fits one `pshufb`.
+/// The shuffle table the fused panels ([`boxplus_panel`] and the
+/// argmin-tracking pair) run through at this level: `Some` on a SIMD tier when the table fits one `pshufb`.
 fn fused_table(level: SimdLevel, lut: &CorrectionLut) -> Option<&[u8; 16]> {
     lut.shuffle_table()
         .filter(|_| level.effective() > SimdLevel::Scalar)
@@ -1789,7 +1681,10 @@ pub fn boxplus_panel(
 }
 
 /// One full in-place ⊞ accumulator step over a panel: `acc = acc ⊞ b`.
-/// Same tiering as [`boxplus_panel`].
+/// Always the three passes through `mins`/`sums`/`diffs`, with only the
+/// LUT lookup tiered: its one caller, the bare-⊟ ablation mode
+/// ([`CheckNodeMode::SumExtract`](crate::arith::CheckNodeMode::SumExtract)),
+/// is not a hot path.
 ///
 /// # Panics
 ///
@@ -1804,21 +1699,14 @@ pub fn boxplus_assign_panel(
     sums: &mut [i16],
     diffs: &mut [i16],
 ) {
-    match fused_table(level, lut) {
-        Some(table) => {
-            dispatch!(level, boxplus_assign_shuffle(table, max_code, acc, b))
-        }
-        _ => {
-            scalar::magnitude_split(max_code, acc, b, mins, sums, diffs);
-            lut.map_slice_with(level, sums);
-            lut.map_slice_with(level, diffs);
-            scalar::combine_plus_assign(max_code, acc, b, mins, sums, diffs);
-        }
-    }
+    scalar::magnitude_split(max_code, acc, b, mins, sums, diffs);
+    lut.map_slice_with(level, sums);
+    lut.map_slice_with(level, diffs);
+    scalar::combine_plus_assign(max_code, acc, b, mins, sums, diffs);
 }
 
 /// One full ⊟ step over a panel: `out = a ⊟ b` with `lut`'s corrections.
-/// Same tiering as [`boxplus_panel`].
+/// Same three passes as [`boxplus_assign_panel`], for the same reason.
 ///
 /// # Panics
 ///
@@ -1834,17 +1722,10 @@ pub fn boxminus_panel(
     sums: &mut [i16],
     diffs: &mut [i16],
 ) {
-    match fused_table(level, lut) {
-        Some(table) => {
-            dispatch!(level, boxminus_shuffle(table, max_code, a, b, out))
-        }
-        _ => {
-            scalar::magnitude_split(max_code, a, b, mins, sums, diffs);
-            lut.map_slice_with(level, sums);
-            lut.map_slice_with(level, diffs);
-            scalar::combine_minus(max_code, a, b, mins, sums, diffs, out);
-        }
-    }
+    scalar::magnitude_split(max_code, a, b, mins, sums, diffs);
+    lut.map_slice_with(level, sums);
+    lut.map_slice_with(level, diffs);
+    scalar::combine_minus(max_code, a, b, mins, sums, diffs, out);
 }
 
 /// One slot of the argmin-tracking ⊞ recursion over a panel. Per lane,
@@ -2113,20 +1994,6 @@ mod tests {
     use crate::lut::CorrectionKind;
 
     #[test]
-    fn force_scalar_parses_like_a_boolean_knob() {
-        assert!(!force_scalar(None));
-        for falsey in ["", "0", "false", "no", "off", " 0 ", "FALSE"] {
-            assert!(!force_scalar(Some(falsey)), "{falsey:?}");
-        }
-        for truthy in ["1", "true", "yes", "on", " 1\n", "TRUE"] {
-            assert!(force_scalar(Some(truthy)), "{truthy:?}");
-        }
-        // Garbled values force the fallback (and diagnose once on stderr).
-        assert!(force_scalar(Some("maybe")));
-        assert!(force_scalar(Some("2")));
-    }
-
-    #[test]
     fn effective_never_exceeds_detected_and_is_idempotent() {
         let det = detected_level();
         for lvl in [SimdLevel::Scalar, SimdLevel::Sse41, SimdLevel::Avx2] {
@@ -2219,7 +2086,10 @@ mod tests {
                 assert_eq!(o1, o2, "boxminus_panel {level:?} n={n}");
                 acc1.copy_from_slice(&a);
                 acc2.copy_from_slice(&a);
-                scalar::boxplus_assign_shuffle(table, max_code, &mut acc1, &b);
+                scalar::magnitude_split(max_code, &acc1, &b, &mut m1, &mut s1, &mut d1);
+                scalar::lut_map_dense(lut.dense_table(), &mut s1);
+                scalar::lut_map_dense(lut.dense_table(), &mut d1);
+                scalar::combine_plus_assign(max_code, &mut acc1, &b, &m1, &s1, &d1);
                 boxplus_assign_panel(
                     level,
                     &lut,

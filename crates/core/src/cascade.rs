@@ -2,8 +2,9 @@
 //!
 //! At realistic operating SNRs most frames are easy — a few Min-Sum
 //! iterations decode them — and only a tail needs the heavier fixed-BP (or
-//! float-BP) machinery. A [`CascadeDecoder`] runs a configurable stage
-//! ladder over every frame-major group the batch engine hands it:
+//! float-BP) machinery. A [`CascadeDecoder`] runs a stage ladder, set by
+//! its per-stage iteration budgets ([`CascadeConfig`]), over every
+//! frame-major group the batch engine hands it:
 //!
 //! ```text
 //!   stage 1: fixed Min-Sum, small fixed budget      (all frames)
@@ -15,11 +16,9 @@
 //!   stage 3: float BP (optional last resort)        (survivors only)
 //! ```
 //!
-//! Stage 1 decodes the whole group; frames whose hard decisions satisfy
-//! every parity check keep their Min-Sum output (converged frames compact
-//! out of the group exactly as in per-frame early termination — stage 1
-//! *is* [`LayeredDecoder`] with the stage-1 config, so enabling early
-//! termination there compacts mid-stage too). Only the surviving failures
+//! Stage 1 decodes the whole group (it *is* [`LayeredDecoder`] with a fixed
+//! iteration budget); frames whose hard decisions satisfy every parity
+//! check keep their Min-Sum output. Only the surviving failures
 //! re-enter stage 2 as a fresh, narrower group, re-ingesting **the same
 //! quantized LLRs** stage 1 decoded: the handoff values are
 //! `dequantize(quantize(llr))`, which round-trip to the identical quantized
@@ -58,50 +57,38 @@ use crate::pool::WorkspacePool;
 use crate::result::DecodeOutput;
 use crate::workspace::DecodeWorkspace;
 
-/// Per-stage configurations of a [`CascadeDecoder`] ladder.
-///
-/// Each stage is a full [`DecoderConfig`], so iteration budgets, early
-/// termination and layer order are all tunable per stage. The default
-/// ladder is fixed Min-Sum (4 iterations, no convergence scan) → fixed
-/// forward/backward BP (the defaults: 10 iterations with early
-/// termination), with no float stage.
-#[derive(Debug, Clone, PartialEq)]
+/// Per-stage iteration budgets of a [`CascadeDecoder`] ladder — its only
+/// settings. The stage shapes are fixed (see [`CascadeDecoder::new`]); the
+/// default ladder is fixed Min-Sum for 4 iterations (no convergence scan) →
+/// fixed forward/backward BP for up to 10 iterations with early
+/// termination, with no float stage. Budgets below 1 run as 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CascadeConfig {
-    /// Stage 1: the cheap fixed Min-Sum pass every frame takes.
-    pub min_sum: DecoderConfig,
-    /// Stage 2: the fixed forward/backward-BP pass for stage-1 failures.
-    pub fixed_bp: DecoderConfig,
-    /// Optional stage 3: a float-BP last resort for stage-2 failures.
-    pub float_bp: Option<DecoderConfig>,
+    /// Stage-1 fixed Min-Sum iteration budget, run without a convergence
+    /// scan: the syndrome check decides escalation.
+    pub min_sum_iterations: usize,
+    /// Stage-2 fixed-BP iteration ceiling (early termination enabled).
+    pub fixed_bp_iterations: usize,
+    /// Iteration ceiling of the optional float-BP last resort; `None` ends
+    /// the ladder at stage 2.
+    pub float_bp_iterations: Option<usize>,
 }
 
 impl Default for CascadeConfig {
     fn default() -> Self {
         CascadeConfig {
-            min_sum: DecoderConfig::fixed_iterations(4),
-            fixed_bp: DecoderConfig::default(),
-            float_bp: None,
+            min_sum_iterations: 4,
+            fixed_bp_iterations: 10,
+            float_bp_iterations: None,
         }
     }
 }
 
 impl CascadeConfig {
-    /// A ladder with the default stage shapes but explicit per-stage
-    /// iteration budgets (stage 3 present only when `float_bp` is `Some`).
-    /// Budgets are clamped to at least one iteration.
+    /// A [`CascadeDecoder`] running this ladder.
     #[must_use]
-    pub fn with_budgets(min_sum: usize, fixed_bp: usize, float_bp: Option<usize>) -> Self {
-        CascadeConfig {
-            min_sum: DecoderConfig::fixed_iterations(min_sum.max(1)),
-            fixed_bp: DecoderConfig {
-                max_iterations: fixed_bp.max(1),
-                ..DecoderConfig::default()
-            },
-            float_bp: float_bp.map(|iters| DecoderConfig {
-                max_iterations: iters.max(1),
-                ..DecoderConfig::default()
-            }),
-        }
+    pub fn decoder(&self) -> CascadeDecoder {
+        CascadeDecoder::new(*self)
     }
 }
 
@@ -161,7 +148,7 @@ impl CascadeCounters {
 /// The SNR-adaptive stage-ladder decoder (see the module docs).
 ///
 /// Implements [`Decoder`] with the stage-1 Min-Sum arithmetic as its
-/// nominal back-end: both fixed-point stages share one `i32` workspace
+/// nominal back-end: both fixed-point stages share one `i16` workspace
 /// (and workspace pool), while the optional float stage checks its `f64`
 /// workspace out of its own pool only when a frame actually reaches it.
 /// Clones share stage workspace pools *and* counters;
@@ -169,7 +156,6 @@ impl CascadeCounters {
 /// per-shard accounting.
 #[derive(Debug, Clone)]
 pub struct CascadeDecoder {
-    config: CascadeConfig,
     stage1: LayeredDecoder<FixedMinSumArithmetic>,
     stage2: LayeredDecoder<FixedBpArithmetic>,
     /// Stage 2 with half the iteration budget, pre-built so the effort
@@ -188,49 +174,44 @@ pub struct CascadeDecoder {
 }
 
 impl CascadeDecoder {
-    /// Builds the ladder from per-stage configurations. Stage 1 runs
-    /// [`FixedMinSumArithmetic`], stage 2
+    /// Builds the ladder from its budgets (each clamped to at least one
+    /// iteration). Stage 1 runs [`FixedMinSumArithmetic`] with
+    /// [`DecoderConfig::fixed_iterations`]; stage 2
     /// [`FixedBpArithmetic::forward_backward`] (the mode whose waterfall
-    /// tracks the float reference), stage 3 — when configured —
-    /// [`FloatBpArithmetic`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::InvalidConfig`] if any stage configuration is
-    /// invalid (e.g. a zero iteration budget).
-    pub fn new(config: CascadeConfig) -> Result<Self, DecodeError> {
-        let stage1 = LayeredDecoder::new(FixedMinSumArithmetic::default(), config.min_sum.clone())?;
-        let stage2 = LayeredDecoder::new(
-            FixedBpArithmetic::forward_backward(),
-            config.fixed_bp.clone(),
-        )?;
-        let degraded_stage2 = LayeredDecoder::new(
-            FixedBpArithmetic::forward_backward(),
-            DecoderConfig {
-                max_iterations: (config.fixed_bp.max_iterations / 2).max(1),
-                ..config.fixed_bp.clone()
-            },
-        )?;
-        let stage3 = config
-            .float_bp
-            .as_ref()
-            .map(|cfg| LayeredDecoder::new(FloatBpArithmetic::default(), cfg.clone()))
-            .transpose()?;
-        Ok(CascadeDecoder {
-            config,
-            stage1,
-            stage2,
-            degraded_stage2,
-            stage3,
+    /// tracks the float reference) and stage 3, when configured,
+    /// [`FloatBpArithmetic`] both run [`DecoderConfig::default`] with their
+    /// budget. The degraded stage 2 runs half the stage-2 budget.
+    #[must_use]
+    pub fn new(config: CascadeConfig) -> Self {
+        /// One stage: `shape` with a budget of `iterations`, clamped to at
+        /// least one (the only place cascade budgets are clamped).
+        fn stage<A: DecoderArithmetic>(
+            arith: A,
+            shape: DecoderConfig,
+            iterations: usize,
+        ) -> LayeredDecoder<A> {
+            let config = DecoderConfig {
+                max_iterations: iterations.max(1),
+                ..shape
+            };
+            LayeredDecoder::new(arith, config).expect("a clamped budget is valid")
+        }
+        let fixed_bp = FixedBpArithmetic::forward_backward;
+        let bp = DecoderConfig::default();
+        CascadeDecoder {
+            stage1: stage(
+                FixedMinSumArithmetic::default(),
+                DecoderConfig::fixed_iterations(1),
+                config.min_sum_iterations,
+            ),
+            stage2: stage(fixed_bp(), bp, config.fixed_bp_iterations),
+            degraded_stage2: stage(fixed_bp(), bp, config.fixed_bp_iterations / 2),
+            stage3: config
+                .float_bp_iterations
+                .map(|iterations| stage(FloatBpArithmetic::default(), bp, iterations)),
             counters: Arc::new(CascadeCounters::default()),
             effort: Arc::new(AtomicU8::new(0)),
-        })
-    }
-
-    /// The ladder configuration.
-    #[must_use]
-    pub fn cascade_config(&self) -> &CascadeConfig {
-        &self.config
+        }
     }
 
     /// The stage-1 Min-Sum decoder (the ladder's cheap front).
@@ -350,7 +331,7 @@ struct EscalationScratch<'a> {
 
 impl Default for CascadeDecoder {
     fn default() -> Self {
-        CascadeDecoder::new(CascadeConfig::default()).expect("default cascade config is valid")
+        CascadeConfig::default().decoder()
     }
 }
 
@@ -494,25 +475,37 @@ mod tests {
             .collect()
     }
 
+    /// A ladder with the given budgets.
+    fn ladder(min_sum: usize, fixed_bp: usize, float_bp: Option<usize>) -> CascadeDecoder {
+        CascadeConfig {
+            min_sum_iterations: min_sum,
+            fixed_bp_iterations: fixed_bp,
+            float_bp_iterations: float_bp,
+        }
+        .decoder()
+    }
+
     #[test]
     fn default_ladder_shape() {
         let cascade = CascadeDecoder::default();
-        assert_eq!(cascade.cascade_config().min_sum.max_iterations, 4);
-        assert!(cascade.cascade_config().min_sum.early_termination.is_none());
-        assert_eq!(cascade.cascade_config().fixed_bp.max_iterations, 10);
-        assert!(cascade.cascade_config().float_bp.is_none());
+        let stage1 = cascade.stage1().config();
+        assert_eq!(stage1.max_iterations, 4);
+        assert!(stage1.early_termination.is_none());
+        let stage2 = cascade.stage2().config();
+        assert_eq!(stage2.max_iterations, 10);
+        assert!(stage2.early_termination.is_some());
         assert!(cascade.stage3().is_none());
         assert_eq!(cascade.schedule_name(), "cascade");
     }
 
     #[test]
-    fn with_budgets_clamps_and_builds_stage3() {
-        let config = CascadeConfig::with_budgets(0, 0, Some(0));
-        assert_eq!(config.min_sum.max_iterations, 1);
-        assert_eq!(config.fixed_bp.max_iterations, 1);
-        assert_eq!(config.float_bp.as_ref().unwrap().max_iterations, 1);
-        let cascade = CascadeDecoder::new(config).unwrap();
-        assert!(cascade.stage3().is_some());
+    fn budgets_clamp_to_one_and_build_stage3() {
+        let cascade = ladder(0, 0, Some(0));
+        assert_eq!(cascade.stage1().config().max_iterations, 1);
+        assert_eq!(cascade.stage2().config().max_iterations, 1);
+        assert_eq!(cascade.degraded_stage2.config().max_iterations, 1);
+        let stage3 = cascade.stage3().expect("float stage configured");
+        assert_eq!(stage3.config().max_iterations, 1);
     }
 
     #[test]
@@ -536,7 +529,7 @@ mod tests {
         // syndrome, forcing escalation; a one-iteration stage 2 fails too,
         // reaching the float stage.
         let compiled = compiled();
-        let cascade = CascadeDecoder::new(CascadeConfig::with_budgets(1, 1, Some(1))).unwrap();
+        let cascade = ladder(1, 1, Some(1));
         let llrs = noisy_llrs(3, compiled.n(), 7);
         let outs = cascade
             .decode_batch(&compiled, LlrBatch::new(&llrs, compiled.n()).unwrap())
@@ -555,14 +548,12 @@ mod tests {
     fn converged_frames_match_plain_min_sum_and_escalated_match_fixed_bp() {
         let compiled = compiled();
         let cascade = CascadeDecoder::default();
-        let min_sum = LayeredDecoder::new(
-            FixedMinSumArithmetic::default(),
-            cascade.cascade_config().min_sum.clone(),
-        )
-        .unwrap();
+        let min_sum =
+            LayeredDecoder::new(FixedMinSumArithmetic::default(), *cascade.stage1().config())
+                .unwrap();
         let fixed_bp = LayeredDecoder::new(
             FixedBpArithmetic::forward_backward(),
-            cascade.cascade_config().fixed_bp.clone(),
+            *cascade.stage2().config(),
         )
         .unwrap();
 
@@ -662,7 +653,7 @@ mod tests {
     #[test]
     fn steady_state_cascade_reuses_buffers() {
         let compiled = compiled();
-        let cascade = CascadeDecoder::new(CascadeConfig::with_budgets(1, 2, None)).unwrap();
+        let cascade = ladder(1, 2, None);
         let mut ws = cascade.workspace_for(&compiled);
         let frames = 3;
         let llrs = noisy_llrs(frames, compiled.n(), 7);
@@ -685,7 +676,7 @@ mod tests {
     #[test]
     fn effort_ladder_skips_stage3_then_halves_stage2() {
         let compiled = compiled();
-        let cascade = CascadeDecoder::new(CascadeConfig::with_budgets(1, 8, Some(2))).unwrap();
+        let cascade = ladder(1, 8, Some(2));
         assert_eq!(cascade.effort_level(), 0);
         assert!(cascade.set_effort_level(1));
         assert_eq!(cascade.effort_level(), 1);
@@ -710,7 +701,7 @@ mod tests {
             FixedBpArithmetic::forward_backward(),
             DecoderConfig {
                 max_iterations: 4,
-                ..cascade.cascade_config().fixed_bp.clone()
+                ..*cascade.stage2().config()
             },
         )
         .unwrap();

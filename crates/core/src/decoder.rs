@@ -42,7 +42,7 @@
 
 use ldpc_codes::{CompiledCode, QcCode};
 
-use crate::arith::{DecoderArithmetic, LaneKernel};
+use crate::arith::{DecoderArithmetic, LaneKernel, LaneScratch};
 use crate::early_term::{check_frames, message_threshold, EarlyTermination};
 use crate::engine::Decoder;
 use crate::error::DecodeError;
@@ -52,7 +52,7 @@ use crate::schedule::LayerOrderPolicy;
 use crate::workspace::DecodeWorkspace;
 
 /// Decoder configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecoderConfig {
     /// Maximum number of full iterations `I` (the paper uses 10).
     pub max_iterations: usize,
@@ -90,69 +90,13 @@ impl DecoderConfig {
         }
     }
 
-    fn validate(&self) -> Result<(), DecodeError> {
+    pub(crate) fn validate(&self) -> Result<(), DecodeError> {
         if self.max_iterations == 0 {
             return Err(DecodeError::InvalidConfig {
                 reason: "max_iterations must be at least 1".to_string(),
             });
         }
-        if let LayerOrderPolicy::Custom(order) = &self.layer_order {
-            // Self-consistency is checkable without a code (the length match
-            // against the code's layer count happens at decode time).
-            let mut seen = vec![false; order.len()];
-            for &l in order {
-                if l >= order.len() || seen[l] {
-                    return Err(DecodeError::InvalidConfig {
-                        reason: format!(
-                            "custom layer order {order:?} is not a permutation of 0..{}",
-                            order.len()
-                        ),
-                    });
-                }
-                seen[l] = true;
-            }
-        }
         Ok(())
-    }
-}
-
-/// The configured layer visit order, resolved against one compiled code
-/// without allocating: natural is implicit, the shuffled order is precompiled
-/// into the schedule, custom was permutation-checked at construction and only
-/// needs the cheap length match against this code.
-enum ResolvedOrder<'a> {
-    Natural,
-    Stall(&'a [u32]),
-    Custom(&'a [usize]),
-}
-
-impl<'a> ResolvedOrder<'a> {
-    fn new(config: &'a DecoderConfig, compiled: &'a CompiledCode, num_layers: usize) -> Self {
-        match &config.layer_order {
-            LayerOrderPolicy::StallMinimizing => {
-                ResolvedOrder::Stall(compiled.stall_minimizing_order())
-            }
-            LayerOrderPolicy::Custom(order) => {
-                assert_eq!(
-                    order.len(),
-                    num_layers,
-                    "custom order must cover every layer"
-                );
-                #[cfg(debug_assertions)]
-                crate::engine::validate_custom_order(order, num_layers);
-                ResolvedOrder::Custom(order.as_slice())
-            }
-            LayerOrderPolicy::Natural => ResolvedOrder::Natural,
-        }
-    }
-
-    #[inline]
-    fn layer(&self, li: usize) -> usize {
-        match self {
-            ResolvedOrder::Natural => li,
-            ResolvedOrder::Stall(order) => order[li] as usize,
-            ResolvedOrder::Custom(order) => order[li],
-        }
     }
 }
 
@@ -209,19 +153,22 @@ fn row_layer_update<A: DecoderArithmetic>(
     let z = compiled.z();
     let col_index = compiled.col_index();
     let entries = compiled.layer_entries(layer);
+    let LaneScratch {
+        row_in, row_out, ..
+    } = &mut ws.lane_scratch;
     for r in 0..z {
-        ws.row_in.clear();
+        row_in.clear();
         for e in entries {
             let edge = e.edge_base as usize + r;
             let col = col_index[edge] as usize;
-            ws.row_in.push(arith.sub(ws.app[col], ws.lambda[edge]));
+            row_in.push(arith.sub(ws.app[col], ws.lambda[edge]));
         }
-        arith.check_node_update(&ws.row_in, &mut ws.row_out);
+        arith.check_node_update(row_in, row_out);
         for (slot, e) in entries.iter().enumerate() {
             let edge = e.edge_base as usize + r;
             let col = col_index[edge] as usize;
-            ws.lambda[edge] = ws.row_out[slot];
-            ws.app[col] = arith.add(ws.row_in[slot], ws.row_out[slot]);
+            ws.lambda[edge] = row_out[slot];
+            ws.app[col] = arith.add(row_in[slot], row_out[slot]);
         }
     }
 }
@@ -326,7 +273,12 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
         let n = compiled.n();
         let num_layers = compiled.block_rows();
         let info_len = compiled.info_bits();
-        let order = ResolvedOrder::new(&self.config, compiled, num_layers);
+        // The configured layer visit order: natural, or the stall-minimizing
+        // shuffle precompiled into the schedule.
+        let stall_order = match self.config.layer_order {
+            LayerOrderPolicy::Natural => None,
+            LayerOrderPolicy::StallMinimizing => Some(compiled.stall_minimizing_order()),
+        };
 
         // L ← channel, Λ ← 0, frame-innermost (Algorithm 1 initialisation,
         // interleaved: app[col · width + f]). Each frame is quantised in one
@@ -344,7 +296,8 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
         let mut iterations = 0usize;
         loop {
             for li in 0..num_layers {
-                layer_update(arith, compiled, order.layer(li), width, ws);
+                let layer = stall_order.map_or(li, |order| order[li] as usize);
+                layer_update(arith, compiled, layer, width, ws);
             }
             iterations += 1;
             let last = iterations == self.config.max_iterations;
@@ -688,11 +641,7 @@ mod tests {
         let frame = source.next_frame();
         let channel = AwgnChannel::from_ebn0_db(3.0, code.rate());
         let llrs = channel.transmit(&frame.codeword, source.noise_rng());
-        for order in [
-            LayerOrderPolicy::Natural,
-            LayerOrderPolicy::StallMinimizing,
-            LayerOrderPolicy::Custom((0..code.block_rows()).rev().collect()),
-        ] {
+        for order in [LayerOrderPolicy::Natural, LayerOrderPolicy::StallMinimizing] {
             let config = DecoderConfig {
                 layer_order: order,
                 ..DecoderConfig::default()
@@ -705,30 +654,6 @@ mod tests {
                 "decoding should succeed regardless of layer order"
             );
         }
-    }
-
-    #[test]
-    fn custom_order_with_duplicates_is_rejected_at_construction() {
-        let config = DecoderConfig {
-            layer_order: LayerOrderPolicy::Custom(vec![0, 0, 2]),
-            ..DecoderConfig::default()
-        };
-        assert!(matches!(
-            LayeredDecoder::new(FloatBpArithmetic::default(), config),
-            Err(DecodeError::InvalidConfig { .. })
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "cover every layer")]
-    fn custom_order_of_wrong_length_panics_at_decode() {
-        let code = small_code();
-        let config = DecoderConfig {
-            layer_order: LayerOrderPolicy::Custom(vec![2, 0, 1]),
-            ..DecoderConfig::default()
-        };
-        let decoder = LayeredDecoder::new(FloatBpArithmetic::default(), config).unwrap();
-        let _ = decoder.decode(&code, &vec![1.0; code.n()]);
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use ldpc_codes::{CompiledCode, QcCode};
 
@@ -60,25 +60,6 @@ use crate::pool::WorkspacePool;
 use crate::result::{DecodeOutput, DecodeStats};
 use crate::threadpool::DecodePool;
 use crate::workspace::DecodeWorkspace;
-
-/// Panics unless `order` is a permutation of `0..num_layers` (the same
-/// contract [`crate::schedule::LayerOrderPolicy::resolve`] enforces).
-/// Debug-build backstop: `DecoderConfig::validate` already rejects
-/// non-permutations at construction.
-#[cfg(debug_assertions)]
-pub(crate) fn validate_custom_order(order: &[usize], num_layers: usize) {
-    assert_eq!(
-        order.len(),
-        num_layers,
-        "custom order must cover every layer"
-    );
-    for (i, &l) in order.iter().enumerate() {
-        assert!(
-            l < num_layers && !order[..i].contains(&l),
-            "order must be a permutation"
-        );
-    }
-}
 
 /// Checks that `llrs` holds exactly one frame of `compiled`.
 pub(crate) fn check_frame_len(compiled: &CompiledCode, llrs: &[f64]) -> Result<(), DecodeError> {
@@ -211,36 +192,6 @@ impl<'a> LlrBatch<'a> {
     }
 }
 
-/// Parses an `LDPC_DECODE_THREADS` override. `None` (with a diagnostic on
-/// stderr, once per process) for anything that is not a positive integer, so
-/// a malformed value falls back to the machine's parallelism instead of being
-/// silently misread as some other worker count.
-fn thread_override(raw: Option<&str>) -> Option<usize> {
-    static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-    let raw = raw?;
-    match raw.trim().parse::<usize>() {
-        Ok(t) if t > 0 => Some(t),
-        Ok(_) => {
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "ldpc-core: LDPC_DECODE_THREADS=0 is invalid (need a positive worker \
-                     count); falling back to available parallelism"
-                );
-            });
-            None
-        }
-        Err(e) => {
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "ldpc-core: ignoring unparseable LDPC_DECODE_THREADS={raw:?} ({e}); \
-                     falling back to available parallelism"
-                );
-            });
-            None
-        }
-    }
-}
-
 /// The kernel tier every decode in this process dispatches to
 /// (`"avx2"` / `"sse4.1"` / `"scalar"`): the best level the CPU supports,
 /// unless `LDPC_FORCE_SCALAR` pinned the fallback. CI headers and bench
@@ -254,15 +205,13 @@ pub fn kernel_tier() -> &'static str {
 ///
 /// A valid `LDPC_DECODE_THREADS` (a positive integer, surrounding whitespace
 /// allowed) wins; a malformed or zero value is diagnosed on stderr and
-/// ignored. Otherwise the machine's available parallelism. Never more threads
-/// than frames, never zero.
+/// ignored. Otherwise the machine's available parallelism. Read once per
+/// process. Never more threads than frames, never zero.
 #[must_use]
 pub fn batch_threads(frames: usize) -> usize {
-    let raw = std::env::var("LDPC_DECODE_THREADS").ok();
-    let hw = thread_override(raw.as_deref()).unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    let hw = *THREADS.get_or_init(|| {
+        crate::env::count("LDPC_DECODE_THREADS").unwrap_or_else(crate::threadpool::detected_cores)
     });
     hw.min(frames).max(1)
 }
@@ -692,21 +641,6 @@ mod tests {
         assert_eq!(batch_threads(0), 1);
         assert_eq!(batch_threads(1), 1);
         assert!(batch_threads(1024) >= 1);
-    }
-
-    #[test]
-    fn thread_override_accepts_positive_integers_only() {
-        assert_eq!(thread_override(None), None);
-        assert_eq!(thread_override(Some("4")), Some(4));
-        assert_eq!(thread_override(Some(" 12\n")), Some(12), "whitespace ok");
-        // Zero, negatives, garbage and overflow all fall back (with a
-        // diagnostic) instead of being silently misread.
-        assert_eq!(thread_override(Some("0")), None);
-        assert_eq!(thread_override(Some("-3")), None);
-        assert_eq!(thread_override(Some("")), None);
-        assert_eq!(thread_override(Some("four")), None);
-        assert_eq!(thread_override(Some("8 threads")), None);
-        assert_eq!(thread_override(Some("999999999999999999999999")), None);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use ldpc_codes::{CompiledCode, QcCode};
 
-use crate::arith::DecoderArithmetic;
+use crate::arith::{DecoderArithmetic, LaneScratch};
 use crate::decoder::{group_frame_stats, DecoderConfig};
 use crate::early_term::{check_frames, message_threshold};
 use crate::engine::Decoder;
@@ -42,11 +42,7 @@ impl<A: DecoderArithmetic> FloodingDecoder<A> {
     ///
     /// Returns [`DecodeError::InvalidConfig`] for nonsensical configurations.
     pub fn new(arith: A, config: DecoderConfig) -> Result<Self, DecodeError> {
-        if config.max_iterations == 0 {
-            return Err(DecodeError::InvalidConfig {
-                reason: "max_iterations must be at least 1".to_string(),
-            });
-        }
+        config.validate()?;
         Ok(FloodingDecoder {
             arith,
             config,
@@ -124,18 +120,21 @@ impl<A: DecoderArithmetic> FloodingDecoder<A> {
             // Phase 1: every check node uses the posteriors of the previous
             // iteration (extrinsic: subtract its own previous message). Every
             // edge of the alternate buffer is written before the swap.
+            let LaneScratch {
+                row_in, row_out, ..
+            } = &mut ws.lane_scratch;
             for l in 0..num_layers {
                 let entries = compiled.layer_entries(l);
                 for r in 0..z {
-                    ws.row_in.clear();
+                    row_in.clear();
                     for e in entries {
                         let edge = e.edge_base as usize + r;
                         let col = col_index[edge] as usize;
-                        ws.row_in.push(arith.sub(ws.app[col], ws.lambda[edge]));
+                        row_in.push(arith.sub(ws.app[col], ws.lambda[edge]));
                     }
-                    arith.check_node_update(&ws.row_in, &mut ws.row_out);
+                    arith.check_node_update(row_in, row_out);
                     for (slot, e) in entries.iter().enumerate() {
-                        ws.lambda_alt[e.edge_base as usize + r] = ws.row_out[slot];
+                        ws.lambda_alt[e.edge_base as usize + r] = row_out[slot];
                     }
                 }
             }
@@ -304,7 +303,7 @@ mod tests {
             max_iterations: 20,
             ..DecoderConfig::default()
         };
-        let layered = LayeredDecoder::new(FloatBpArithmetic::default(), cfg.clone()).unwrap();
+        let layered = LayeredDecoder::new(FloatBpArithmetic::default(), cfg).unwrap();
         let flooding = FloodingDecoder::new(FloatBpArithmetic::default(), cfg).unwrap();
         let channel = AwgnChannel::from_ebn0_db(2.5, code.rate());
         let mut source = FrameSource::random(&code, 77).unwrap();

@@ -45,58 +45,14 @@ pub const TARGET_PANEL_LANES: usize = 128;
 /// (`F ×` the single-frame footprint) and the repack cost per convergence.
 pub const MAX_GROUP_WIDTH: usize = 16;
 
-/// Parses an `LDPC_GROUP_WIDTH` override. `None` (with a diagnostic on
-/// stderr, once per process) for anything that is not a positive integer,
-/// mirroring the `LDPC_DECODE_THREADS` parsing — a malformed value falls
-/// back to the [`group_width_for`] heuristic instead of being silently
-/// misread.
-fn width_override(raw: Option<&str>) -> Option<usize> {
-    static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-    let raw = raw?;
-    match raw.trim().parse::<usize>() {
-        Ok(w) if w > 0 => Some(w),
-        Ok(_) => {
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "ldpc-core: LDPC_GROUP_WIDTH=0 is invalid (need a positive frame-group \
-                     width); falling back to the group-width heuristic"
-                );
-            });
-            None
-        }
-        Err(e) => {
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "ldpc-core: ignoring unparseable LDPC_GROUP_WIDTH={raw:?} ({e}); \
-                     falling back to the group-width heuristic"
-                );
-            });
-            None
-        }
-    }
-}
-
 /// The group width `F` the engine prefers for a code with lifting factor `z`:
 /// enough frames to bring the `z · F` panels up to [`TARGET_PANEL_LANES`],
 /// clamped to `1..=`[`MAX_GROUP_WIDTH`]. Large-`z` codes already fill the
 /// vectors and get small groups; `z = 24` WiFi/WiMAX modes get wide ones.
-///
-/// The `LDPC_GROUP_WIDTH` environment variable (a positive integer,
-/// surrounding whitespace allowed) overrides the heuristic for every mode —
-/// per-host tuning without a rebuild, since the cache-optimal `F` depends on
-/// the machine's cache sizes as much as on `z`. The override is used as
-/// given (not clamped to [`MAX_GROUP_WIDTH`]; the group buffers simply grow
-/// by that factor); a malformed or zero value is diagnosed on stderr once
-/// and ignored. Grouping only changes execution shape, never outputs, so
-/// the knob trades speed and memory only.
 #[must_use]
 pub fn group_width_for(z: usize) -> usize {
     if z == 0 {
         return 1;
-    }
-    let raw = std::env::var("LDPC_GROUP_WIDTH").ok();
-    if let Some(w) = width_override(raw.as_deref()) {
-        return w;
     }
     TARGET_PANEL_LANES.div_ceil(z).clamp(1, MAX_GROUP_WIDTH)
 }
@@ -146,23 +102,6 @@ pub(crate) fn extract_column<M: Copy>(buf: &[M], width: usize, col: usize, out: 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn width_override_accepts_positive_integers_only() {
-        assert_eq!(width_override(None), None);
-        assert_eq!(width_override(Some("4")), Some(4));
-        assert_eq!(width_override(Some(" 12\n")), Some(12), "whitespace ok");
-        // Not clamped: per-host tuning may exceed the heuristic cap.
-        assert_eq!(width_override(Some("64")), Some(64));
-        // Zero, negatives, garbage and overflow all fall back (with a
-        // diagnostic) instead of being silently misread.
-        assert_eq!(width_override(Some("0")), None);
-        assert_eq!(width_override(Some("-2")), None);
-        assert_eq!(width_override(Some("")), None);
-        assert_eq!(width_override(Some("six")), None);
-        assert_eq!(width_override(Some("8 frames")), None);
-        assert_eq!(width_override(Some("999999999999999999999999")), None);
-    }
 
     #[test]
     fn width_heuristic_fills_panels_and_clamps() {

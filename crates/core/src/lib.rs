@@ -75,6 +75,7 @@ pub mod combine;
 pub mod decoder;
 pub mod early_term;
 pub mod engine;
+mod env;
 pub mod error;
 pub mod fixedpoint;
 pub mod flooding;

@@ -76,13 +76,12 @@ fn home_stripe(stripes: usize) -> usize {
 /// Checkout prefers a pooled workspace already sized for the code and falls
 /// back to building a fresh one ([`DecodeWorkspace::for_code`]); check-in
 /// returns it for the next batch. Each shelf retains at most
-/// [`WorkspacePool::DEFAULT_MAX_POOLED`] workspaces (configurable via
-/// [`WorkspacePool::with_max_pooled`]): a caller that once ran a batch with
-/// many workers would otherwise pin that worst-case worker count in memory
-/// forever, for every mode it ever touched. Check-ins beyond the cap drop the
-/// workspace instead of shelving it (under concurrent check-ins the cap may
-/// transiently overshoot by the number of racing threads — it bounds growth,
-/// it is not an exact high-water mark).
+/// [`WorkspacePool::DEFAULT_MAX_POOLED`] workspaces: a caller that once ran
+/// a batch with many workers would otherwise pin that worst-case worker
+/// count in memory forever, for every mode it ever touched. Check-ins beyond
+/// the cap drop the workspace instead of shelving it (under concurrent
+/// check-ins the cap may transiently overshoot by the number of racing
+/// threads — it bounds growth, it is not an exact high-water mark).
 #[derive(Debug)]
 pub struct WorkspacePool<M> {
     shelves: RwLock<HashMap<CodeSpec, Arc<SpecShelf<M>>>>,
@@ -99,9 +98,8 @@ impl<M: Copy> Default for WorkspacePool<M> {
 }
 
 impl<M: Copy> WorkspacePool<M> {
-    /// Default cap on shelved workspaces per code spec. Matches a healthy
-    /// worker count for one shard; steady-state serving with more concurrent
-    /// workers can raise it with [`WorkspacePool::with_max_pooled`].
+    /// Cap on shelved workspaces per code spec. Matches a healthy worker
+    /// count for one shard.
     pub const DEFAULT_MAX_POOLED: usize = 8;
 
     /// An empty pool with the default per-spec retention cap and one stripe
@@ -115,15 +113,15 @@ impl<M: Copy> WorkspacePool<M> {
     /// (minimum 1, so check-in/checkout round trips always reuse), with the
     /// default stripe count.
     #[must_use]
-    pub fn with_max_pooled(max_pooled: usize) -> Self {
+    pub(crate) fn with_max_pooled(max_pooled: usize) -> Self {
         Self::with_shape(max_pooled, crate::threadpool::detected_cores().min(16))
     }
 
     /// An empty pool with an explicit retention cap *and* stripe count
-    /// (each floored at 1). Mostly for tests that want multi-stripe
-    /// behaviour regardless of the host's core count.
+    /// (each floored at 1). Tests use it for multi-stripe behaviour
+    /// regardless of the host's core count.
     #[must_use]
-    pub fn with_shape(max_pooled: usize, stripes: usize) -> Self {
+    pub(crate) fn with_shape(max_pooled: usize, stripes: usize) -> Self {
         WorkspacePool {
             shelves: RwLock::new(HashMap::new()),
             created: AtomicUsize::new(0),

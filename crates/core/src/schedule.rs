@@ -10,7 +10,7 @@
 use ldpc_codes::{LayerSchedule, QcCode};
 
 /// How the decoder orders layers within an iteration.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LayerOrderPolicy {
     /// Natural order `0, 1, …, j−1`.
     #[default]
@@ -18,31 +18,16 @@ pub enum LayerOrderPolicy {
     /// Greedy order minimizing the block-column overlap between consecutive
     /// layers (reduces pipeline stalls, §III-C).
     StallMinimizing,
-    /// A caller-supplied explicit order.
-    Custom(Vec<usize>),
 }
 
 impl LayerOrderPolicy {
     /// Resolves the policy into a concrete visit order for `code`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a custom order is not a permutation of `0..j`.
     #[must_use]
-    pub fn resolve(&self, code: &QcCode) -> Vec<usize> {
+    pub fn resolve(self, code: &QcCode) -> Vec<usize> {
         match self {
             LayerOrderPolicy::Natural => (0..code.block_rows()).collect(),
             LayerOrderPolicy::StallMinimizing => {
                 LayerSchedule::stall_minimizing(code).order().to_vec()
-            }
-            LayerOrderPolicy::Custom(order) => {
-                let schedule = LayerSchedule::from_order(order.clone());
-                assert_eq!(
-                    schedule.len(),
-                    code.block_rows(),
-                    "custom order must cover every layer"
-                );
-                schedule.order().to_vec()
             }
         }
     }
@@ -71,25 +56,6 @@ mod tests {
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..12).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn custom_order_is_used_verbatim() {
-        let custom: Vec<usize> = (0..12).rev().collect();
-        let order = LayerOrderPolicy::Custom(custom.clone()).resolve(&code());
-        assert_eq!(order, custom);
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn custom_order_must_be_permutation() {
-        let _ = LayerOrderPolicy::Custom(vec![0, 0, 1]).resolve(&code());
-    }
-
-    #[test]
-    #[should_panic(expected = "cover every layer")]
-    fn custom_order_must_cover_all_layers() {
-        let _ = LayerOrderPolicy::Custom(vec![0, 1, 2]).resolve(&code());
     }
 
     #[test]

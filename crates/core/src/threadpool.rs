@@ -173,36 +173,6 @@ pub fn detected_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// Whether a raw `LDPC_PIN_THREADS` value requests worker pinning.
-///
-/// Unset and the usual falsey spellings (`0`, `false`, `no`, `off`, empty —
-/// trimmed, case-insensitive) leave pinning off; the truthy spellings (`1`,
-/// `true`, `yes`, `on`) request it. Any other value is diagnosed on stderr
-/// once per process and treated as *requesting pinning* — same convention
-/// as `LDPC_FORCE_SCALAR`: the user clearly asked for the feature, and a
-/// garbled spelling should degrade to honouring the request, not silently
-/// dropping it.
-fn pin_threads(raw: Option<&str>) -> bool {
-    static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-    let Some(raw) = raw else {
-        return false;
-    };
-    let v = raw.trim().to_ascii_lowercase();
-    match v.as_str() {
-        "" | "0" | "false" | "no" | "off" => false,
-        "1" | "true" | "yes" | "on" => true,
-        _ => {
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "ldpc-core: unrecognised LDPC_PIN_THREADS={raw:?} (expected 0/1); \
-                     treating it as set and pinning the decode pool workers"
-                );
-            });
-            true
-        }
-    }
-}
-
 /// Whether `LDPC_PIN_THREADS` requests decode-pool core pinning. Read once
 /// per process and cached (changing the variable after the first call has
 /// no effect), without spawning the pool — safe to call from CI headers
@@ -210,7 +180,7 @@ fn pin_threads(raw: Option<&str>) -> bool {
 #[must_use]
 pub fn pin_threads_requested() -> bool {
     static REQUESTED: OnceLock<bool> = OnceLock::new();
-    *REQUESTED.get_or_init(|| pin_threads(std::env::var("LDPC_PIN_THREADS").ok().as_deref()))
+    *REQUESTED.get_or_init(|| crate::env::flag("LDPC_PIN_THREADS"))
 }
 
 /// Pins the calling thread to `cpu`, returning whether the kernel accepted
@@ -540,20 +510,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
-
-    #[test]
-    fn pin_threads_parsing_follows_the_boolean_ish_convention() {
-        assert!(!pin_threads(None));
-        for falsey in ["", "0", "false", "no", "off", " Off ", "FALSE"] {
-            assert!(!pin_threads(Some(falsey)), "{falsey:?} must not pin");
-        }
-        for truthy in ["1", "true", "yes", "on", " ON ", "Yes"] {
-            assert!(pin_threads(Some(truthy)), "{truthy:?} must pin");
-        }
-        // Garbled values are diagnosed (once) and honoured as a request.
-        assert!(pin_threads(Some("2")));
-        assert!(pin_threads(Some("enable the pins")));
-    }
 
     #[test]
     fn run_scoped_drains_a_shared_cursor_from_any_thread_mix() {

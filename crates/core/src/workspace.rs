@@ -36,12 +36,9 @@ pub struct DecodeWorkspace<M> {
     pub(crate) lambda: Vec<M>,
     /// Second edge buffer for the flooding schedule's double buffering.
     pub(crate) lambda_alt: Vec<M>,
-    /// Row gather scratch `λ`, capacity = max check degree.
-    pub(crate) row_in: Vec<M>,
-    /// Row output scratch `Λ'`, capacity = max check degree.
-    pub(crate) row_out: Vec<M>,
-    /// Transient storage of the lane kernels (fallback rows, vector lanes
-    /// and the slot-major `λ`/`Λ′` panels of the unfused layer update).
+    /// Transient storage of the lane kernels and of the scalar row loops
+    /// (the row-serial reference and the flooding schedule); see
+    /// [`LaneScratch`].
     pub(crate) lane_scratch: LaneScratch<M>,
     /// Hard-decision scratch, length `n`.
     pub(crate) hard: Vec<u8>,
@@ -77,8 +74,6 @@ impl<M: Copy> DecodeWorkspace<M> {
             chan: Vec::new(),
             lambda: Vec::new(),
             lambda_alt: Vec::new(),
-            row_in: Vec::new(),
-            row_out: Vec::new(),
             lane_scratch: LaneScratch::new(),
             hard: Vec::new(),
             decisions: Vec::new(),
@@ -127,8 +122,6 @@ impl<M: Copy> DecodeWorkspace<M> {
         let zw = compiled.z() * width;
         reserve_to(&mut self.app, n * width);
         reserve_to(&mut self.lambda, compiled.num_edges() * width);
-        reserve_to(&mut self.row_in, degree);
-        reserve_to(&mut self.row_out, degree);
         self.lane_scratch.reserve(degree, zw);
         reserve_to(&mut self.hard, n);
         reserve_to(&mut self.decisions, compiled.info_bits() * width);
@@ -148,8 +141,6 @@ impl<M: Copy> DecodeWorkspace<M> {
         let zw = compiled.z() * width;
         self.app.capacity() >= n * width
             && self.lambda.capacity() >= compiled.num_edges() * width
-            && self.row_in.capacity() >= degree
-            && self.row_out.capacity() >= degree
             && self.lane_scratch.is_ready(degree, zw)
             && self.hard.capacity() >= n
             && self.decisions.capacity() >= compiled.info_bits() * width
@@ -188,7 +179,7 @@ impl<M: Copy> DecodeWorkspace<M> {
     /// inner buffers are swapped with caller outputs, so their identity
     /// legitimately changes.
     #[must_use]
-    pub fn allocation_fingerprint(&self) -> [(usize, usize); 20] {
+    pub fn allocation_fingerprint(&self) -> [(usize, usize); 18] {
         fn fp<T>(buf: &Vec<T>) -> (usize, usize) {
             (buf.as_ptr() as usize, buf.capacity())
         }
@@ -207,8 +198,6 @@ impl<M: Copy> DecodeWorkspace<M> {
             fp(&self.chan),
             lo,
             hi,
-            fp(&self.row_in),
-            fp(&self.row_out),
             scratch[0],
             scratch[1],
             scratch[2],

@@ -112,9 +112,9 @@ pub mod prelude {
         SimdLevel, SisoRadix,
     };
     pub use ldpc_serve::{
-        CascadePolicy, DecodeOutcome, DecodeService, DecoderPolicy, FrameHandle, HarqKey,
-        LatencyStats, Priority, RetryPolicy, ServeError, ServiceConfig, ShardPolicy, ShardStats,
-        SoftBufferStats, SubmitError, SubmitOptions,
+        DecodeOutcome, DecodeService, DecoderPolicy, FrameHandle, HarqKey, LatencyStats, Priority,
+        RetryPolicy, ServeError, ServiceConfig, ShardPolicy, ShardStats, SoftBufferStats,
+        SubmitError, SubmitOptions,
     };
 }
 

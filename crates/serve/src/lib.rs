@@ -93,8 +93,10 @@ pub use error::{ServeError, SubmitError};
 pub use fault::FaultPlan;
 pub use handle::{DecodeOutcome, FrameHandle};
 pub use harq::{HarqKey, SoftBufferStats, SoftBufferStore};
+/// The cascade's budgets under the name the `perfbench` harness imports.
+pub use ldpc_core::CascadeConfig as CascadePolicy;
 pub use policy::{
     DecoderPolicy, DegradationPolicy, Priority, RetryPolicy, ShardPolicy, SubmitOptions,
 };
-pub use service::{CascadePolicy, DecodeService, DecodeServiceBuilder, ServiceConfig};
+pub use service::{DecodeService, DecodeServiceBuilder, ServiceConfig};
 pub use stats::{LatencyStats, ServiceHealth, ShardHealth, ShardStats};

@@ -12,19 +12,16 @@
 //!
 //! A [`DecoderPolicy`] describes *what decodes*: anything that can stamp out
 //! the decoder instance a service template-clones into its shards. Every
-//! provided decoder is its own policy (so `DecodeService::builder(decoder)`
-//! keeps working verbatim), and [`CascadePolicy`](crate::CascadePolicy) is
-//! just one more implementation — not a special-cased constructor.
+//! serving decoder is its own policy (so `DecodeService::builder(decoder)`
+//! keeps working verbatim), and the cascade's budgets, [`CascadeConfig`],
+//! are just one more implementation — not a special-cased constructor.
 
 use std::time::{Duration, Instant};
 
 use ldpc_core::arith::DecoderArithmetic;
-use ldpc_core::cascade::CascadeDecoder;
+use ldpc_core::cascade::{CascadeConfig, CascadeDecoder};
 use ldpc_core::decoder::LayeredDecoder;
-use ldpc_core::flooding::FloodingDecoder;
 use ldpc_core::Decoder;
-
-use crate::service::CascadePolicy;
 
 /// Dispatch priority class of a shard or frame. Ordered by urgency:
 /// [`Priority::High`] sorts (and is served) first.
@@ -350,11 +347,10 @@ impl From<Priority> for SubmitOptions {
 /// [`Decoder::detached_clone`]) into every shard.
 ///
 /// This is the uniform parameter of
-/// [`DecodeService::builder`](crate::DecodeService::builder). Every provided
-/// decoder ([`LayeredDecoder`], [`FloodingDecoder`], [`CascadeDecoder`])
-/// implements it as its own factory — `builder(decoder)` call sites from the
-/// pre-policy API compile unchanged — and
-/// [`CascadePolicy`](crate::CascadePolicy) implements it by building the
+/// [`DecodeService::builder`](crate::DecodeService::builder). The serving
+/// decoders ([`LayeredDecoder`], [`CascadeDecoder`]) implement it as their
+/// own factory — `builder(decoder)` call sites from the pre-policy API
+/// compile unchanged — and [`CascadeConfig`] implements it by building the
 /// cascade it describes.
 pub trait DecoderPolicy {
     /// The decoder type this policy builds.
@@ -383,21 +379,6 @@ where
     }
 }
 
-impl<A: DecoderArithmetic> DecoderPolicy for FloodingDecoder<A>
-where
-    FloodingDecoder<A>: Decoder + Clone + Send + Sync + 'static,
-{
-    type Decoder = Self;
-
-    fn build_decoder(&self) -> Self {
-        self.clone()
-    }
-
-    fn label(&self) -> String {
-        format!("{}/{}", self.schedule_name(), self.arithmetic().name())
-    }
-}
-
 impl DecoderPolicy for CascadeDecoder {
     type Decoder = Self;
 
@@ -410,7 +391,7 @@ impl DecoderPolicy for CascadeDecoder {
     }
 }
 
-impl DecoderPolicy for CascadePolicy {
+impl DecoderPolicy for CascadeConfig {
     type Decoder = CascadeDecoder;
 
     fn build_decoder(&self) -> CascadeDecoder {
@@ -514,7 +495,7 @@ mod tests {
         assert!(DecoderPolicy::label(&layered).starts_with("layered/"));
         let _ = layered.build_decoder();
 
-        let policy = CascadePolicy::default();
+        let policy = CascadeConfig::default();
         assert_eq!(DecoderPolicy::label(&policy), "cascade");
         let cascade = policy.build_decoder();
         assert_eq!(DecoderPolicy::label(&cascade), "cascade");

@@ -45,10 +45,7 @@ use std::time::{Duration, Instant};
 
 use ldpc_channel::quantize::LlrQuantizer;
 use ldpc_codes::{CodeId, CompiledCode, PuncturePattern};
-use ldpc_core::{
-    CascadeConfig, CascadeDecoder, DecodeError, DecodeOutput, DecodePool, Decoder, HarqCombiner,
-    LlrBatch,
-};
+use ldpc_core::{DecodeError, DecodeOutput, DecodePool, Decoder, HarqCombiner, LlrBatch};
 
 use crate::error::{ServeError, SubmitError};
 #[cfg(feature = "fault-injection")]
@@ -137,55 +134,6 @@ impl ServiceConfig {
             return reject("dispatch_workers must be at least 1");
         }
         Ok(())
-    }
-}
-
-/// Per-stage iteration budgets of a serving-layer decoder cascade: the
-/// deployment-level form of [`ldpc_core::CascadeConfig`], reduced to the
-/// integer knobs a deployment tunes. Implements
-/// [`DecoderPolicy`](crate::DecoderPolicy), so
-/// `DecodeService::builder(policy)` builds a cascade service — no
-/// special-cased constructor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CascadePolicy {
-    /// Stage-1 fixed Min-Sum iteration budget (run without a convergence
-    /// scan; the syndrome check decides escalation). Minimum 1.
-    pub min_sum_iterations: usize,
-    /// Stage-2 fixed-BP iteration ceiling (early termination enabled).
-    /// Minimum 1.
-    pub fixed_bp_iterations: usize,
-    /// Iteration ceiling of the optional float-BP last resort; `None` (the
-    /// default) ends the ladder at stage 2.
-    pub float_bp_iterations: Option<usize>,
-}
-
-impl Default for CascadePolicy {
-    fn default() -> Self {
-        CascadePolicy {
-            min_sum_iterations: 4,
-            fixed_bp_iterations: 10,
-            float_bp_iterations: None,
-        }
-    }
-}
-
-impl CascadePolicy {
-    /// The core-level ladder configuration this policy describes (budgets
-    /// clamped to at least one iteration).
-    #[must_use]
-    pub fn cascade_config(&self) -> CascadeConfig {
-        CascadeConfig::with_budgets(
-            self.min_sum_iterations,
-            self.fixed_bp_iterations,
-            self.float_bp_iterations,
-        )
-    }
-
-    /// A [`CascadeDecoder`] running this policy's ladder.
-    #[must_use]
-    pub fn decoder(&self) -> CascadeDecoder {
-        CascadeDecoder::new(self.cascade_config())
-            .expect("clamped cascade budgets are always valid")
     }
 }
 
@@ -726,7 +674,8 @@ where
     /// Starts building a service from a [`DecoderPolicy`] — the uniform
     /// entry point for *what decodes*. Every provided decoder is its own
     /// policy, so passing a decoder instance directly keeps working; passing
-    /// a [`CascadePolicy`] builds a cascade service the same way.
+    /// a [`CascadeConfig`](ldpc_core::CascadeConfig) builds a cascade service
+    /// the same way.
     #[must_use]
     pub fn builder<P>(policy: P) -> DecodeServiceBuilder<D>
     where
@@ -1642,7 +1591,7 @@ mod tests {
     use super::*;
     use ldpc_codes::{CodeRate, Standard};
     use ldpc_core::decoder::{DecoderConfig, LayeredDecoder};
-    use ldpc_core::{FixedBpArithmetic, FloatBpArithmetic};
+    use ldpc_core::{CascadeConfig, FixedBpArithmetic, FloatBpArithmetic};
 
     fn wimax576() -> CodeId {
         CodeId::new(Standard::Wimax80216e, CodeRate::R1_2, 576)
@@ -1941,9 +1890,9 @@ mod tests {
         // one-iteration stage-1 budget must escalate. The shard's mirrored
         // counters must show exactly the decoder's ladder traffic.
         let code = wimax576();
-        let policy = CascadePolicy {
+        let policy = CascadeConfig {
             min_sum_iterations: 1,
-            ..CascadePolicy::default()
+            ..CascadeConfig::default()
         };
         let service = DecodeService::builder(policy)
             .start_paused()

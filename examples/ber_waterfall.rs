@@ -116,7 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &ebn0_points,
         frames,
     )?;
-    let cascade = CascadeDecoder::new(CascadeConfig::default())?;
+    let cascade = CascadeConfig::default().decoder();
     let cascade_bers = run_curve_with(
         "cascade (Min-Sum×4 → fixed BP)",
         &cascade,

@@ -42,22 +42,19 @@ fn converged_frames_match_plain_min_sum_and_escalated_match_fixed_bp_on_handoff_
     let llrs = batch_llrs(&code, 32, 5);
     let batch = LlrBatch::new(&llrs, code.n()).unwrap();
 
-    let cascade = CascadeDecoder::new(CascadeConfig::default()).unwrap();
+    let cascade = CascadeConfig::default().decoder();
     let outputs = cascade.decode_batch(&compiled, batch).unwrap();
 
     // Stage 1 reference: plain Min-Sum with the cascade's stage-1 budget.
-    let min_sum = LayeredDecoder::new(
-        FixedMinSumArithmetic::default(),
-        CascadeConfig::default().min_sum,
-    )
-    .unwrap();
+    let min_sum =
+        LayeredDecoder::new(FixedMinSumArithmetic::default(), *cascade.stage1().config()).unwrap();
     let stage1 = min_sum.decode_batch(&compiled, batch).unwrap();
 
     // Stage 2 reference: fixed BP run directly on the handoff LLRs of the
     // frames stage 1 failed.
     let fixed_bp = LayeredDecoder::new(
         FixedBpArithmetic::forward_backward(),
-        CascadeConfig::default().fixed_bp,
+        *cascade.stage2().config(),
     )
     .unwrap();
 
@@ -91,7 +88,7 @@ fn converged_frames_match_plain_min_sum_and_escalated_match_fixed_bp_on_handoff_
 fn outputs_are_stable_across_thread_counts_and_ragged_batches() {
     let code = code();
     let compiled = code.compile();
-    let cascade = CascadeDecoder::new(CascadeConfig::default()).unwrap();
+    let cascade = CascadeConfig::default().decoder();
 
     // Ragged sizes: not multiples of the group width or chunking quantum.
     for frames in [1usize, 7, 33] {
@@ -122,7 +119,7 @@ fn cascade_service_is_bit_identical_to_direct_decode_batch() {
         CodeId::new(Standard::Wimax80216e, CodeRate::R1_2, 576),
         CodeId::new(Standard::Wifi80211n, CodeRate::R1_2, 648),
     ];
-    let policy = CascadePolicy::default();
+    let policy = CascadeConfig::default();
 
     let mut builder = DecodeService::builder(policy);
     for id in modes {
@@ -153,7 +150,7 @@ fn cascade_service_is_bit_identical_to_direct_decode_batch() {
     let stats = service.shutdown();
 
     // Reference: direct cascade decode_batch per mode on a fresh instance.
-    let reference_decoder = CascadeDecoder::new(policy.cascade_config()).unwrap();
+    let reference_decoder = policy.decoder();
     let mut reference: HashMap<CodeId, Vec<DecodeOutput>> = HashMap::new();
     for (&id, llrs) in &per_mode_llrs {
         let compiled = id.build().unwrap().compile();

@@ -96,28 +96,28 @@ fn non_finite_llrs_are_refused_by_every_decoder_and_entry_point() {
     let config = DecoderConfig::default();
     sweep(
         "float BP",
-        &LayeredDecoder::new(FloatBpArithmetic::default(), config.clone()).unwrap(),
+        &LayeredDecoder::new(FloatBpArithmetic::default(), config).unwrap(),
         &code,
     );
     sweep(
         "fixed BP (sum-extract)",
-        &LayeredDecoder::new(FixedBpArithmetic::default(), config.clone()).unwrap(),
+        &LayeredDecoder::new(FixedBpArithmetic::default(), config).unwrap(),
         &code,
     );
     sweep(
         "fixed BP (forward/backward)",
-        &LayeredDecoder::new(FixedBpArithmetic::forward_backward(), config.clone()).unwrap(),
+        &LayeredDecoder::new(FixedBpArithmetic::forward_backward(), config).unwrap(),
         &code,
     );
     sweep(
         "fixed Min-Sum",
-        &LayeredDecoder::new(FixedMinSumArithmetic::default(), config.clone()).unwrap(),
+        &LayeredDecoder::new(FixedMinSumArithmetic::default(), config).unwrap(),
         &code,
     );
     sweep("cascade", &CascadeDecoder::default(), &code);
     sweep(
         "flooding",
-        &FloodingDecoder::new(FloatBpArithmetic::default(), config.clone()).unwrap(),
+        &FloodingDecoder::new(FloatBpArithmetic::default(), config).unwrap(),
         &code,
     );
 }
@@ -161,17 +161,17 @@ fn decode_into_reports_wrong_lengths_as_length_mismatch() {
     let config = DecoderConfig::default();
     assert_length_mismatch(
         "float BP",
-        &LayeredDecoder::new(FloatBpArithmetic::default(), config.clone()).unwrap(),
+        &LayeredDecoder::new(FloatBpArithmetic::default(), config).unwrap(),
         &compiled,
     );
     assert_length_mismatch(
         "fixed BP",
-        &LayeredDecoder::new(FixedBpArithmetic::default(), config.clone()).unwrap(),
+        &LayeredDecoder::new(FixedBpArithmetic::default(), config).unwrap(),
         &compiled,
     );
     assert_length_mismatch(
         "fixed Min-Sum",
-        &LayeredDecoder::new(FixedMinSumArithmetic::default(), config.clone()).unwrap(),
+        &LayeredDecoder::new(FixedMinSumArithmetic::default(), config).unwrap(),
         &compiled,
     );
     assert_length_mismatch("cascade", &CascadeDecoder::default(), &compiled);
@@ -188,7 +188,7 @@ fn one_workspace_serves_every_driver_and_width_without_reallocating() {
     let compiled = code.compile();
     let n = compiled.n();
     let config = DecoderConfig::default();
-    let flooding = FloodingDecoder::new(FixedBpArithmetic::default(), config.clone()).unwrap();
+    let flooding = FloodingDecoder::new(FixedBpArithmetic::default(), config).unwrap();
     let layered = LayeredDecoder::new(FixedBpArithmetic::default(), config).unwrap();
     let cascade = CascadeDecoder::default();
     let width = layered.preferred_group_width(&compiled);

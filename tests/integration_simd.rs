@@ -764,8 +764,7 @@ fn fused_decode_matches_the_row_serial_reference_at_every_tier_and_width() {
             })
             .collect();
         let config = DecoderConfig::default();
-        let reference_decoder =
-            LayeredDecoder::new(FixedBpArithmetic::default(), config.clone()).unwrap();
+        let reference_decoder = LayeredDecoder::new(FixedBpArithmetic::default(), config).unwrap();
         let mut ws = reference_decoder.workspace_for(&compiled);
         let reference: Vec<DecodeOutput> = llrs
             .chunks_exact(n)
@@ -784,7 +783,7 @@ fn fused_decode_matches_the_row_serial_reference_at_every_tier_and_width() {
         for width in 1..=MAX_GROUP_WIDTH {
             let level = LEVELS[width % LEVELS.len()];
             let arith = FixedBpArithmetic::default().with_simd_level(level);
-            let decoder = LayeredDecoder::new(arith, config.clone()).unwrap();
+            let decoder = LayeredDecoder::new(arith, config).unwrap();
             let mut outs = vec![DecodeOutput::empty(); width];
             decoder
                 .decode_group_into(&compiled, &llrs[..width * n], &mut ws, &mut outs)
