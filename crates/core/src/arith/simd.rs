@@ -1994,6 +1994,17 @@ mod tests {
     use crate::lut::CorrectionKind;
 
     #[test]
+    fn force_scalar_parses_like_a_boolean_knob() {
+        for &(raw, want) in crate::env::FLAG_SPELLINGS {
+            assert_eq!(
+                crate::env::parse_flag("LDPC_FORCE_SCALAR", raw),
+                want,
+                "{raw:?}"
+            );
+        }
+    }
+
+    #[test]
     fn effective_never_exceeds_detected_and_is_idempotent() {
         let det = detected_level();
         for lvl in [SimdLevel::Scalar, SimdLevel::Sse41, SimdLevel::Avx2] {

@@ -617,6 +617,17 @@ mod tests {
     use crate::flooding::FloodingDecoder;
     use ldpc_codes::{CodeId, CodeRate, Standard};
 
+    #[test]
+    fn thread_override_accepts_positive_integers_only() {
+        for &(raw, want) in crate::env::COUNT_SPELLINGS {
+            assert_eq!(
+                crate::env::parse_count("LDPC_DECODE_THREADS", raw),
+                want,
+                "{raw:?}"
+            );
+        }
+    }
+
     fn compiled() -> CompiledCode {
         CodeId::new(Standard::Wimax80216e, CodeRate::R1_2, 576)
             .build()

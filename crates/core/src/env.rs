@@ -25,7 +25,7 @@ pub(crate) fn count(name: &str) -> Option<usize> {
     parse_count(name, std::env::var(name).ok().as_deref())
 }
 
-fn parse_flag(name: &str, raw: Option<&str>) -> bool {
+pub(crate) fn parse_flag(name: &str, raw: Option<&str>) -> bool {
     let Some(raw) = raw else {
         return false;
     };
@@ -39,7 +39,7 @@ fn parse_flag(name: &str, raw: Option<&str>) -> bool {
     }
 }
 
-fn parse_count(name: &str, raw: Option<&str>) -> Option<usize> {
+pub(crate) fn parse_count(name: &str, raw: Option<&str>) -> Option<usize> {
     let raw = raw?;
     match raw.trim().parse::<usize>() {
         Ok(n) if n > 0 => Some(n),
@@ -52,55 +52,47 @@ fn parse_count(name: &str, raw: Option<&str>) -> Option<usize> {
     }
 }
 
+/// Every spelling a boolean knob must accept, with the value it reads as.
+/// Each flag knob's test runs this table through [`parse_flag`].
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) const FLAG_SPELLINGS: &[(Option<&str>, bool)] = &[
+    (None, false),
+    (Some(""), false),
+    (Some("0"), false),
+    (Some(" 0 "), false),
+    (Some("false"), false),
+    (Some("FALSE"), false),
+    (Some("no"), false),
+    (Some("off"), false),
+    (Some(" Off "), false),
+    (Some("1"), true),
+    (Some(" 1\n"), true),
+    (Some("true"), true),
+    (Some("TRUE"), true),
+    (Some("yes"), true),
+    (Some("Yes"), true),
+    (Some("on"), true),
+    (Some(" ON "), true),
+    // Garbled values are diagnosed and honoured as a request.
+    (Some("2"), true),
+    (Some("maybe"), true),
+    (Some("enable the pins"), true),
+];
 
-    #[test]
-    fn knobs_parse_every_spelling() {
-        let flags: &[(Option<&str>, bool)] = &[
-            (None, false),
-            (Some(""), false),
-            (Some("0"), false),
-            (Some(" 0 "), false),
-            (Some("false"), false),
-            (Some("FALSE"), false),
-            (Some("no"), false),
-            (Some("off"), false),
-            (Some(" Off "), false),
-            (Some("1"), true),
-            (Some(" 1\n"), true),
-            (Some("true"), true),
-            (Some("TRUE"), true),
-            (Some("yes"), true),
-            (Some("Yes"), true),
-            (Some("on"), true),
-            (Some(" ON "), true),
-            // Garbled values are diagnosed and honoured as a request.
-            (Some("2"), true),
-            (Some("maybe"), true),
-            (Some("enable the pins"), true),
-        ];
-        for &(raw, want) in flags {
-            assert_eq!(parse_flag("LDPC_TEST_FLAG", raw), want, "flag {raw:?}");
-        }
-
-        let counts: &[(Option<&str>, Option<usize>)] = &[
-            (None, None),
-            (Some("4"), Some(4)),
-            (Some(" 12\n"), Some(12)),
-            (Some("64"), Some(64)),
-            // Zero, negatives, garbage and overflow all fall back (with a
-            // diagnostic) instead of being misread.
-            (Some("0"), None),
-            (Some("-3"), None),
-            (Some(""), None),
-            (Some("four"), None),
-            (Some("8 threads"), None),
-            (Some("999999999999999999999999"), None),
-        ];
-        for &(raw, want) in counts {
-            assert_eq!(parse_count("LDPC_TEST_COUNT", raw), want, "count {raw:?}");
-        }
-    }
-}
+/// Every spelling a count knob must accept or refuse, with the value it
+/// reads as. Each count knob's test runs this table through [`parse_count`].
+#[cfg(test)]
+pub(crate) const COUNT_SPELLINGS: &[(Option<&str>, Option<usize>)] = &[
+    (None, None),
+    (Some("4"), Some(4)),
+    (Some(" 12\n"), Some(12)),
+    (Some("64"), Some(64)),
+    // Zero, negatives, garbage and overflow all fall back (with a
+    // diagnostic) instead of being misread.
+    (Some("0"), None),
+    (Some("-3"), None),
+    (Some(""), None),
+    (Some("four"), None),
+    (Some("8 threads"), None),
+    (Some("999999999999999999999999"), None),
+];

@@ -512,6 +512,17 @@ mod tests {
     use std::sync::Barrier;
 
     #[test]
+    fn pin_threads_parsing_follows_the_boolean_ish_convention() {
+        for &(raw, want) in crate::env::FLAG_SPELLINGS {
+            assert_eq!(
+                crate::env::parse_flag("LDPC_PIN_THREADS", raw),
+                want,
+                "{raw:?}"
+            );
+        }
+    }
+
+    #[test]
     fn run_scoped_drains_a_shared_cursor_from_any_thread_mix() {
         // The canonical usage shape: invocations claim items off a cursor, so
         // the job completes whether zero or all fanout tasks ever run.
