@@ -122,27 +122,13 @@ impl PipelineModel {
         match self.options.layer_order {
             LayerOrderPolicy::Natural => (0..config.block_rows).collect(),
             LayerOrderPolicy::StallMinimizing => {
-                // Greedy: same policy as ldpc-codes, computed on the config's
-                // layer column sets.
+                // The decoder's greedy, on the config's layer column sets.
                 let cols: Vec<Vec<usize>> = config
                     .layers
                     .iter()
                     .map(|l| l.iter().map(|&(c, _)| c).collect())
                     .collect();
-                let overlap =
-                    |a: &Vec<usize>, b: &Vec<usize>| a.iter().filter(|c| b.contains(c)).count();
-                let mut order = vec![0usize];
-                let mut remaining: Vec<usize> = (1..config.block_rows).collect();
-                while !remaining.is_empty() {
-                    let prev = *order.last().expect("non-empty");
-                    let (pos, _) = remaining
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &cand)| (overlap(&cols[prev], &cols[cand]), cand))
-                        .expect("non-empty");
-                    order.push(remaining.remove(pos));
-                }
-                order
+                ldpc_codes::stall_minimizing_order(&cols)
             }
         }
     }
@@ -306,6 +292,28 @@ mod tests {
         .frame_cycles(&cfg, 10);
         assert!(shuffled.stall_cycles <= natural.stall_cycles);
         assert_eq!(shuffled.compute_cycles, natural.compute_cycles);
+    }
+
+    #[test]
+    fn stall_minimizing_order_is_the_decoders_on_every_mode() {
+        let model = PipelineModel::new(PipelineOptions {
+            layer_order: LayerOrderPolicy::StallMinimizing,
+            ..PipelineOptions::default()
+        });
+        for id in ldpc_codes::Standard::ALL
+            .into_iter()
+            .flat_map(ldpc_codes::CodeId::all_modes)
+        {
+            let code = id.build().unwrap();
+            let decoder_order: Vec<usize> = code
+                .compile()
+                .stall_minimizing_order()
+                .iter()
+                .map(|&l| l as usize)
+                .collect();
+            let cfg = DecoderModeConfig::from_code(&code);
+            assert_eq!(model.layer_order(&cfg), decoder_order, "{id}");
+        }
     }
 
     #[test]

@@ -41,7 +41,9 @@
 //! independence that lets hardware run `z` SISO units in lock-step and lets
 //! software vectorise across lanes. The per-edge `col_index` table (the
 //! expanded form of the same mapping) is retained for the row-serial
-//! reference path; the syndrome check runs on the two-span contract too.
+//! reference path; the syndrome check runs on the same contract, over a
+//! block-doubled copy of the hard decisions in which every rotation is one
+//! span.
 //!
 //! Compile once per code, decode millions of frames.
 
@@ -297,22 +299,31 @@ impl CompiledCode {
     }
 
     /// Whether `hard` (one 0/1 value per code bit) satisfies every parity
-    /// check. Allocation-free syndrome test for the decode hot path.
+    /// check. Allocation-free syndrome test for the decode hot path once
+    /// `doubled` has a capacity of `2n`.
     ///
-    /// Runs on the lane-major rotation contract: per layer, each entry's
-    /// block column is XORed into one parity panel of the layer's `z`
-    /// lanes as two stride-1 spans (lanes wider than the stack panel are
-    /// taken a panel at a time).
+    /// Runs on the lane-major rotation contract over a block-doubled copy of
+    /// `hard`: `doubled` is refilled with every block column written twice
+    /// in a row (`z` bits, then the same `z` bits again), so lane `r` of an
+    /// entry with shift `s` reads `doubled[2·col_base + s + r]` and each
+    /// entry's rotated block is one stride-1 span of `z` bytes. Per layer,
+    /// the entries' spans are XORed into a stack parity panel of the layer's
+    /// `z` lanes (lanes wider than the panel are taken a panel at a time).
     ///
     /// # Panics
     ///
     /// Panics if `hard.len() != n`.
     #[must_use]
-    pub fn syndrome_ok(&self, hard: &[u8]) -> bool {
+    pub fn syndrome_ok(&self, hard: &[u8], doubled: &mut Vec<u8>) -> bool {
         /// Lanes per stack parity panel.
         const PANEL: usize = 256;
         assert_eq!(hard.len(), self.n(), "codeword length mismatch");
         let z = self.z();
+        doubled.clear();
+        for block in hard.chunks_exact(z) {
+            doubled.extend_from_slice(block);
+            doubled.extend_from_slice(block);
+        }
         let mut panel = [0u8; PANEL];
         for layer in 0..self.block_rows() {
             let lanes = self.layer_lanes(layer);
@@ -320,19 +331,12 @@ impl CompiledCode {
                 let parity = &mut panel[..PANEL.min(z - first_lane)];
                 parity.fill(0);
                 for (&col, &shift) in lanes.col_base.iter().zip(lanes.shift) {
-                    let block = &hard[col as usize..col as usize + z];
-                    // Lane r reads block[(r + shift) mod z]: one span up to
-                    // the end of the block, the rest from its start.
-                    let start = (first_lane + shift as usize) % z;
-                    let (head, tail) = parity.split_at_mut(parity.len().min(z - start));
-                    for (p, &bit) in head.iter_mut().zip(&block[start..]) {
-                        *p ^= bit;
-                    }
-                    for (p, &bit) in tail.iter_mut().zip(block) {
+                    let start = 2 * col as usize + shift as usize + first_lane;
+                    for (p, &bit) in parity.iter_mut().zip(&doubled[start..start + z]) {
                         *p ^= bit;
                     }
                 }
-                if parity.iter().any(|&p| p & 1 != 0) {
+                if parity.iter().fold(0, |odd, &p| odd | p) & 1 != 0 {
                     return false;
                 }
             }
@@ -400,16 +404,17 @@ mod tests {
         let code = code();
         let compiled = CompiledCode::compile(&code);
         let zero = vec![0u8; code.n()];
-        assert!(compiled.syndrome_ok(&zero));
+        let mut doubled = Vec::new();
+        assert!(compiled.syndrome_ok(&zero, &mut doubled));
         for flip in [0usize, 17, 333, code.n() - 1] {
             let mut x = zero.clone();
             x[flip] = 1;
             assert_eq!(
-                compiled.syndrome_ok(&x),
+                compiled.syndrome_ok(&x, &mut doubled),
                 code.is_codeword(&x).unwrap(),
                 "bit {flip}"
             );
-            assert!(!compiled.syndrome_ok(&x));
+            assert!(!compiled.syndrome_ok(&x, &mut doubled));
         }
     }
 
@@ -532,24 +537,49 @@ mod tests {
                 }
                 Err(_) => vec![0u8; n],
             };
-            assert!(compiled.syndrome_ok(&codeword), "{id}: codeword rejected");
+            // The doubled-block scratch the decoders keep: capacity 2n, so
+            // the check itself never reallocates it.
+            let mut doubled = Vec::with_capacity(2 * n);
+            let scratch = doubled.as_ptr();
+            assert!(
+                compiled.syndrome_ok(&codeword, &mut doubled),
+                "{id}: codeword rejected"
+            );
             assert!(syndrome_ok_row_serial(&compiled, &codeword));
             // One flipped bit anywhere, including the last layer's
             // columns, fails both forms.
             for _ in 0..4 {
                 let mut word = codeword.clone();
                 word[rng.gen_range(0..n)] ^= 1;
-                assert!(!compiled.syndrome_ok(&word), "{id}: flip accepted");
+                assert!(
+                    !compiled.syndrome_ok(&word, &mut doubled),
+                    "{id}: flip accepted"
+                );
                 assert!(!syndrome_ok_row_serial(&compiled, &word));
+            }
+            // A few random flips of the codeword: even counts can cancel in
+            // a row, so both forms must agree row for row, whatever the
+            // verdict.
+            for flips in 2..=5 {
+                let mut word = codeword.clone();
+                for _ in 0..flips {
+                    word[rng.gen_range(0..n)] ^= 1;
+                }
+                assert_eq!(
+                    compiled.syndrome_ok(&word, &mut doubled),
+                    syndrome_ok_row_serial(&compiled, &word),
+                    "{id}: {flips} flips"
+                );
             }
             for _ in 0..4 {
                 let word: Vec<u8> = (0..n).map(|_| rng.gen_range(0..=1u8)).collect();
                 assert_eq!(
-                    compiled.syndrome_ok(&word),
+                    compiled.syndrome_ok(&word, &mut doubled),
                     syndrome_ok_row_serial(&compiled, &word),
                     "{id}: random word"
                 );
             }
+            assert_eq!(doubled.as_ptr(), scratch, "{id}: scratch reallocated");
         }
     }
 
@@ -557,6 +587,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn syndrome_rejects_wrong_length() {
         let compiled = CompiledCode::compile(&code());
-        let _ = compiled.syndrome_ok(&[0u8; 3]);
+        let _ = compiled.syndrome_ok(&[0u8; 3], &mut Vec::new());
     }
 }

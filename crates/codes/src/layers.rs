@@ -87,31 +87,14 @@ impl LayerSchedule {
         LayerSchedule { order }
     }
 
-    /// Greedy stall-minimizing order: starting from layer 0, repeatedly pick
-    /// the not-yet-scheduled layer with the smallest block-column overlap with
-    /// the previously scheduled layer (ties broken by smallest index).
-    ///
-    /// This implements the layer shuffling of §III-C used to avoid pipeline
-    /// stalls when the decoding of two consecutive layers is overlapped.
+    /// The greedy stall-minimizing order of `code`'s layers, see
+    /// [`stall_minimizing_order`].
     #[must_use]
     pub fn stall_minimizing(code: &QcCode) -> Self {
-        let layers = code.layers();
-        let j = layers.len();
-        if j == 0 {
-            return LayerSchedule { order: Vec::new() };
+        let cols: Vec<Vec<usize>> = code.layers().iter().map(Layer::block_cols).collect();
+        LayerSchedule {
+            order: stall_minimizing_order(&cols),
         }
-        let mut remaining: Vec<usize> = (1..j).collect();
-        let mut order = vec![0];
-        while !remaining.is_empty() {
-            let prev = *order.last().expect("order is non-empty");
-            let (pos, _) = remaining
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &cand)| (layers[prev].overlap(&layers[cand]), cand))
-                .expect("remaining is non-empty");
-            order.push(remaining.remove(pos));
-        }
-        LayerSchedule { order }
     }
 
     /// The layer indices in visit order.
@@ -153,6 +136,44 @@ impl LayerSchedule {
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.order.iter().copied()
     }
+}
+
+/// Greedy stall-minimizing layer order over per-layer block-column sets
+/// (`layer_cols[l]` lists the distinct block columns layer `l` touches):
+/// starting from layer 0, repeatedly pick the not-yet-scheduled layer that
+/// shares the fewest block columns with the previously scheduled one (ties
+/// broken by smallest index).
+///
+/// This implements the layer shuffling of §III-C used to avoid pipeline
+/// stalls when the decoding of two consecutive layers is overlapped. The
+/// decoder's schedule ([`LayerSchedule::stall_minimizing`], precompiled into
+/// [`crate::CompiledCode::stall_minimizing_order`]) and the architecture
+/// model's pipeline both take their order from here.
+#[must_use]
+pub fn stall_minimizing_order<C: AsRef<[usize]>>(layer_cols: &[C]) -> Vec<usize> {
+    let overlap = |a: usize, b: usize| {
+        let other = layer_cols[b].as_ref();
+        layer_cols[a]
+            .as_ref()
+            .iter()
+            .filter(|c| other.contains(c))
+            .count()
+    };
+    if layer_cols.is_empty() {
+        return Vec::new();
+    }
+    let mut remaining: Vec<usize> = (1..layer_cols.len()).collect();
+    let mut order = vec![0];
+    while !remaining.is_empty() {
+        let prev = *order.last().expect("order is non-empty");
+        let (pos, _) = remaining
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, &cand)| (overlap(prev, cand), cand))
+            .expect("remaining is non-empty");
+        order.push(remaining.remove(pos));
+    }
+    order
 }
 
 impl<'a> IntoIterator for &'a LayerSchedule {

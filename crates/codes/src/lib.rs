@@ -70,7 +70,7 @@ pub use dense::DenseParityCheck;
 pub use encoder::Encoder;
 pub use error::CodeError;
 pub use girth::CycleReport;
-pub use layers::{Layer, LayerEntry, LayerSchedule};
+pub use layers::{stall_minimizing_order, Layer, LayerEntry, LayerSchedule};
 pub use puncture::PuncturePattern;
 pub use qc::QcCode;
 pub use standard::{CodeId, CodeRate, CodeSpec, Standard};

@@ -259,7 +259,7 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
         F: FnMut(&A, &CompiledCode, usize, usize, &mut DecodeWorkspace<A::Msg>),
     {
         let frames = outs.len();
-        crate::engine::check_group_llrs(compiled, llrs, frames)?;
+        crate::engine::check_group_shape(compiled, llrs, frames)?;
         if frames == 0 {
             return Ok(());
         }
@@ -281,13 +281,19 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
         };
 
         // L ← channel, Λ ← 0, frame-innermost (Algorithm 1 initialisation,
-        // interleaved: app[col · width + f]). Each frame is quantised in one
-        // pass into the extraction scratch, then interleaved.
+        // interleaved: app[col · width + f]). One pass per frame while it is
+        // in L1: the finite scan, then quantisation — straight into the APP
+        // memory for a single frame, through the ingest scratch and the
+        // interleave otherwise. A refused frame returns before any output
+        // is touched.
         ws.prepare(compiled, arith.zero(), frames);
         for (f, frame) in llrs.chunks_exact(n).enumerate() {
-            arith.from_channel_slice(frame, &mut ws.group_frame);
-            for (dst, &m) in ws.app[f..].iter_mut().step_by(frames).zip(&ws.group_frame) {
-                *dst = m;
+            crate::engine::check_frame_finite(f, frame)?;
+            if frames == 1 {
+                arith.from_channel_slice(frame, &mut ws.app);
+            } else {
+                arith.from_channel_slice(frame, &mut ws.group_frame);
+                crate::group::fill_column(&mut ws.app, frames, f, &ws.group_frame);
             }
         }
         let et_threshold = message_threshold(arith, self.config.early_termination.as_ref());
@@ -323,27 +329,21 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
                 }
                 if !done && !last && self.config.stop_on_zero_syndrome {
                     ws.hard.clear();
-                    ws.hard.extend(
-                        ws.app
-                            .iter()
-                            .skip(slot)
-                            .step_by(width)
-                            .map(|&m| arith.hard_bit(m)),
-                    );
-                    if compiled.syndrome_ok(&ws.hard) {
+                    let column = crate::group::column(&ws.app, width, slot);
+                    ws.hard.extend(column.map(|m| arith.hard_bit(m)));
+                    if compiled.syndrome_ok(&ws.hard, &mut ws.syndrome) {
                         done = true;
                     }
                 }
                 if done {
-                    crate::group::extract_column(&ws.app, width, slot, &mut ws.group_frame);
                     crate::engine::finish_output(
                         arith,
                         compiled,
-                        &ws.group_frame,
+                        ws,
+                        slot,
                         &mut outs[frame],
                         iterations,
                         early,
-                        group_frame_stats(compiled, iterations),
                     );
                 } else {
                     ws.group_keep.push(slot as u32);

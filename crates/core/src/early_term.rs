@@ -124,13 +124,20 @@ pub(crate) fn check_frames<A: DecoderArithmetic>(
     let lanes = width * (VERDICT_LANES / width).max(1);
     verdicts.clear();
     verdicts.resize(lanes, 0);
-    for (ms, ds) in app.chunks(lanes).zip(decisions.chunks_mut(lanes)) {
+    let mut check = |ms: &[A::Msg], ds: &mut [u8]| {
         for ((v, d), &m) in verdicts.iter_mut().zip(ds).zip(ms) {
             let bit = arith.hard_bit(m);
             *v |= (*d ^ bit) | u8::from(!arith.exceeds(m, t));
             *d = bit;
         }
+    };
+    // Whole runs first (a fixed trip count that vectorises), then the tail.
+    let mut ms = app.chunks_exact(lanes);
+    let mut ds = decisions.chunks_exact_mut(lanes);
+    for (m, d) in (&mut ms).zip(&mut ds) {
+        check(m, d);
     }
+    check(ms.remainder(), ds.into_remainder());
     for j in width..lanes {
         verdicts[j % width] |= verdicts[j];
     }

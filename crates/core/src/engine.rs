@@ -57,7 +57,7 @@ use crate::arith::DecoderArithmetic;
 use crate::decoder::DecoderConfig;
 use crate::error::DecodeError;
 use crate::pool::WorkspacePool;
-use crate::result::{DecodeOutput, DecodeStats};
+use crate::result::DecodeOutput;
 use crate::threadpool::DecodePool;
 use crate::workspace::DecodeWorkspace;
 
@@ -73,51 +73,77 @@ pub(crate) fn check_frame_len(compiled: &CompiledCode, llrs: &[f64]) -> Result<(
     }
 }
 
-/// Checks the channel LLRs of a `frames`-frame group before any of them is
-/// quantised: exactly `frames · n` values, every one finite.
-pub(crate) fn check_group_llrs(
+/// Checks that `llrs` holds exactly `frames` frames of `compiled`.
+pub(crate) fn check_group_shape(
     compiled: &CompiledCode,
     llrs: &[f64],
     frames: usize,
 ) -> Result<(), DecodeError> {
     let n = compiled.n();
-    if llrs.len() != frames * n {
-        return Err(DecodeError::BatchShape {
+    if llrs.len() == frames * n {
+        Ok(())
+    } else {
+        Err(DecodeError::BatchShape {
             reason: format!(
                 "group of {frames} outputs needs {} LLRs, got {}",
                 frames * n,
                 llrs.len()
             ),
-        });
-    }
-    match llrs.iter().position(|l| !l.is_finite()) {
-        Some(i) => Err(DecodeError::NonFiniteLlr {
-            frame: i / n,
-            index: i % n,
-        }),
-        None => Ok(()),
+        })
     }
 }
 
-/// Fills `out` from the final APP messages; shared by both kernels.
+/// Refuses frame `frame` of a group if it holds a NaN or infinite LLR,
+/// naming the first one.
+///
+/// The scan is branch-free and vectorises: `l · 0` is `±0` for a finite `l`
+/// and NaN for ±∞ or NaN, and NaN survives every sum, so eight lane
+/// accumulators of `l · 0` stay finite exactly when every LLR is. Only a
+/// refused frame is searched again for the index.
+pub(crate) fn check_frame_finite(frame: usize, llrs: &[f64]) -> Result<(), DecodeError> {
+    let mut lanes = [0.0f64; 8];
+    let chunks = llrs.chunks_exact(lanes.len());
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (lane, &l) in lanes.iter_mut().zip(chunk) {
+            *lane += l * 0.0;
+        }
+    }
+    if lanes.iter().chain(tail).all(|v| v.is_finite()) {
+        return Ok(());
+    }
+    let index = llrs
+        .iter()
+        .position(|l| !l.is_finite())
+        .expect("the scan found a non-finite LLR");
+    Err(DecodeError::NonFiniteLlr { frame, index })
+}
+
+/// Fills `out` from packed column `slot` of the final APP memory `ws.app`
+/// (`app[i · width + slot]`, with `width = app.len() / n`; see
+/// [`crate::group`]): hard bits, posterior LLRs and the syndrome verdict,
+/// read in place with no de-interleaved copy. Shared by both schedules.
 pub(crate) fn finish_output<A: DecoderArithmetic>(
     arith: &A,
     compiled: &CompiledCode,
-    app: &[A::Msg],
+    ws: &mut DecodeWorkspace<A::Msg>,
+    slot: usize,
     out: &mut DecodeOutput,
     iterations: usize,
     early_terminated: bool,
-    stats: DecodeStats,
 ) {
+    let width = ws.app.len() / compiled.n();
     out.hard_bits.clear();
-    out.hard_bits.extend(app.iter().map(|&m| arith.hard_bit(m)));
     out.posterior_llrs.clear();
-    out.posterior_llrs
-        .extend(app.iter().map(|&m| arith.to_llr(m)));
+    crate::group::const_width!(width, W => {
+        let column = || crate::group::column(&ws.app, W, slot);
+        out.hard_bits.extend(column().map(|m| arith.hard_bit(m)));
+        out.posterior_llrs.extend(column().map(|m| arith.to_llr(m)));
+    });
     out.iterations = iterations;
-    out.parity_satisfied = compiled.syndrome_ok(&out.hard_bits);
+    out.parity_satisfied = compiled.syndrome_ok(&out.hard_bits, &mut ws.syndrome);
     out.early_terminated = early_terminated;
-    out.stats = stats;
+    out.stats = crate::decoder::group_frame_stats(compiled, iterations);
 }
 
 /// Message type of a decoder's arithmetic back-end.

@@ -15,7 +15,7 @@
 use ldpc_codes::{CompiledCode, QcCode};
 
 use crate::arith::{DecoderArithmetic, LaneScratch};
-use crate::decoder::{group_frame_stats, DecoderConfig};
+use crate::decoder::DecoderConfig;
 use crate::early_term::{check_frames, message_threshold};
 use crate::engine::Decoder;
 use crate::error::DecodeError;
@@ -165,21 +165,13 @@ impl<A: DecoderArithmetic> FloodingDecoder<A> {
             if self.config.stop_on_zero_syndrome && iterations < self.config.max_iterations {
                 ws.hard.clear();
                 ws.hard.extend(ws.app.iter().map(|&m| arith.hard_bit(m)));
-                if compiled.syndrome_ok(&ws.hard) {
+                if compiled.syndrome_ok(&ws.hard, &mut ws.syndrome) {
                     break;
                 }
             }
         }
 
-        crate::engine::finish_output(
-            arith,
-            compiled,
-            &ws.app,
-            out,
-            iterations,
-            early_terminated,
-            group_frame_stats(compiled, iterations),
-        );
+        crate::engine::finish_output(arith, compiled, ws, 0, out, iterations, early_terminated);
 
         #[cfg(debug_assertions)]
         if let Some(fingerprint) = steady_fingerprint {
@@ -218,7 +210,12 @@ impl<A: DecoderArithmetic> Decoder for FloodingDecoder<A> {
         ws: &mut DecodeWorkspace<A::Msg>,
         outs: &mut [DecodeOutput],
     ) -> Result<(), DecodeError> {
-        crate::engine::check_group_llrs(compiled, llrs, outs.len())?;
+        // Every frame is checked before the first one is decoded, so a
+        // refused group leaves `outs` untouched.
+        crate::engine::check_group_shape(compiled, llrs, outs.len())?;
+        for (f, frame) in llrs.chunks_exact(compiled.n()).enumerate() {
+            crate::engine::check_frame_finite(f, frame)?;
+        }
         for (frame, out) in llrs.chunks_exact(compiled.n()).zip(outs.iter_mut()) {
             self.decode_frame(compiled, frame, ws, out);
         }

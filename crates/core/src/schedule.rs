@@ -7,8 +7,6 @@
 //! layers is overlapped (Fig. 4); the paper cites layer shuffling \[10\] as the
 //! stall-avoidance mechanism.
 
-use ldpc_codes::{LayerSchedule, QcCode};
-
 /// How the decoder orders layers within an iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LayerOrderPolicy {
@@ -20,39 +18,33 @@ pub enum LayerOrderPolicy {
     StallMinimizing,
 }
 
-impl LayerOrderPolicy {
-    /// Resolves the policy into a concrete visit order for `code`.
-    #[must_use]
-    pub fn resolve(self, code: &QcCode) -> Vec<usize> {
-        match self {
-            LayerOrderPolicy::Natural => (0..code.block_rows()).collect(),
-            LayerOrderPolicy::StallMinimizing => {
-                LayerSchedule::stall_minimizing(code).order().to_vec()
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldpc_codes::{CodeId, CodeRate, Standard};
-
-    fn code() -> QcCode {
-        CodeId::new(Standard::Wimax80216e, CodeRate::R1_2, 576)
-            .build()
-            .unwrap()
-    }
+    use ldpc_codes::{stall_minimizing_order, CodeId, CodeRate, Layer, Standard};
 
     #[test]
     fn natural_order() {
-        let order = LayerOrderPolicy::Natural.resolve(&code());
-        assert_eq!(order, (0..12).collect::<Vec<_>>());
+        // With every pair of layers equally overlapping, the greedy's
+        // smallest-index tie-break keeps the natural order.
+        assert_eq!(
+            stall_minimizing_order(&[[0usize, 1]; 6]),
+            (0..6).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            stall_minimizing_order(&[[0usize], [1], [2], [3]]),
+            [0, 1, 2, 3]
+        );
+        assert!(stall_minimizing_order::<[usize; 1]>(&[]).is_empty());
     }
 
     #[test]
     fn stall_minimizing_is_permutation() {
-        let order = LayerOrderPolicy::StallMinimizing.resolve(&code());
+        let code = CodeId::new(Standard::Wimax80216e, CodeRate::R1_2, 576)
+            .build()
+            .unwrap();
+        let cols: Vec<Vec<usize>> = code.layers().iter().map(Layer::block_cols).collect();
+        let order = stall_minimizing_order(&cols);
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..12).collect::<Vec<_>>());

@@ -163,14 +163,19 @@ impl std::fmt::Debug for DecodePool {
 }
 
 /// Number of logical cores the machine reports
-/// (`std::thread::available_parallelism`, 1 if unknown). The bench and soak
-/// headers print this next to their measurements so recorded scaling curves
-/// are attributable to a core count.
+/// (`std::thread::available_parallelism`, 1 if unknown). Read once per
+/// process and cached: the probe reads cgroup files on Linux, and every
+/// decoder's workspace pool asks for it. The bench and soak headers print
+/// this next to their measurements so recorded scaling curves are
+/// attributable to a core count.
 #[must_use]
 pub fn detected_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Whether `LDPC_PIN_THREADS` requests decode-pool core pinning. Read once

@@ -40,8 +40,11 @@ pub struct DecodeWorkspace<M> {
     /// (the row-serial reference and the flooding schedule); see
     /// [`LaneScratch`].
     pub(crate) lane_scratch: LaneScratch<M>,
-    /// Hard-decision scratch, length `n`.
+    /// Hard-decision scratch of the syndrome stop, length `n`.
     pub(crate) hard: Vec<u8>,
+    /// Block-doubled hard decisions of the syndrome check, length `2n` (see
+    /// [`CompiledCode::syndrome_ok`]).
+    pub(crate) syndrome: Vec<u8>,
     /// Early-termination decision record: the previous iteration's
     /// information-bit hard decisions, interleaved like the APP memory
     /// (`decisions[i · width + slot]`) and compacted with it. Reset to
@@ -54,7 +57,8 @@ pub struct DecodeWorkspace<M> {
     pub(crate) group_active: Vec<u32>,
     /// Per-iteration survivor list scratch of the group path.
     pub(crate) group_keep: Vec<u32>,
-    /// Single-frame APP extraction scratch of the group path, length `n`.
+    /// Ingest scratch of the group path: one frame quantised before it is
+    /// interleaved into the APP memory, length `n`.
     pub(crate) group_frame: Vec<M>,
     /// Original frame indices of the stage-1 failures a cascade escalates
     /// (see [`crate::cascade`]).
@@ -76,6 +80,7 @@ impl<M: Copy> DecodeWorkspace<M> {
             lambda_alt: Vec::new(),
             lane_scratch: LaneScratch::new(),
             hard: Vec::new(),
+            syndrome: Vec::new(),
             decisions: Vec::new(),
             verdicts: Vec::new(),
             group_active: Vec::new(),
@@ -124,6 +129,7 @@ impl<M: Copy> DecodeWorkspace<M> {
         reserve_to(&mut self.lambda, compiled.num_edges() * width);
         self.lane_scratch.reserve(degree, zw);
         reserve_to(&mut self.hard, n);
+        reserve_to(&mut self.syndrome, 2 * n);
         reserve_to(&mut self.decisions, compiled.info_bits() * width);
         reserve_to(&mut self.verdicts, verdict_capacity(width));
         reserve_to(&mut self.group_active, width);
@@ -143,6 +149,7 @@ impl<M: Copy> DecodeWorkspace<M> {
             && self.lambda.capacity() >= compiled.num_edges() * width
             && self.lane_scratch.is_ready(degree, zw)
             && self.hard.capacity() >= n
+            && self.syndrome.capacity() >= 2 * n
             && self.decisions.capacity() >= compiled.info_bits() * width
             && self.verdicts.capacity() >= verdict_capacity(width)
             && self.group_active.capacity() >= width
@@ -155,8 +162,9 @@ impl<M: Copy> DecodeWorkspace<M> {
 
     /// Resets the workspace for decoding a `width`-frame group: Λ memory
     /// zeroed at group stride, APP sized for the group (the driver packs it
-    /// from the channel LLRs), the active set reset to all frames, every
-    /// per-frame decision record reset.
+    /// from the channel LLRs), the ingest scratch sized for one frame when
+    /// the group is wider than one, the active set reset to all frames,
+    /// every per-frame decision record reset.
     pub(crate) fn prepare(&mut self, compiled: &CompiledCode, zero: M, width: usize) {
         self.reserve_decode(compiled, width);
         self.app.clear();
@@ -166,7 +174,9 @@ impl<M: Copy> DecodeWorkspace<M> {
         self.group_active.clear();
         self.group_active.extend(0..width as u32);
         self.group_frame.clear();
-        self.group_frame.resize(compiled.n(), zero);
+        if width > 1 {
+            self.group_frame.resize(compiled.n(), zero);
+        }
         self.decisions.clear();
         self.decisions
             .resize(compiled.info_bits() * width, NO_DECISION);
@@ -179,7 +189,7 @@ impl<M: Copy> DecodeWorkspace<M> {
     /// inner buffers are swapped with caller outputs, so their identity
     /// legitimately changes.
     #[must_use]
-    pub fn allocation_fingerprint(&self) -> [(usize, usize); 18] {
+    pub fn allocation_fingerprint(&self) -> [(usize, usize); 19] {
         fn fp<T>(buf: &Vec<T>) -> (usize, usize) {
             (buf.as_ptr() as usize, buf.capacity())
         }
@@ -204,6 +214,7 @@ impl<M: Copy> DecodeWorkspace<M> {
             scratch[3],
             scratch[4],
             fp(&self.hard),
+            fp(&self.syndrome),
             fp(&self.decisions),
             fp(&self.verdicts),
             fp(&self.group_active),

@@ -560,17 +560,11 @@ where
             // aggregate across shards.
             let decoder = self.decoder.detached_clone();
             let group_width = decoder.preferred_group_width(&compiled).max(1);
+            // Snapped down to whole groups; the value in force is exported
+            // as `ShardStats::effective_max_batch`.
             let mut effective_batch = config.max_batch;
             if group_width > 1 && config.max_batch >= group_width {
                 effective_batch = (config.max_batch / group_width) * group_width;
-            }
-            if effective_batch != config.max_batch {
-                eprintln!(
-                    "ldpc-serve: max_batch {} for {id} snapped to {effective_batch} \
-                     (group width {group_width}); size batches in group-width \
-                     multiples to use the full ceiling",
-                    config.max_batch
-                );
             }
             let counters = Arc::new(ShardCounters::default());
             if let Some(cost) = policy.expected_frame_cost {

@@ -5,7 +5,9 @@
 //! * non-finite channel LLRs (±inf, NaN) are refused with
 //!   `DecodeError::NonFiniteLlr` carrying the offending frame and index, by
 //!   every back-end and through every entry point, instead of being decoded
-//!   into a "parity satisfied" output;
+//!   into a "parity satisfied" output; a group refused at frame `k > 0`,
+//!   after its clean frames were already ingested, leaves its outputs
+//!   untouched and its workspace as good as fresh;
 //! * `decode_into` with a wrong-length frame is `LlrLengthMismatch` for every
 //!   decoder, the cascade included;
 //! * one workspace cycled through flooding, layered single-frame, full and
@@ -137,6 +139,83 @@ fn non_finite_llrs_are_refused_by_the_reference_kernel() {
             "{case}"
         );
     }
+}
+
+/// A group whose frame `k > 0` is poisoned after `k` clean frames: the
+/// one-pass ingest has already quantised the clean frames into the workspace
+/// when it reaches frame `k`. The refusal must still name `(k, index)` (the
+/// first bad value, even with a later frame poisoned too), leave every
+/// output untouched, and leave the workspace serving the next clean group
+/// exactly like a fresh one, on the same buffers.
+#[test]
+fn a_frame_poisoned_after_clean_ones_is_refused_without_touching_outputs() {
+    let code = code();
+    let compiled = code.compile();
+    let n = compiled.n();
+    let config = DecoderConfig::default();
+    let fixed = LayeredDecoder::new(FixedBpArithmetic::default(), config).unwrap();
+    let width = fixed.preferred_group_width(&compiled);
+    assert!(width >= 3, "the sweep needs a real group width");
+    let clean = noisy_frames(&code, width, 13);
+    let sentinel = DecodeOutput {
+        hard_bits: vec![7; 3],
+        posterior_llrs: vec![-1.5],
+        iterations: 99,
+        parity_satisfied: true,
+        early_terminated: true,
+        stats: Default::default(),
+    };
+
+    type GroupDecode<'a> = dyn Fn(&[f64], &mut DecodeWorkspace<i16>, &mut [DecodeOutput]) -> Result<(), DecodeError>
+        + 'a;
+    let check = |name: &str, decode: &GroupDecode<'_>| {
+        let mut fresh = vec![DecodeOutput::empty(); width];
+        decode(&clean, &mut DecodeWorkspace::new(), &mut fresh).unwrap();
+        let mut ws = DecodeWorkspace::new();
+        ws.reserve_for(&compiled, width);
+        let fingerprint = ws.allocation_fingerprint();
+        for k in 1..width {
+            for (index, bad) in [
+                (0, f64::NAN),
+                (n / 2, f64::INFINITY),
+                (n - 1, f64::NEG_INFINITY),
+            ] {
+                let mut group = clean.clone();
+                group[k * n + index] = bad;
+                if k + 1 < width {
+                    group[(width - 1) * n + n / 3] = f64::NAN;
+                }
+                let mut outs = vec![sentinel.clone(); width];
+                assert_eq!(
+                    decode(&group, &mut ws, &mut outs),
+                    Err(DecodeError::NonFiniteLlr { frame: k, index }),
+                    "{name}: frame {k}, index {index}"
+                );
+                assert!(
+                    outs.iter().all(|o| *o == sentinel),
+                    "{name}: outputs written"
+                );
+                let mut outs = vec![DecodeOutput::empty(); width];
+                decode(&clean, &mut ws, &mut outs).unwrap();
+                assert_eq!(
+                    outs, fresh,
+                    "{name}: clean group after frame {k} was refused"
+                );
+                assert_eq!(
+                    ws.allocation_fingerprint(),
+                    fingerprint,
+                    "{name}: reallocated"
+                );
+            }
+        }
+    };
+    check("fixed BP", &|llrs, ws, outs| {
+        fixed.decode_group_into(&compiled, llrs, ws, outs)
+    });
+    let min_sum = LayeredDecoder::new(FixedMinSumArithmetic::default(), config).unwrap();
+    check("fixed Min-Sum", &|llrs, ws, outs| {
+        min_sum.decode_group_into(&compiled, llrs, ws, outs)
+    });
 }
 
 fn assert_length_mismatch<D: Decoder>(name: &str, decoder: &D, compiled: &CompiledCode) {
