@@ -331,8 +331,11 @@ impl CompiledCode {
                 let parity = &mut panel[..PANEL.min(z - first_lane)];
                 parity.fill(0);
                 for (&col, &shift) in lanes.col_base.iter().zip(lanes.shift) {
+                    // The panel's lanes only: the span ends at most at
+                    // `2·col + shift + z`, inside this column's doubled block.
                     let start = 2 * col as usize + shift as usize + first_lane;
-                    for (p, &bit) in parity.iter_mut().zip(&doubled[start..start + z]) {
+                    let span = &doubled[start..start + parity.len()];
+                    for (p, &bit) in parity.iter_mut().zip(span) {
                         *p ^= bit;
                     }
                 }
@@ -516,14 +519,24 @@ mod tests {
             .map(|id| id.build().unwrap())
             .collect();
         // z wider than one stack parity panel.
-        codes.push(
-            crate::construction::ConstructionParams::for_mode(
-                Standard::Wimax80216e,
-                CodeRate::R1_2,
-            )
-            .build_code(600)
-            .unwrap(),
-        );
+        let wide = crate::construction::ConstructionParams::for_mode(
+            Standard::Wimax80216e,
+            CodeRate::R1_2,
+        )
+        .build_code(600)
+        .unwrap();
+        // The same code with every entry of the last block column shifted
+        // past `z - PANEL`, so the second panel's rotated span wraps at the
+        // very end of the doubled scratch.
+        let mut base = wide.base().clone();
+        let last = base.cols() - 1;
+        for row in 0..base.rows() {
+            if base.get(row, last).is_some() {
+                base.set(row, last, Some(500 + row as u32)).unwrap();
+            }
+        }
+        codes.push(QcCode::from_parts(*wide.spec(), base).unwrap());
+        codes.push(wide);
         for code in codes {
             let id = code.spec().id();
             let compiled = CompiledCode::compile(&code);

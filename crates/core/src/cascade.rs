@@ -396,7 +396,7 @@ impl Decoder for CascadeDecoder {
 
         // Stage 1: the whole group through the cheap Min-Sum pass, which
         // also checks the group's shape and LLRs. Each output's syndrome
-        // (computed by finish_output for every frame anyway) is the
+        // (the verdict every finished frame carries anyway) is the
         // escalation test — no extra convergence scan.
         self.stage1.decode_group_into(compiled, llrs, ws, outs)?;
         self.counters.count_stage(0, frames);

@@ -44,7 +44,7 @@ use ldpc_codes::{CompiledCode, QcCode};
 
 use crate::arith::{DecoderArithmetic, LaneKernel, LaneScratch};
 use crate::early_term::{check_frames, message_threshold, EarlyTermination};
-use crate::engine::Decoder;
+use crate::engine::{finish_output, hard_bits_into, Decoder, Stop};
 use crate::error::DecodeError;
 use crate::pool::WorkspacePool;
 use crate::result::{DecodeOutput, DecodeStats};
@@ -320,31 +320,22 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
             }
             ws.group_keep.clear();
             for slot in 0..width {
-                let frame = ws.group_active[slot] as usize;
-                let mut done = last;
-                let mut early = false;
+                let out = &mut outs[ws.group_active[slot] as usize];
+                let mut stop = last.then_some(Stop::Limit);
                 if et_threshold.is_some() && ws.verdicts[slot] == 0 && !last {
-                    done = true;
-                    early = true;
+                    stop = Some(Stop::Early);
                 }
-                if !done && !last && self.config.stop_on_zero_syndrome {
-                    ws.hard.clear();
-                    let column = crate::group::column(&ws.app, width, slot);
-                    ws.hard.extend(column.map(|m| arith.hard_bit(m)));
-                    if compiled.syndrome_ok(&ws.hard, &mut ws.syndrome) {
-                        done = true;
+                // The stop writes the hard decisions straight into the
+                // frame's output, where the finish keeps them; a frame that
+                // goes on has them rewritten when it finishes.
+                if stop.is_none() && self.config.stop_on_zero_syndrome {
+                    hard_bits_into(arith, &ws.app, width, slot, &mut out.hard_bits);
+                    if compiled.syndrome_ok(&out.hard_bits, &mut ws.syndrome) {
+                        stop = Some(Stop::ZeroSyndrome);
                     }
                 }
-                if done {
-                    crate::engine::finish_output(
-                        arith,
-                        compiled,
-                        ws,
-                        slot,
-                        &mut outs[frame],
-                        iterations,
-                        early,
-                    );
+                if let Some(stop) = stop {
+                    finish_output(arith, compiled, ws, width, slot, out, iterations, stop);
                 } else {
                     ws.group_keep.push(slot as u32);
                 }

@@ -119,30 +119,61 @@ pub(crate) fn check_frame_finite(frame: usize, llrs: &[f64]) -> Result<(), Decod
     Err(DecodeError::NonFiniteLlr { frame, index })
 }
 
-/// Fills `out` from packed column `slot` of the final APP memory `ws.app`
-/// (`app[i · width + slot]`, with `width = app.len() / n`; see
-/// [`crate::group`]): hard bits, posterior LLRs and the syndrome verdict,
-/// read in place with no de-interleaved copy. Shared by both schedules.
+/// Why a frame's decode ended; picks what [`finish_output`] still computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stop {
+    /// The iteration limit: hard bits and syndrome are computed at finish.
+    Limit,
+    /// Early termination fired: likewise, with the flag set.
+    Early,
+    /// The syndrome stop fired: `out.hard_bits` already holds the frame's
+    /// hard decisions (see [`hard_bits_into`]) and they are a codeword.
+    ZeroSyndrome,
+}
+
+/// Hard decisions of packed column `slot` of a `width`-frame APP memory
+/// (`app[i · width + slot]`, see [`crate::group`]) into `hard`.
+pub(crate) fn hard_bits_into<A: DecoderArithmetic>(
+    arith: &A,
+    app: &[A::Msg],
+    width: usize,
+    slot: usize,
+    hard: &mut Vec<u8>,
+) {
+    hard.clear();
+    crate::group::const_width!(width, W => {
+        hard.extend(crate::group::column(app, W, slot).map(|m| arith.hard_bit(m)));
+    });
+}
+
+/// Fills `out` from packed column `slot` of the final `width`-frame APP
+/// memory `ws.app`: hard bits, posterior LLRs and the syndrome verdict, read
+/// in place with no de-interleaved copy. A [`Stop::ZeroSyndrome`] frame
+/// keeps the hard bits and the verdict the stop already produced, so each
+/// finished frame runs one syndrome check. Shared by both schedules.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_output<A: DecoderArithmetic>(
     arith: &A,
     compiled: &CompiledCode,
     ws: &mut DecodeWorkspace<A::Msg>,
+    width: usize,
     slot: usize,
     out: &mut DecodeOutput,
     iterations: usize,
-    early_terminated: bool,
+    stop: Stop,
 ) {
-    let width = ws.app.len() / compiled.n();
-    out.hard_bits.clear();
+    debug_assert_eq!(ws.app.len(), width * compiled.n());
     out.posterior_llrs.clear();
     crate::group::const_width!(width, W => {
-        let column = || crate::group::column(&ws.app, W, slot);
-        out.hard_bits.extend(column().map(|m| arith.hard_bit(m)));
-        out.posterior_llrs.extend(column().map(|m| arith.to_llr(m)));
+        let column = crate::group::column(&ws.app, W, slot);
+        out.posterior_llrs.extend(column.map(|m| arith.to_llr(m)));
     });
+    out.parity_satisfied = stop == Stop::ZeroSyndrome || {
+        hard_bits_into(arith, &ws.app, width, slot, &mut out.hard_bits);
+        compiled.syndrome_ok(&out.hard_bits, &mut ws.syndrome)
+    };
     out.iterations = iterations;
-    out.parity_satisfied = compiled.syndrome_ok(&out.hard_bits, &mut ws.syndrome);
-    out.early_terminated = early_terminated;
+    out.early_terminated = stop == Stop::Early;
     out.stats = crate::decoder::group_frame_stats(compiled, iterations);
 }
 

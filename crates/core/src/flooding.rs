@@ -17,7 +17,7 @@ use ldpc_codes::{CompiledCode, QcCode};
 use crate::arith::{DecoderArithmetic, LaneScratch};
 use crate::decoder::DecoderConfig;
 use crate::early_term::{check_frames, message_threshold};
-use crate::engine::Decoder;
+use crate::engine::{finish_output, hard_bits_into, Decoder, Stop};
 use crate::error::DecodeError;
 use crate::pool::WorkspacePool;
 use crate::result::DecodeOutput;
@@ -114,7 +114,7 @@ impl<A: DecoderArithmetic> FloodingDecoder<A> {
         let et_threshold = message_threshold(arith, self.config.early_termination.as_ref());
 
         let mut iterations = 0usize;
-        let mut early_terminated = false;
+        let mut stop = Stop::Limit;
 
         for _ in 0..self.config.max_iterations {
             // Phase 1: every check node uses the posteriors of the previous
@@ -158,20 +158,20 @@ impl<A: DecoderArithmetic> FloodingDecoder<A> {
                 let info = &ws.app[..info_len];
                 check_frames(arith, t, info, &mut ws.decisions, 1, &mut ws.verdicts);
                 if ws.verdicts[0] == 0 && iterations < self.config.max_iterations {
-                    early_terminated = true;
+                    stop = Stop::Early;
                     break;
                 }
             }
             if self.config.stop_on_zero_syndrome && iterations < self.config.max_iterations {
-                ws.hard.clear();
-                ws.hard.extend(ws.app.iter().map(|&m| arith.hard_bit(m)));
-                if compiled.syndrome_ok(&ws.hard, &mut ws.syndrome) {
+                hard_bits_into(arith, &ws.app, 1, 0, &mut out.hard_bits);
+                if compiled.syndrome_ok(&out.hard_bits, &mut ws.syndrome) {
+                    stop = Stop::ZeroSyndrome;
                     break;
                 }
             }
         }
 
-        crate::engine::finish_output(arith, compiled, ws, 0, out, iterations, early_terminated);
+        finish_output(arith, compiled, ws, 1, 0, out, iterations, stop);
 
         #[cfg(debug_assertions)]
         if let Some(fingerprint) = steady_fingerprint {

@@ -40,8 +40,6 @@ pub struct DecodeWorkspace<M> {
     /// (the row-serial reference and the flooding schedule); see
     /// [`LaneScratch`].
     pub(crate) lane_scratch: LaneScratch<M>,
-    /// Hard-decision scratch of the syndrome stop, length `n`.
-    pub(crate) hard: Vec<u8>,
     /// Block-doubled hard decisions of the syndrome check, length `2n` (see
     /// [`CompiledCode::syndrome_ok`]).
     pub(crate) syndrome: Vec<u8>,
@@ -79,7 +77,6 @@ impl<M: Copy> DecodeWorkspace<M> {
             lambda: Vec::new(),
             lambda_alt: Vec::new(),
             lane_scratch: LaneScratch::new(),
-            hard: Vec::new(),
             syndrome: Vec::new(),
             decisions: Vec::new(),
             verdicts: Vec::new(),
@@ -128,7 +125,6 @@ impl<M: Copy> DecodeWorkspace<M> {
         reserve_to(&mut self.app, n * width);
         reserve_to(&mut self.lambda, compiled.num_edges() * width);
         self.lane_scratch.reserve(degree, zw);
-        reserve_to(&mut self.hard, n);
         reserve_to(&mut self.syndrome, 2 * n);
         reserve_to(&mut self.decisions, compiled.info_bits() * width);
         reserve_to(&mut self.verdicts, verdict_capacity(width));
@@ -148,7 +144,6 @@ impl<M: Copy> DecodeWorkspace<M> {
         self.app.capacity() >= n * width
             && self.lambda.capacity() >= compiled.num_edges() * width
             && self.lane_scratch.is_ready(degree, zw)
-            && self.hard.capacity() >= n
             && self.syndrome.capacity() >= 2 * n
             && self.decisions.capacity() >= compiled.info_bits() * width
             && self.verdicts.capacity() >= verdict_capacity(width)
@@ -189,7 +184,7 @@ impl<M: Copy> DecodeWorkspace<M> {
     /// inner buffers are swapped with caller outputs, so their identity
     /// legitimately changes.
     #[must_use]
-    pub fn allocation_fingerprint(&self) -> [(usize, usize); 19] {
+    pub fn allocation_fingerprint(&self) -> [(usize, usize); 18] {
         fn fp<T>(buf: &Vec<T>) -> (usize, usize) {
             (buf.as_ptr() as usize, buf.capacity())
         }
@@ -213,7 +208,6 @@ impl<M: Copy> DecodeWorkspace<M> {
             scratch[2],
             scratch[3],
             scratch[4],
-            fp(&self.hard),
             fp(&self.syndrome),
             fp(&self.decisions),
             fp(&self.verdicts),
