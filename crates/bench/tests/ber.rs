@@ -5,7 +5,10 @@
 //! * its BER falls strictly as Eb/N0 rises;
 //! * it is statistically equal to the 8-bit forward/backward datapath
 //!   (`mc::ber_within_confidence`, both decoders on the same noise);
-//! * bare ⊟ extraction (`CheckNodeMode::SumExtract`) is measurably worse.
+//! * bare ⊟ extraction (`CheckNodeMode::SumExtract`) is measurably worse;
+//! * the default stop (the first zero syndrome) loses no frame the paper's
+//!   early-termination rule decodes: on the same frames, its FER is at most
+//!   that of `DecoderConfig::paper_early_termination`.
 //!
 //! ```bash
 //! cargo test -p ldpc-bench --test ber
@@ -27,12 +30,23 @@ fn wimax(n: usize) -> QcCode {
 }
 
 fn run(arith: FixedBpArithmetic, code: &QcCode, ebn0_db: f64, frames: usize) -> McResult {
+    run_with(arith, DecoderConfig::default(), code, ebn0_db, frames)
+}
+
+/// [`run`] with another decoder configuration, on the same frames.
+fn run_with(
+    arith: FixedBpArithmetic,
+    decoder: DecoderConfig,
+    code: &QcCode,
+    ebn0_db: f64,
+    frames: usize,
+) -> McResult {
     let config = McConfig {
         ebn0_db,
         frames,
         seed: 0xBE7 + (ebn0_db * 10.0) as u64,
     };
-    run_monte_carlo(arith, DecoderConfig::default(), code, config)
+    run_monte_carlo(arith, decoder, code, config)
 }
 
 /// `mc::ber_within_confidence` with the *frame* as the trial. Bit errors
@@ -47,7 +61,7 @@ fn equal(a: &McResult, b: &McResult) -> bool {
         && ber_within_confidence(&as_frames(a), &as_frames(b), 1, SIGMAS)
 }
 
-/// Runs the three gates on `code` over `points` (dB, ascending, inside
+/// Runs the four gates on `code` over `points` (dB, ascending, inside
 /// the waterfall); bare ⊟ is compared at the last point.
 fn gate(code: &QcCode, points: &[f64], frames: usize) {
     let n = code.n();
@@ -62,6 +76,19 @@ fn gate(code: &QcCode, points: &[f64], frames: usize) {
             default.fer,
             fwd_bwd.ber,
             fwd_bwd.fer
+        );
+        let paper = run_with(
+            FixedBpArithmetic::default(),
+            DecoderConfig::paper_early_termination(),
+            code,
+            ebn0,
+            frames,
+        );
+        assert!(
+            default.fer <= paper.fer,
+            "n={n} {ebn0} dB: default FER {:.3} above the paper rule's {:.3}",
+            default.fer,
+            paper.fer
         );
         if let Some(previous) = previous {
             assert!(

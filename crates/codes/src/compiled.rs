@@ -41,9 +41,9 @@
 //! independence that lets hardware run `z` SISO units in lock-step and lets
 //! software vectorise across lanes. The per-edge `col_index` table (the
 //! expanded form of the same mapping) is retained for the row-serial
-//! reference path; the syndrome check runs on the same contract, over a
-//! block-doubled copy of the hard decisions in which every rotation is one
-//! span.
+//! reference path; [`CompiledCode::syndrome_ok`] runs on the same contract,
+//! over a block-doubled copy of the hard decisions in which every rotation
+//! is one span.
 //!
 //! Compile once per code, decode millions of frames.
 
@@ -299,8 +299,10 @@ impl CompiledCode {
     }
 
     /// Whether `hard` (one 0/1 value per code bit) satisfies every parity
-    /// check. Allocation-free syndrome test for the decode hot path once
-    /// `doubled` has a capacity of `2n`.
+    /// check; allocation-free once `doubled` has a capacity of `2n`. The
+    /// decoders check whole frame groups in their own message domain
+    /// instead (`DecoderArithmetic::parity_verdicts` in `ldpc-core`); this
+    /// is the single-word form on hard bits.
     ///
     /// Runs on the lane-major rotation contract over a block-doubled copy of
     /// `hard`: `doubled` is refilled with every block column written twice

@@ -12,7 +12,7 @@ use super::simd::{self, SimdLevel};
 use super::DecoderArithmetic;
 use crate::fixedpoint::{FixedFormat, MAX_MESSAGE_BITS};
 use crate::lut::{CorrectionKind, CorrectionLut};
-use ldpc_codes::LaneLayer;
+use ldpc_codes::{CompiledCode, LaneLayer};
 
 /// How the fixed-point check-node update extracts the extrinsic messages.
 ///
@@ -232,9 +232,9 @@ impl DecoderArithmetic for FixedBpArithmetic {
 
     /// One kernel-tier quantisation pass, bit-identical to
     /// [`DecoderArithmetic::from_channel`] per element.
-    fn from_channel_slice(&self, llrs: &[f64], out: &mut [i16]) {
+    fn from_channel_slice(&self, llrs: &[f64], out: &mut [i16]) -> bool {
         let max = self.format.max_code() as i16;
-        simd::quantize_codes(self.simd_level(), self.format.scale(), max, true, llrs, out);
+        simd::quantize_codes(self.simd_level(), self.format.scale(), max, true, llrs, out)
     }
 
     fn to_llr(&self, m: i16) -> f64 {
@@ -276,6 +276,17 @@ impl DecoderArithmetic for FixedBpArithmetic {
 
     fn exceeds(&self, m: i16, t: i16) -> bool {
         m.saturating_abs() > t
+    }
+
+    /// One vector parity pass per group at the instance's kernel tier.
+    fn parity_verdicts(
+        &self,
+        compiled: &CompiledCode,
+        width: usize,
+        app: &[i16],
+        failed: &mut [u8],
+    ) {
+        simd::parity_verdicts(self.simd_level(), compiled, width, app, failed);
     }
 
     fn check_node_update(&self, lambdas: &[i16], out: &mut Vec<i16>) {

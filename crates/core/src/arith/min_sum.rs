@@ -18,6 +18,7 @@ use super::simd::{self, SimdLevel};
 use super::DecoderArithmetic;
 use crate::boxplus::FLOAT_CLAMP;
 use crate::fixedpoint::FixedFormat;
+use ldpc_codes::CompiledCode;
 
 /// Computes, for each position, the minimum magnitude of the *other* entries
 /// and the product of the *other* signs, using the two-minima trick.
@@ -237,7 +238,7 @@ impl DecoderArithmetic for FixedMinSumArithmetic {
 
     /// One kernel-tier quantisation pass, bit-identical to
     /// [`DecoderArithmetic::from_channel`] per element.
-    fn from_channel_slice(&self, llrs: &[f64], out: &mut [i16]) {
+    fn from_channel_slice(&self, llrs: &[f64], out: &mut [i16]) -> bool {
         let max = self.format.max_code() as i16;
         simd::quantize_codes(
             self.simd_level(),
@@ -246,7 +247,7 @@ impl DecoderArithmetic for FixedMinSumArithmetic {
             false,
             llrs,
             out,
-        );
+        )
     }
 
     fn to_llr(&self, m: i16) -> f64 {
@@ -275,6 +276,17 @@ impl DecoderArithmetic for FixedMinSumArithmetic {
 
     fn exceeds(&self, m: i16, t: i16) -> bool {
         m.saturating_abs() > t
+    }
+
+    /// One vector parity pass per group at the instance's kernel tier.
+    fn parity_verdicts(
+        &self,
+        compiled: &CompiledCode,
+        width: usize,
+        app: &[i16],
+        failed: &mut [u8],
+    ) {
+        simd::parity_verdicts(self.simd_level(), compiled, width, app, failed);
     }
 
     fn check_node_update(&self, lambdas: &[i16], out: &mut Vec<i16>) {

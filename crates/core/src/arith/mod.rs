@@ -32,6 +32,8 @@ pub use simd::SimdLevel;
 
 use std::fmt::Debug;
 
+use ldpc_codes::CompiledCode;
+
 /// A message representation plus the check-node update rule operating on it.
 pub trait DecoderArithmetic {
     /// The message type carried through the decoder (e.g. `f64` or a
@@ -46,18 +48,24 @@ pub trait DecoderArithmetic {
     fn from_channel(&self, llr: f64) -> Self::Msg;
 
     /// [`DecoderArithmetic::from_channel`] over a slice:
-    /// `out[i] = from_channel(llrs[i])`. The fixed-point back-ends override
-    /// it with one kernel-tier quantisation pass.
+    /// `out[i] = from_channel(llrs[i])`. Returns whether every LLR was
+    /// finite (`|l| < ∞`; ±∞ and NaN are not), tested in the same pass, so
+    /// the decode drivers refuse a frame without a second scan. The
+    /// fixed-point back-ends override it with one kernel-tier quantisation
+    /// pass.
     ///
     /// # Panics
     ///
     /// May panic if the slices differ in length.
     #[allow(clippy::wrong_self_convention)]
-    fn from_channel_slice(&self, llrs: &[f64], out: &mut [Self::Msg]) {
+    fn from_channel_slice(&self, llrs: &[f64], out: &mut [Self::Msg]) -> bool {
         debug_assert_eq!(llrs.len(), out.len());
+        let mut finite = true;
         for (o, &l) in out.iter_mut().zip(llrs) {
             *o = self.from_channel(l);
+            finite &= l.abs() < f64::INFINITY;
         }
+        finite
     }
 
     /// Converts a message back into an LLR value (for thresholds, reporting
@@ -102,6 +110,39 @@ pub trait DecoderArithmetic {
     /// as it never lowers the minimum `|LLR|` the rule compares.
     fn exceeds(&self, m: Self::Msg, t: Self::Msg) -> bool;
 
+    /// The parity verdict of every frame of a `width`-frame group: on
+    /// return `failed[slot]` is 0 exactly when the hard decisions of packed
+    /// column `slot` of the APP memory `app` (`app[i · width + slot]`, see
+    /// [`crate::group`]) satisfy every parity check of `compiled`, and 1
+    /// otherwise. A verdict depends on its own frame's column alone, never
+    /// on the width, the slot or the other frames. The decode drivers run
+    /// it once per iteration for the zero-syndrome stop, and its verdict is
+    /// the `parity_satisfied` of every finished frame.
+    ///
+    /// The provided body XORs [`DecoderArithmetic::hard_bit`]s along the
+    /// rotation contract of [`CompiledCode`]; the fixed-point back-ends
+    /// override it with the vector pass [`simd::parity_verdicts`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `app.len() != compiled.n() · width` or `failed.len() !=
+    /// width`.
+    fn parity_verdicts(
+        &self,
+        compiled: &CompiledCode,
+        width: usize,
+        app: &[Self::Msg],
+        failed: &mut [u8],
+    ) {
+        assert_eq!(
+            app.len(),
+            compiled.n() * width,
+            "APP memory of another shape"
+        );
+        assert_eq!(failed.len(), width, "one verdict per frame");
+        parity_verdicts_by(compiled, width, app, failed, |m| self.hard_bit(m));
+    }
+
     /// Check-node update (Eq. 1 of the paper for BP): given the incoming
     /// variable-to-check messages `λ_mj` of one check row, computes the
     /// outgoing check-to-variable messages `Λ_mn` for every position.
@@ -111,6 +152,53 @@ pub trait DecoderArithmetic {
 
     /// Short human-readable name used in reports ("full-BP fixed 8-bit", …).
     fn name(&self) -> &'static str;
+}
+
+/// [`DecoderArithmetic::parity_verdicts`] with `bit` as the hard decision:
+/// per layer, the rows' parities are XORed into a stack panel of up to 256
+/// lanes, each block column read as its two stride-1 rotated spans, then
+/// folded into the verdicts of their frames (lane `i` belongs to frame
+/// `i mod width`). Stops after the first layer by which every frame has
+/// failed. The scalar form of every parity pass.
+pub(crate) fn parity_verdicts_by<M: Copy>(
+    compiled: &CompiledCode,
+    width: usize,
+    app: &[M],
+    failed: &mut [u8],
+    bit: impl Fn(M) -> u8,
+) {
+    /// Lanes per stack parity panel.
+    const PANEL: usize = 256;
+    let zw = compiled.z() * width;
+    failed.fill(0);
+    let mut panel = [0u8; PANEL];
+    for layer in 0..compiled.block_rows() {
+        let lanes = compiled.layer_lanes(layer);
+        for start in (0..zw).step_by(PANEL) {
+            let parity = &mut panel[..PANEL.min(zw - start)];
+            parity.fill(0);
+            for (&col, &shift) in lanes.col_base.iter().zip(lanes.shift) {
+                // Lane `i` reads `block[(i + shift · width) mod zw]`.
+                let block = &app[col as usize * width..][..zw];
+                let first = (start + shift as usize * width) % zw;
+                let (head, tail) = parity.split_at_mut(parity.len().min(zw - first));
+                for (p, &m) in head.iter_mut().zip(&block[first..]) {
+                    *p ^= bit(m);
+                }
+                for (p, &m) in tail.iter_mut().zip(block) {
+                    *p ^= bit(m);
+                }
+            }
+            let mut frame = start % width;
+            for &p in parity.iter() {
+                failed[frame] |= p;
+                frame = if frame + 1 == width { 0 } else { frame + 1 };
+            }
+        }
+        if failed.iter().all(|&f| f != 0) {
+            return;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -110,7 +110,7 @@
 #![allow(clippy::too_many_arguments)]
 
 use crate::lut::CorrectionLut;
-use ldpc_codes::LaneLayer;
+use ldpc_codes::{CompiledCode, LaneLayer};
 use std::sync::OnceLock;
 
 /// A kernel tier: which instruction-set extension the panel kernels run on.
@@ -305,7 +305,7 @@ impl LayerSpans {
 /// instructions the SIMD tiers use.
 pub(crate) mod scalar {
     use super::{LayerSpans, HALF_DOWN, MAX_FUSED_DEGREE};
-    use ldpc_codes::LaneLayer;
+    use ldpc_codes::{CompiledCode, LaneLayer};
     use std::ops::Range;
 
     /// The fused ⊞/⊟ core of one lane: `lut` maps a magnitude to its
@@ -703,6 +703,17 @@ pub(crate) mod scalar {
         }
     }
 
+    /// The parity verdicts of a group (see [`super::parity_verdicts`]):
+    /// the sign bit of an `i16` code is its hard decision.
+    pub(crate) fn parity_verdicts(
+        compiled: &CompiledCode,
+        width: usize,
+        app: &[i16],
+        failed: &mut [u8],
+    ) {
+        crate::arith::parity_verdicts_by(compiled, width, app, failed, |m: i16| u8::from(m < 0));
+    }
+
     /// Plain saturating `λ = L − Λ` clamp (fixed Min-Sum).
     pub(crate) fn sub_lanes_clamp(lo: i16, hi: i16, app: &[i16], lambda: &[i16], out: &mut [i16]) {
         for ((o, &a), &b) in out.iter_mut().zip(app).zip(lambda) {
@@ -808,17 +819,21 @@ pub(crate) mod scalar {
         }
     }
 
-    /// [`quantize_one`] over a slice.
+    /// [`quantize_one`] over a slice; returns whether every LLR was finite
+    /// (`|l| < ∞`, which NaN fails too).
     pub(crate) fn quantize_codes(
         scale: f64,
         max_code: i16,
         remap_zero: bool,
         llrs: &[f64],
         out: &mut [i16],
-    ) {
+    ) -> bool {
+        let mut finite = true;
         for (o, &l) in out.iter_mut().zip(llrs) {
             *o = quantize_one(scale, max_code, remap_zero, l);
+            finite &= l.abs() < f64::INFINITY;
         }
+        finite
     }
 }
 
@@ -846,12 +861,13 @@ macro_rules! x86_panel_kernels {
         $xor:ident, $or:ident, $srli:ident, $srai:ident,
         $cmpeq:ident, $cmpgt:ident, $blendv:ident, $sign:ident, $shuffle:ident,
         $table:expr,
-        $set1_32:ident, $add32:ident, $min32:ident, $max32:ident
+        $set1_32:ident, $add32:ident, $min32:ident, $max32:ident,
+        $movemask:ident, $and:ident
     ) => {
         mod $modname {
             use super::{scalar, LayerSpans, SlotSpan, MAX_FUSED_DEGREE};
             use core::arch::x86_64::*;
-            use ldpc_codes::LaneLayer;
+            use ldpc_codes::{CompiledCode, LaneLayer};
 
             pub(super) const WIDTH: usize = $width;
             const WIDTH32: usize = $width / 2;
@@ -1242,6 +1258,188 @@ macro_rules! x86_panel_kernels {
                 );
             }
 
+            /// `panel[dst..dst + src.len()] ^= src` (`COPY`: `=`), a
+            /// vector at a time. A piece shorter than a vector goes lane by
+            /// lane. Otherwise a ragged end is one last vector ending at the
+            /// piece's end: a copy may overlap (it writes the same values
+            /// again), an XOR may not, so its already-XORed lanes are masked
+            /// to zero first (`MASK[rem..rem + WIDTH]` keeps the last `rem`).
+            ///
+            /// # Safety
+            /// The CPU must support the module's target feature, and
+            /// `dst + src.len() ≤ panel.len()`.
+            #[target_feature(enable = $feature)]
+            unsafe fn xor_piece<const COPY: bool>(panel: &mut [i16], dst: usize, src: &[i16]) {
+                const MASK: [i16; 2 * WIDTH] = {
+                    let mut mask = [0i16; 2 * WIDTH];
+                    let mut j = WIDTH;
+                    while j < 2 * WIDTH {
+                        mask[j] = -1;
+                        j += 1;
+                    }
+                    mask
+                };
+                let len = src.len();
+                assert!(dst + len <= panel.len());
+                if len < WIDTH {
+                    for (p, &x) in panel[dst..dst + len].iter_mut().zip(src) {
+                        *p = if COPY { x } else { *p ^ x };
+                    }
+                    return;
+                }
+                // SAFETY (all accesses): every vector is at `k ≤ len − WIDTH`
+                // of `src` and at `dst + k` of `panel` (asserted above); the
+                // mask load is at `rem ∈ 1..WIDTH` of the `2·WIDTH` table.
+                let mut op = |k: usize, x: $vec| {
+                    let v = if COPY { x } else { $xor(ld(panel, dst + k), x) };
+                    st(panel, dst + k, v);
+                };
+                let mut k = 0;
+                while k + WIDTH <= len {
+                    op(k, ld(src, k));
+                    k += WIDTH;
+                }
+                let rem = len - k;
+                if rem > 0 {
+                    let x = ld(src, len - WIDTH);
+                    op(len - WIDTH, if COPY { x } else { $and(x, ld(&MASK, rem)) });
+                }
+            }
+
+            /// `panel[i] ^= block[(i + rot) mod zw]` for every lane `i`
+            /// (`COPY`: `=`), with `zw = block.len() = panel.len()` and
+            /// `rot < zw`: the two stride-1 pieces of the rotation. When
+            /// one piece is shorter than a vector (and `zw ≥ 2 · WIDTH`),
+            /// the vector across the seam comes from a `2 · WIDTH` stack
+            /// window over the block's last and first `WIDTH` lanes, and
+            /// the other piece covers the remaining `zw − WIDTH` lanes.
+            ///
+            /// # Safety
+            /// The CPU must support the module's target feature.
+            #[target_feature(enable = $feature)]
+            unsafe fn xor_rotated<const COPY: bool>(panel: &mut [i16], block: &[i16], rot: usize) {
+                let zw = block.len();
+                assert!(panel.len() == zw && rot < zw);
+                let seam = |o: usize| {
+                    let mut window = [0i16; 2 * WIDTH];
+                    // SAFETY: `zw ≥ 2 · WIDTH` (checked by the callers'
+                    // branches), so both block vectors are in-bounds, and
+                    // `o < WIDTH` keeps the window load inside the window.
+                    st(&mut window, 0, ld(block, zw - WIDTH));
+                    st(&mut window, WIDTH, ld(block, 0));
+                    ld(&window, o)
+                };
+                // SAFETY (the panel vectors): at `0` or `zw − WIDTH`, with
+                // `zw ≥ 2 · WIDTH`.
+                let put = |panel: &mut [i16], i: usize, x: $vec| {
+                    let v = if COPY { x } else { $xor(ld(panel, i), x) };
+                    st(panel, i, v);
+                };
+                let (wrapped, head) = block.split_at(rot);
+                if rot != 0 && rot < WIDTH && zw >= 2 * WIDTH {
+                    xor_piece::<COPY>(panel, 0, &head[..zw - WIDTH]);
+                    put(panel, zw - WIDTH, seam(rot));
+                } else if rot != 0 && zw - rot < WIDTH && zw >= 2 * WIDTH {
+                    put(panel, 0, seam(rot + WIDTH - zw));
+                    xor_piece::<COPY>(panel, WIDTH, &wrapped[WIDTH - (zw - rot)..]);
+                } else {
+                    xor_piece::<COPY>(panel, 0, head);
+                    xor_piece::<COPY>(panel, zw - rot, wrapped);
+                }
+            }
+
+            /// The parity verdicts of a `width`-frame group (see
+            /// [`super::parity_verdicts`]). Per layer, the rotated block
+            /// column of every slot is XORed into a stack panel of the
+            /// layer's `zw = z · width` lanes, as its two stride-1 pieces
+            /// (the first slot is copied). The sign bit of a panel lane is
+            /// then its row's parity. The verdicts fold out of the panel's
+            /// sign bits once per layer, and the pass ends after the first
+            /// layer by which every frame has failed.
+            ///
+            /// The fold reads vectors at multiples of `width` (the step is
+            /// the largest multiple of `width` up to `WIDTH`), so lane `j`
+            /// of each belongs to frame `j mod width`; lanes two vectors
+            /// share are ORed twice, which changes nothing. One last vector
+            /// ends at the panel's end, with its own lane-to-frame map.
+            /// Groups wider than `WIDTH` and panels narrower than a vector
+            /// or wider than the stack panel take the scalar form.
+            ///
+            /// # Safety
+            /// The CPU must support the module's target feature.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn parity_verdicts(
+                compiled: &CompiledCode,
+                width: usize,
+                app: &[i16],
+                failed: &mut [u8],
+            ) {
+                /// Lanes of the stack panel: every heuristic group width
+                /// of every standard mode fits with room to spare.
+                const PANEL: usize = 1024;
+                let (z, zw) = (compiled.z(), compiled.z() * width);
+                if width > WIDTH || !(WIDTH..=PANEL).contains(&zw) {
+                    return scalar::parity_verdicts(compiled, width, app, failed);
+                }
+                let step = WIDTH - WIDTH % width;
+                let last = zw - WIDTH;
+                // Movemask bit `2j + 1` is the sign of lane `j` (bit `2j`
+                // is the low byte's top bit, not a sign). `head[f]` selects
+                // frame `f`'s lanes in a vector that starts at a multiple of
+                // `width`, `tail[f]` in the last vector.
+                let mut head = [0u32; WIDTH];
+                let mut tail = [0u32; WIDTH];
+                for j in 0..WIDTH {
+                    head[j % width] |= 2 << (2 * j);
+                    tail[(last + j) % width] |= 2 << (2 * j);
+                }
+                let every = (1u32 << width) - 1;
+                let mut failing = 0u32;
+                let mut panel = [0i16; PANEL];
+                let panel = &mut panel[..zw];
+                for layer in 0..compiled.block_rows() {
+                    let lanes = compiled.layer_lanes(layer);
+                    for (slot, (&col, &shift)) in lanes.col_base.iter().zip(lanes.shift).enumerate()
+                    {
+                        assert!(
+                            (shift as usize) < z,
+                            "circulant shift {shift} not below z = {z}"
+                        );
+                        let block = &app[col as usize * width..][..zw];
+                        let rot = shift as usize * width;
+                        if slot == 0 {
+                            xor_rotated::<true>(panel, block, rot);
+                        } else {
+                            xor_rotated::<false>(panel, block, rot);
+                        }
+                    }
+                    if lanes.degree() == 0 {
+                        continue;
+                    }
+                    // SAFETY (all accesses): every vector is at `i ≤ last =
+                    // zw − WIDTH` of the `zw`-lane panel.
+                    let mut acc = $setzero();
+                    let mut i = 0;
+                    while i < last {
+                        acc = $or(acc, ld(panel, i));
+                        i += step;
+                    }
+                    let h = $movemask(acc) as u32;
+                    let t = $movemask(ld(panel, last)) as u32;
+                    for f in 0..width {
+                        if (h & head[f]) | (t & tail[f]) != 0 {
+                            failing |= 1 << f;
+                        }
+                    }
+                    if failing == every {
+                        break;
+                    }
+                }
+                for (f, verdict) in failed.iter_mut().enumerate() {
+                    *verdict = u8::from(failing >> f & 1 != 0);
+                }
+            }
+
             /// # Safety
             /// The CPU must support the module's target feature.
             #[target_feature(enable = $feature)]
@@ -1496,7 +1694,9 @@ x86_panel_kernels!(
     _mm256_set1_epi32,
     _mm256_add_epi32,
     _mm256_min_epi32,
-    _mm256_max_epi32
+    _mm256_max_epi32,
+    _mm256_movemask_epi8,
+    _mm256_and_si256
 );
 
 #[cfg(target_arch = "x86_64")]
@@ -1530,7 +1730,9 @@ x86_panel_kernels!(
     _mm_set1_epi32,
     _mm_add_epi32,
     _mm_min_epi32,
-    _mm_max_epi32
+    _mm_max_epi32,
+    _mm_movemask_epi8,
+    _mm_and_si128
 );
 
 /// AVX2 channel quantisation: four `f64` LLRs per step, lane-for-lane
@@ -1577,6 +1779,10 @@ mod avx2_quantize {
         _mm_blendv_epi8(q, remap, _mm_cmpeq_epi32(q, _mm_setzero_si128()))
     }
 
+    /// Quantises `llrs` into `out`, and returns whether every LLR was
+    /// finite: the ordered compare `|l| < ∞` (false for ±∞ and NaN) is
+    /// AND-accumulated per lane, and one movemask reads it at the end.
+    ///
     /// # Safety
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
@@ -1586,28 +1792,27 @@ mod avx2_quantize {
         remap_zero: bool,
         llrs: &[f64],
         out: &mut [i16],
-    ) {
+    ) -> bool {
         assert_same_len!(llrs, out);
         let n = llrs.len();
+        let (sign, inf) = (_mm256_set1_pd(-0.0), _mm256_set1_pd(f64::INFINITY));
+        let finite = |l: __m256d| _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_andnot_pd(sign, l), inf);
+        let mut all_finite = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
         let mut i = 0;
         while i + 8 <= n {
             // SAFETY: i + 8 ≤ n and both slices have length n.
-            let lo = quad(
+            let (l0, l1) = (
                 _mm256_loadu_pd(llrs.as_ptr().add(i)),
-                scale,
-                max_code,
-                remap_zero,
-            );
-            let hi = quad(
                 _mm256_loadu_pd(llrs.as_ptr().add(i + 4)),
-                scale,
-                max_code,
-                remap_zero,
             );
+            all_finite = _mm256_and_pd(all_finite, _mm256_and_pd(finite(l0), finite(l1)));
+            let lo = quad(l0, scale, max_code, remap_zero);
+            let hi = quad(l1, scale, max_code, remap_zero);
             _mm_storeu_si128(out.as_mut_ptr().add(i).cast(), _mm_packs_epi32(lo, hi));
             i += 8;
         }
-        scalar::quantize_codes(scale, max_code, remap_zero, &llrs[i..], &mut out[i..]);
+        let tail = scalar::quantize_codes(scale, max_code, remap_zero, &llrs[i..], &mut out[i..]);
+        _mm256_movemask_pd(all_finite) == 0xF && tail
     }
 }
 
@@ -1842,6 +2047,36 @@ pub fn layer_update_argmin(
     )
 }
 
+/// The parity verdict of every frame of a `width`-frame group of `i16`
+/// APP codes: `failed[slot]` is 0 exactly when the hard decisions (the
+/// signs) of packed column `slot` of `app` (`app[i · width + slot]`)
+/// satisfy every parity check of `compiled`, and 1 otherwise. For `i16`
+/// codes the sign bit of an XOR is the parity of the operands' signs, so a
+/// row's parity is the sign of the XOR of its codes: the SIMD tiers XOR
+/// whole vectors of rows, read through the rotation like
+/// [`layer_update_argmin`], and stop at the first layer by which every
+/// frame has failed. A verdict depends on its own frame's column alone.
+///
+/// # Panics
+///
+/// Panics if `app.len() != compiled.n() · width` or `failed.len() !=
+/// width`.
+pub fn parity_verdicts(
+    level: SimdLevel,
+    compiled: &CompiledCode,
+    width: usize,
+    app: &[i16],
+    failed: &mut [u8],
+) {
+    assert_eq!(
+        app.len(),
+        compiled.n() * width,
+        "APP memory of another shape"
+    );
+    assert_eq!(failed.len(), width, "one verdict per frame");
+    dispatch!(level, parity_verdicts(compiled, width, app, failed))
+}
+
 /// `λ = L − Λ` over a panel with the fixed-BP ±1-LSB zero remap
 /// (`out = clamp(a − b, lo, hi)` with a saturating subtraction, zeros
 /// remapped to `sign(a)·1`).
@@ -1963,7 +2198,8 @@ pub fn min_sum_emit(
 /// scale` and `max_code`, plus — when `remap_zero` is set — the fixed-BP
 /// remap of code 0 to ±1 (−1 for negative LLRs, +1 otherwise, NaN
 /// included). Ties round away from zero; no libm call at any tier; four
-/// lanes per step on AVX2.
+/// lanes per step on AVX2. Returns whether every LLR was finite, tested in
+/// the same pass (the codes of ±∞ and NaN are defined but meaningless).
 ///
 /// # Panics
 ///
@@ -1975,7 +2211,7 @@ pub fn quantize_codes(
     remap_zero: bool,
     llrs: &[f64],
     out: &mut [i16],
-) {
+) -> bool {
     assert_same_len!(llrs, out);
     match level.effective() {
         // SAFETY: `effective()` caps the level at `detected_level()`.

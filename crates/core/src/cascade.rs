@@ -10,7 +10,7 @@
 //!   stage 1: fixed Min-Sum, small fixed budget      (all frames)
 //!      │  syndrome clean ──────────────► done (bit-identical to Min-Sum)
 //!      ▼  syndrome failed
-//!   stage 2: fixed BP (forward/backward), ET        (survivors only)
+//!   stage 2: fixed BP (forward/backward), syndrome stop (survivors only)
 //!      │  syndrome clean ──────────────► done (bit-identical to fixed BP)
 //!      ▼  syndrome failed
 //!   stage 3: float BP (optional last resort)        (survivors only)
@@ -29,9 +29,9 @@
 //! early-termination rule: under the explicit-SIMD kernel tier a decode
 //! iteration is cheap enough that the per-iteration scalar convergence scan
 //! (decision history + min-|LLR| reduction) costs as much as the iteration
-//! it might save. The cascade sidesteps the scan entirely — the syndrome
-//! check that [`finish_output`](crate::engine) already performs for every
-//! frame doubles as the escalation test, so easy frames pay four SIMD
+//! it might save. The cascade sidesteps the scan entirely — the parity
+//! verdict every finished frame carries (one parity pass over the group
+//! at the last iteration) doubles as the escalation test, so easy frames pay four SIMD
 //! Min-Sum iterations and *zero* convergence bookkeeping. Hard frames pay
 //! one wasted stage-1 budget and then the full stage-2 decoder; at realistic
 //! SNR mixes the easy majority dominates (see the `cascade_throughput`
@@ -60,14 +60,15 @@ use crate::workspace::DecodeWorkspace;
 /// Per-stage iteration budgets of a [`CascadeDecoder`] ladder — its only
 /// settings. The stage shapes are fixed (see [`CascadeDecoder::new`]); the
 /// default ladder is fixed Min-Sum for 4 iterations (no convergence scan) →
-/// fixed forward/backward BP for up to 10 iterations with early
-/// termination, with no float stage. Budgets below 1 run as 1.
+/// fixed forward/backward BP for up to 10 iterations, stopped at the first
+/// codeword ([`DecoderConfig::default`]), with no float stage. Budgets
+/// below 1 run as 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CascadeConfig {
     /// Stage-1 fixed Min-Sum iteration budget, run without a convergence
     /// scan: the syndrome check decides escalation.
     pub min_sum_iterations: usize,
-    /// Stage-2 fixed-BP iteration ceiling (early termination enabled).
+    /// Stage-2 fixed-BP iteration ceiling (zero-syndrome stop enabled).
     pub fixed_bp_iterations: usize,
     /// Iteration ceiling of the optional float-BP last resort; `None` ends
     /// the ladder at stage 2.
@@ -148,8 +149,8 @@ impl CascadeCounters {
 /// The SNR-adaptive stage-ladder decoder (see the module docs).
 ///
 /// Implements [`Decoder`] with the stage-1 Min-Sum arithmetic as its
-/// nominal back-end: both fixed-point stages share one `i16` workspace
-/// (and workspace pool), while the optional float stage checks its `f64`
+/// nominal back-end: the fixed-point stages share one `i16` workspace
+/// (and one workspace pool), while the optional float stage checks its `f64`
 /// workspace out of its own pool only when a frame actually reaches it.
 /// Clones share stage workspace pools *and* counters;
 /// [`Decoder::detached_clone`] gives a clone with fresh counters for
@@ -184,18 +185,24 @@ impl CascadeDecoder {
     #[must_use]
     pub fn new(config: CascadeConfig) -> Self {
         /// One stage: `shape` with a budget of `iterations`, clamped to at
-        /// least one (the only place cascade budgets are clamped).
+        /// least one (the only place cascade budgets are clamped), drawing
+        /// batch workspaces from `pool`.
         fn stage<A: DecoderArithmetic>(
             arith: A,
             shape: DecoderConfig,
             iterations: usize,
+            pool: &Arc<WorkspacePool<A::Msg>>,
         ) -> LayeredDecoder<A> {
             let config = DecoderConfig {
                 max_iterations: iterations.max(1),
                 ..shape
             };
-            LayeredDecoder::new(arith, config).expect("a clamped budget is valid")
+            LayeredDecoder::with_pool(arith, config, Arc::clone(pool))
+                .expect("a clamped budget is valid")
         }
+        // Stages 1 and 2 decode through the caller's one `i16` workspace,
+        // so they share one pool; the float stage has its own.
+        let fixed = Arc::new(WorkspacePool::new());
         let fixed_bp = FixedBpArithmetic::forward_backward;
         let bp = DecoderConfig::default();
         CascadeDecoder {
@@ -203,12 +210,14 @@ impl CascadeDecoder {
                 FixedMinSumArithmetic::default(),
                 DecoderConfig::fixed_iterations(1),
                 config.min_sum_iterations,
+                &fixed,
             ),
-            stage2: stage(fixed_bp(), bp, config.fixed_bp_iterations),
-            degraded_stage2: stage(fixed_bp(), bp, config.fixed_bp_iterations / 2),
-            stage3: config
-                .float_bp_iterations
-                .map(|iterations| stage(FloatBpArithmetic::default(), bp, iterations)),
+            stage2: stage(fixed_bp(), bp, config.fixed_bp_iterations, &fixed),
+            degraded_stage2: stage(fixed_bp(), bp, config.fixed_bp_iterations / 2, &fixed),
+            stage3: config.float_bp_iterations.map(|iterations| {
+                let pool = Arc::new(WorkspacePool::new());
+                stage(FloatBpArithmetic::default(), bp, iterations, &pool)
+            }),
             counters: Arc::new(CascadeCounters::default()),
             effort: Arc::new(AtomicU8::new(0)),
         }
@@ -493,9 +502,20 @@ mod tests {
         assert!(stage1.early_termination.is_none());
         let stage2 = cascade.stage2().config();
         assert_eq!(stage2.max_iterations, 10);
-        assert!(stage2.early_termination.is_some());
+        assert!(stage2.early_termination.is_none() && stage2.stop_on_zero_syndrome);
         assert!(cascade.stage3().is_none());
         assert_eq!(cascade.schedule_name(), "cascade");
+    }
+
+    #[test]
+    fn fixed_point_stages_share_one_workspace_pool() {
+        let cascade = ladder(4, 10, Some(10));
+        let pool = |d: &LayeredDecoder<FixedBpArithmetic>| {
+            std::ptr::from_ref(Decoder::workspace_pool(d).unwrap())
+        };
+        let stage1 = std::ptr::from_ref(Decoder::workspace_pool(&cascade).unwrap());
+        assert_eq!(pool(cascade.stage2()), stage1);
+        assert_eq!(pool(&cascade.degraded_stage2), stage1);
     }
 
     #[test]

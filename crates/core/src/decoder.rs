@@ -44,7 +44,7 @@ use ldpc_codes::{CompiledCode, QcCode};
 
 use crate::arith::{DecoderArithmetic, LaneKernel, LaneScratch};
 use crate::early_term::{check_frames, message_threshold, EarlyTermination};
-use crate::engine::{finish_output, hard_bits_into, Decoder, Stop};
+use crate::engine::{finish_output, Decoder};
 use crate::error::DecodeError;
 use crate::pool::WorkspacePool;
 use crate::result::{DecodeOutput, DecodeStats};
@@ -52,15 +52,24 @@ use crate::schedule::LayerOrderPolicy;
 use crate::workspace::DecodeWorkspace;
 
 /// Decoder configuration.
+///
+/// The default stops each frame at the first iteration whose hard
+/// decisions satisfy every parity check (a codeword), within 10
+/// iterations. The paper's early-termination rule (§IV: information-bit
+/// decisions stable over two iterations and min |L| above a threshold) is
+/// the configuration behind its Fig. 9(a) power figures,
+/// [`DecoderConfig::paper_early_termination`]; it is cheaper to evaluate
+/// per iteration but stops some frames on wrong words.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecoderConfig {
     /// Maximum number of full iterations `I` (the paper uses 10).
     pub max_iterations: usize,
-    /// Early-termination rule; `None` always runs `max_iterations`.
+    /// The paper's early-termination rule (§IV); `None` by default. When
+    /// set, it is tested before the syndrome stop, and a frame it ends
+    /// reports `early_terminated`.
     pub early_termination: Option<EarlyTermination>,
-    /// Also stop as soon as the hard decisions satisfy every parity check
-    /// (a common additional criterion; disabled by default so that the
-    /// power experiments isolate the paper's LLR-based rule).
+    /// Stop as soon as the hard decisions satisfy every parity check: the
+    /// exact "is a codeword" test, on by default.
     pub stop_on_zero_syndrome: bool,
     /// Layer visiting order.
     pub layer_order: LayerOrderPolicy,
@@ -70,14 +79,26 @@ impl Default for DecoderConfig {
     fn default() -> Self {
         DecoderConfig {
             max_iterations: 10,
-            early_termination: Some(EarlyTermination::default()),
-            stop_on_zero_syndrome: false,
+            early_termination: None,
+            stop_on_zero_syndrome: true,
             layer_order: LayerOrderPolicy::Natural,
         }
     }
 }
 
 impl DecoderConfig {
+    /// The paper's stopping rule alone (§IV, Fig. 9(a)): up to 10
+    /// iterations, ended early by [`EarlyTermination::default`] and never
+    /// by the syndrome.
+    #[must_use]
+    pub fn paper_early_termination() -> Self {
+        DecoderConfig {
+            early_termination: Some(EarlyTermination::default()),
+            stop_on_zero_syndrome: false,
+            ..DecoderConfig::default()
+        }
+    }
+
     /// A configuration that always runs the maximum number of iterations
     /// (no early termination, no syndrome stopping).
     #[must_use]
@@ -191,11 +212,22 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
     ///
     /// Returns [`DecodeError::InvalidConfig`] for nonsensical configurations.
     pub fn new(arith: A, config: DecoderConfig) -> Result<Self, DecodeError> {
+        Self::with_pool(arith, config, std::sync::Arc::new(WorkspacePool::new()))
+    }
+
+    /// [`LayeredDecoder::new`] drawing its batch workspaces from `pool`, so
+    /// decoders of one message type can share one pool (the cascade's
+    /// fixed-point stages decode through one workspace).
+    pub(crate) fn with_pool(
+        arith: A,
+        config: DecoderConfig,
+        pool: std::sync::Arc<WorkspacePool<A::Msg>>,
+    ) -> Result<Self, DecodeError> {
         config.validate()?;
         Ok(LayeredDecoder {
             arith,
             config,
-            pool: std::sync::Arc::new(WorkspacePool::new()),
+            pool,
         })
     }
 
@@ -282,21 +314,26 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
 
         // L ← channel, Λ ← 0, frame-innermost (Algorithm 1 initialisation,
         // interleaved: app[col · width + f]). One pass per frame while it is
-        // in L1: the finite scan, then quantisation — straight into the APP
-        // memory for a single frame, through the ingest scratch and the
-        // interleave otherwise. A refused frame returns before any output
-        // is touched.
-        ws.prepare(compiled, arith.zero(), frames);
+        // in L1: quantisation, which also tests every LLR for finiteness,
+        // straight into the APP memory for a single frame, through the
+        // ingest scratch and the interleave otherwise. A refused frame is
+        // searched for its first bad value and returns before any output is
+        // touched.
+        let et_threshold = message_threshold(arith, self.config.early_termination.as_ref());
+        ws.prepare(compiled, arith.zero(), frames, et_threshold.is_some());
         for (f, frame) in llrs.chunks_exact(n).enumerate() {
-            crate::engine::check_frame_finite(f, frame)?;
-            if frames == 1 {
-                arith.from_channel_slice(frame, &mut ws.app);
+            let finite = if frames == 1 {
+                arith.from_channel_slice(frame, &mut ws.app)
             } else {
-                arith.from_channel_slice(frame, &mut ws.group_frame);
+                let finite = arith.from_channel_slice(frame, &mut ws.group_frame);
                 crate::group::fill_column(&mut ws.app, frames, f, &ws.group_frame);
+                finite
+            };
+            if !finite {
+                return Err(crate::engine::non_finite_llr(f, frame));
             }
         }
-        let et_threshold = message_threshold(arith, self.config.early_termination.as_ref());
+        let syndrome_stop = self.config.stop_on_zero_syndrome;
 
         let mut width = frames;
         let mut iterations = 0usize;
@@ -311,31 +348,30 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
             // Per-frame termination: early termination first (information-bit
             // hard decisions stable across two iterations and min |L| above
             // the threshold, the paper's rule of §IV), then the syndrome stop.
-            // Finished frames produce their output now; survivors are listed
-            // in `group_keep`. The decision record updates every iteration
-            // for every live frame.
+            // One parity pass over the group gives every frame's verdict,
+            // run when the syndrome stop is on or a frame finishes anyway
+            // (the verdict is its `parity_satisfied`). Finished frames
+            // produce their output now; survivors are listed in
+            // `group_keep`.
+            let mut early_any = false;
             if let Some(t) = et_threshold {
                 let info = &ws.app[..info_len * width];
                 check_frames(arith, t, info, &mut ws.decisions, width, &mut ws.verdicts);
+                early_any = !last && ws.verdicts.contains(&0);
+            }
+            let checked = syndrome_stop || last || early_any;
+            if checked {
+                arith.parity_verdicts(compiled, width, &ws.app, &mut ws.parity);
             }
             ws.group_keep.clear();
             for slot in 0..width {
-                let out = &mut outs[ws.group_active[slot] as usize];
-                let mut stop = last.then_some(Stop::Limit);
-                if et_threshold.is_some() && ws.verdicts[slot] == 0 && !last {
-                    stop = Some(Stop::Early);
-                }
-                // The stop writes the hard decisions straight into the
-                // frame's output, where the finish keeps them; a frame that
-                // goes on has them rewritten when it finishes.
-                if stop.is_none() && self.config.stop_on_zero_syndrome {
-                    hard_bits_into(arith, &ws.app, width, slot, &mut out.hard_bits);
-                    if compiled.syndrome_ok(&out.hard_bits, &mut ws.syndrome) {
-                        stop = Some(Stop::ZeroSyndrome);
-                    }
-                }
-                if let Some(stop) = stop {
-                    finish_output(arith, compiled, ws, width, slot, out, iterations, stop);
+                let early = early_any && ws.verdicts[slot] == 0;
+                let parity_ok = checked && ws.parity[slot] == 0;
+                if last || early || (syndrome_stop && parity_ok) {
+                    let out = &mut outs[ws.group_active[slot] as usize];
+                    finish_output(
+                        arith, compiled, &ws.app, width, slot, out, iterations, early, parity_ok,
+                    );
                 } else {
                     ws.group_keep.push(slot as u32);
                 }
@@ -351,12 +387,15 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
                 let keep = std::mem::take(&mut ws.group_keep);
                 crate::group::compact_columns(&mut ws.app, n, width, &keep);
                 crate::group::compact_columns(&mut ws.lambda, compiled.num_edges(), width, &keep);
-                crate::group::compact_columns(&mut ws.decisions, info_len, width, &keep);
+                if et_threshold.is_some() {
+                    crate::group::compact_columns(&mut ws.decisions, info_len, width, &keep);
+                }
                 for (a, &s) in keep.iter().enumerate() {
                     ws.group_active[a] = ws.group_active[s as usize];
                 }
                 width = keep.len();
                 ws.group_active.truncate(width);
+                ws.parity.truncate(width);
                 ws.group_keep = keep;
             }
         }
@@ -505,11 +544,8 @@ mod tests {
             .iter()
             .map(|&b| if b == 0 { 20.0 } else { -20.0 })
             .collect();
-        let config = DecoderConfig {
-            stop_on_zero_syndrome: true,
-            ..DecoderConfig::default()
-        };
-        let decoder = LayeredDecoder::new(FloatBpArithmetic::default(), config).unwrap();
+        let decoder =
+            LayeredDecoder::new(FloatBpArithmetic::default(), DecoderConfig::default()).unwrap();
         let out = decoder.decode(&code, &llrs).unwrap();
         assert_eq!(out.hard_bits, frame.codeword);
         assert!(out.parity_satisfied);
@@ -591,7 +627,7 @@ mod tests {
 
     #[test]
     fn early_termination_reduces_iterations_at_high_snr() {
-        let config_et = DecoderConfig::default();
+        let config_et = DecoderConfig::paper_early_termination();
         let config_no_et = DecoderConfig::fixed_iterations(10);
         let (_, _, avg_et) = decode_frames(FloatBpArithmetic::default(), config_et, 4.0, 6, 5);
         let (_, _, avg_no_et) =
@@ -607,14 +643,14 @@ mod tests {
     fn early_termination_runs_longer_at_low_snr() {
         let (_, _, avg_low) = decode_frames(
             FloatBpArithmetic::default(),
-            DecoderConfig::default(),
+            DecoderConfig::paper_early_termination(),
             0.0,
             4,
             7,
         );
         let (_, _, avg_high) = decode_frames(
             FloatBpArithmetic::default(),
-            DecoderConfig::default(),
+            DecoderConfig::paper_early_termination(),
             4.5,
             4,
             7,

@@ -94,12 +94,13 @@ pub(crate) fn check_group_shape(
 }
 
 /// Refuses frame `frame` of a group if it holds a NaN or infinite LLR,
-/// naming the first one.
+/// naming the first one. The flooding schedule checks every frame this way
+/// before it decodes any; the layered driver tests finiteness inside its
+/// quantisation pass and calls [`non_finite_llr`] only on refusal.
 ///
 /// The scan is branch-free and vectorises: `l · 0` is `±0` for a finite `l`
 /// and NaN for ±∞ or NaN, and NaN survives every sum, so eight lane
-/// accumulators of `l · 0` stay finite exactly when every LLR is. Only a
-/// refused frame is searched again for the index.
+/// accumulators of `l · 0` stay finite exactly when every LLR is.
 pub(crate) fn check_frame_finite(frame: usize, llrs: &[f64]) -> Result<(), DecodeError> {
     let mut lanes = [0.0f64; 8];
     let chunks = llrs.chunks_exact(lanes.len());
@@ -112,68 +113,48 @@ pub(crate) fn check_frame_finite(frame: usize, llrs: &[f64]) -> Result<(), Decod
     if lanes.iter().chain(tail).all(|v| v.is_finite()) {
         return Ok(());
     }
+    Err(non_finite_llr(frame, llrs))
+}
+
+/// The refusal of frame `frame`, known to hold a NaN or infinite LLR:
+/// searches `llrs` for the first one.
+pub(crate) fn non_finite_llr(frame: usize, llrs: &[f64]) -> DecodeError {
     let index = llrs
         .iter()
         .position(|l| !l.is_finite())
-        .expect("the scan found a non-finite LLR");
-    Err(DecodeError::NonFiniteLlr { frame, index })
-}
-
-/// Why a frame's decode ended; picks what [`finish_output`] still computes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Stop {
-    /// The iteration limit: hard bits and syndrome are computed at finish.
-    Limit,
-    /// Early termination fired: likewise, with the flag set.
-    Early,
-    /// The syndrome stop fired: `out.hard_bits` already holds the frame's
-    /// hard decisions (see [`hard_bits_into`]) and they are a codeword.
-    ZeroSyndrome,
-}
-
-/// Hard decisions of packed column `slot` of a `width`-frame APP memory
-/// (`app[i · width + slot]`, see [`crate::group`]) into `hard`.
-pub(crate) fn hard_bits_into<A: DecoderArithmetic>(
-    arith: &A,
-    app: &[A::Msg],
-    width: usize,
-    slot: usize,
-    hard: &mut Vec<u8>,
-) {
-    hard.clear();
-    crate::group::const_width!(width, W => {
-        hard.extend(crate::group::column(app, W, slot).map(|m| arith.hard_bit(m)));
-    });
+        .expect("the frame holds a non-finite LLR");
+    DecodeError::NonFiniteLlr { frame, index }
 }
 
 /// Fills `out` from packed column `slot` of the final `width`-frame APP
-/// memory `ws.app`: hard bits, posterior LLRs and the syndrome verdict, read
-/// in place with no de-interleaved copy. A [`Stop::ZeroSyndrome`] frame
-/// keeps the hard bits and the verdict the stop already produced, so each
-/// finished frame runs one syndrome check. Shared by both schedules.
+/// memory `app` (`app[i · width + slot]`, see [`crate::group`]): hard bits
+/// and posterior LLRs, read in place with no de-interleaved copy, the stop
+/// flag and the parity verdict the driver's one parity pass produced for
+/// this iteration. Shared by both schedules.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_output<A: DecoderArithmetic>(
     arith: &A,
     compiled: &CompiledCode,
-    ws: &mut DecodeWorkspace<A::Msg>,
+    app: &[A::Msg],
     width: usize,
     slot: usize,
     out: &mut DecodeOutput,
     iterations: usize,
-    stop: Stop,
+    early_terminated: bool,
+    parity_satisfied: bool,
 ) {
-    debug_assert_eq!(ws.app.len(), width * compiled.n());
+    debug_assert_eq!(app.len(), width * compiled.n());
     out.posterior_llrs.clear();
+    out.hard_bits.clear();
     crate::group::const_width!(width, W => {
-        let column = crate::group::column(&ws.app, W, slot);
+        let column = crate::group::column(app, W, slot);
         out.posterior_llrs.extend(column.map(|m| arith.to_llr(m)));
+        let column = crate::group::column(app, W, slot);
+        out.hard_bits.extend(column.map(|m| arith.hard_bit(m)));
     });
-    out.parity_satisfied = stop == Stop::ZeroSyndrome || {
-        hard_bits_into(arith, &ws.app, width, slot, &mut out.hard_bits);
-        compiled.syndrome_ok(&out.hard_bits, &mut ws.syndrome)
-    };
+    out.parity_satisfied = parity_satisfied;
     out.iterations = iterations;
-    out.early_terminated = stop == Stop::Early;
+    out.early_terminated = early_terminated;
     out.stats = crate::decoder::group_frame_stats(compiled, iterations);
 }
 

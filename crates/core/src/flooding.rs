@@ -17,7 +17,7 @@ use ldpc_codes::{CompiledCode, QcCode};
 use crate::arith::{DecoderArithmetic, LaneScratch};
 use crate::decoder::DecoderConfig;
 use crate::early_term::{check_frames, message_threshold};
-use crate::engine::{finish_output, hard_bits_into, Decoder, Stop};
+use crate::engine::{finish_output, Decoder};
 use crate::error::DecodeError;
 use crate::pool::WorkspacePool;
 use crate::result::DecodeOutput;
@@ -104,19 +104,19 @@ impl<A: DecoderArithmetic> FloodingDecoder<A> {
         // buffers, so they are sized here. Every edge of `lambda_alt` is
         // written before it is read; only its length must match for the
         // buffer swap.
-        ws.prepare(compiled, arith.zero(), 1);
+        let et_threshold = message_threshold(arith, self.config.early_termination.as_ref());
+        ws.prepare(compiled, arith.zero(), 1, et_threshold.is_some());
         ws.chan.clear();
         ws.chan.resize(n, arith.zero());
         ws.lambda_alt.clear();
         ws.lambda_alt.resize(edges, arith.zero());
+        // The group was checked for non-finite LLRs before the first frame.
         arith.from_channel_slice(llrs, &mut ws.chan);
         ws.app.copy_from_slice(&ws.chan);
-        let et_threshold = message_threshold(arith, self.config.early_termination.as_ref());
+        let syndrome_stop = self.config.stop_on_zero_syndrome;
 
         let mut iterations = 0usize;
-        let mut stop = Stop::Limit;
-
-        for _ in 0..self.config.max_iterations {
+        loop {
             // Phase 1: every check node uses the posteriors of the previous
             // iteration (extrinsic: subtract its own previous message). Every
             // edge of the alternate buffer is written before the swap.
@@ -153,25 +153,33 @@ impl<A: DecoderArithmetic> FloodingDecoder<A> {
                 }
             }
             iterations += 1;
+            let last = iterations == self.config.max_iterations;
 
+            // The layered driver's termination order, for a group of one.
+            let mut early = false;
             if let Some(t) = et_threshold {
                 let info = &ws.app[..info_len];
                 check_frames(arith, t, info, &mut ws.decisions, 1, &mut ws.verdicts);
-                if ws.verdicts[0] == 0 && iterations < self.config.max_iterations {
-                    stop = Stop::Early;
-                    break;
-                }
+                early = !last && ws.verdicts[0] == 0;
             }
-            if self.config.stop_on_zero_syndrome && iterations < self.config.max_iterations {
-                hard_bits_into(arith, &ws.app, 1, 0, &mut out.hard_bits);
-                if compiled.syndrome_ok(&out.hard_bits, &mut ws.syndrome) {
-                    stop = Stop::ZeroSyndrome;
-                    break;
-                }
+            let checked = syndrome_stop || last || early;
+            if checked {
+                arith.parity_verdicts(compiled, 1, &ws.app, &mut ws.parity);
+            }
+            let parity_ok = checked && ws.parity[0] == 0;
+            if last || early || (syndrome_stop && parity_ok) {
+                finish_output(
+                    arith, compiled, &ws.app, 1, 0, out, iterations, early, parity_ok,
+                );
+                break;
             }
         }
-
-        finish_output(arith, compiled, ws, 1, 0, out, iterations, stop);
+        // Each iteration swapped the Λ buffers once: after an odd count,
+        // swap back, so `lambda` stays the buffer `reserve_for` sized for
+        // the layered driver's groups (a pointer swap, no copy).
+        if iterations % 2 == 1 {
+            std::mem::swap(&mut ws.lambda, &mut ws.lambda_alt);
+        }
 
         #[cfg(debug_assertions)]
         if let Some(fingerprint) = steady_fingerprint {

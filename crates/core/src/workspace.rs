@@ -40,13 +40,15 @@ pub struct DecodeWorkspace<M> {
     /// (the row-serial reference and the flooding schedule); see
     /// [`LaneScratch`].
     pub(crate) lane_scratch: LaneScratch<M>,
-    /// Block-doubled hard decisions of the syndrome check, length `2n` (see
-    /// [`CompiledCode::syndrome_ok`]).
-    pub(crate) syndrome: Vec<u8>,
+    /// Per-frame parity verdicts of the group (see
+    /// [`DecoderArithmetic::parity_verdicts`](crate::arith::DecoderArithmetic::parity_verdicts)),
+    /// one per packed column.
+    pub(crate) parity: Vec<u8>,
     /// Early-termination decision record: the previous iteration's
     /// information-bit hard decisions, interleaved like the APP memory
     /// (`decisions[i · width + slot]`) and compacted with it. Reset to
-    /// [`NO_DECISION`](crate::early_term::NO_DECISION) per frame.
+    /// [`NO_DECISION`](crate::early_term::NO_DECISION) per frame when an
+    /// early-termination rule is configured, empty otherwise.
     pub(crate) decisions: Vec<u8>,
     /// Per-frame verdict scratch of the early-termination check.
     pub(crate) verdicts: Vec<u8>,
@@ -77,7 +79,7 @@ impl<M: Copy> DecodeWorkspace<M> {
             lambda: Vec::new(),
             lambda_alt: Vec::new(),
             lane_scratch: LaneScratch::new(),
-            syndrome: Vec::new(),
+            parity: Vec::new(),
             decisions: Vec::new(),
             verdicts: Vec::new(),
             group_active: Vec::new(),
@@ -125,7 +127,7 @@ impl<M: Copy> DecodeWorkspace<M> {
         reserve_to(&mut self.app, n * width);
         reserve_to(&mut self.lambda, compiled.num_edges() * width);
         self.lane_scratch.reserve(degree, zw);
-        reserve_to(&mut self.syndrome, 2 * n);
+        reserve_to(&mut self.parity, width);
         reserve_to(&mut self.decisions, compiled.info_bits() * width);
         reserve_to(&mut self.verdicts, verdict_capacity(width));
         reserve_to(&mut self.group_active, width);
@@ -144,7 +146,7 @@ impl<M: Copy> DecodeWorkspace<M> {
         self.app.capacity() >= n * width
             && self.lambda.capacity() >= compiled.num_edges() * width
             && self.lane_scratch.is_ready(degree, zw)
-            && self.syndrome.capacity() >= 2 * n
+            && self.parity.capacity() >= width
             && self.decisions.capacity() >= compiled.info_bits() * width
             && self.verdicts.capacity() >= verdict_capacity(width)
             && self.group_active.capacity() >= width
@@ -156,13 +158,21 @@ impl<M: Copy> DecodeWorkspace<M> {
     }
 
     /// Resets the workspace for decoding a `width`-frame group: Λ memory
-    /// zeroed at group stride, APP sized for the group (the driver packs it
-    /// from the channel LLRs), the ingest scratch sized for one frame when
-    /// the group is wider than one, the active set reset to all frames,
-    /// every per-frame decision record reset.
-    pub(crate) fn prepare(&mut self, compiled: &CompiledCode, zero: M, width: usize) {
+    /// zeroed at group stride, APP sized for the group (not refilled: the
+    /// driver's ingest overwrites all of it, so only the part a previous,
+    /// narrower decode left unsized is written here), the ingest scratch
+    /// sized for one frame when the group is wider than one, the active set
+    /// reset to all frames, one parity verdict per frame, and every
+    /// per-frame decision record reset when `early_termination` says a
+    /// rule will read them.
+    pub(crate) fn prepare(
+        &mut self,
+        compiled: &CompiledCode,
+        zero: M,
+        width: usize,
+        early_termination: bool,
+    ) {
         self.reserve_decode(compiled, width);
-        self.app.clear();
         self.app.resize(compiled.n() * width, zero);
         self.lambda.clear();
         self.lambda.resize(compiled.num_edges() * width, zero);
@@ -172,9 +182,13 @@ impl<M: Copy> DecodeWorkspace<M> {
         if width > 1 {
             self.group_frame.resize(compiled.n(), zero);
         }
+        self.parity.clear();
+        self.parity.resize(width, 0);
         self.decisions.clear();
-        self.decisions
-            .resize(compiled.info_bits() * width, NO_DECISION);
+        if early_termination {
+            self.decisions
+                .resize(compiled.info_bits() * width, NO_DECISION);
+        }
     }
 
     /// Pointer/capacity fingerprint of every buffer. Two equal fingerprints
@@ -208,7 +222,7 @@ impl<M: Copy> DecodeWorkspace<M> {
             scratch[2],
             scratch[3],
             scratch[4],
-            fp(&self.syndrome),
+            fp(&self.parity),
             fp(&self.decisions),
             fp(&self.verdicts),
             fp(&self.group_active),
@@ -255,7 +269,7 @@ mod tests {
         let compiled = compiled();
         let mut ws = DecodeWorkspace::<f64>::new();
         assert!(!ws.is_ready_for(&compiled, 1));
-        ws.prepare(&compiled, 0.0, 1);
+        ws.prepare(&compiled, 0.0, 1, true);
         assert_eq!(ws.lambda.len(), compiled.num_edges());
         assert!(ws.lambda.iter().all(|&v| v == 0.0));
         // `prepare` sizes what the layered driver touches; the cascade
@@ -272,7 +286,7 @@ mod tests {
         ws.reserve_for(&compiled, 3);
         let fp = ws.allocation_fingerprint();
         for width in [3, 1, 2, 3] {
-            ws.prepare(&compiled, 0.0, width);
+            ws.prepare(&compiled, 0.0, width, true);
         }
         assert_eq!(fp, ws.allocation_fingerprint());
     }

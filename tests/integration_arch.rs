@@ -66,8 +66,11 @@ fn early_termination_power_reduction_reaches_the_papers_magnitude() {
     let code = CodeId::new(Standard::Wimax80216e, CodeRate::R1_2, 576)
         .build()
         .unwrap();
-    let decoder =
-        LayeredDecoder::new(FloatBpArithmetic::default(), DecoderConfig::default()).unwrap();
+    let decoder = LayeredDecoder::new(
+        FloatBpArithmetic::default(),
+        DecoderConfig::paper_early_termination(),
+    )
+    .unwrap();
     let channel = AwgnChannel::from_ebn0_db(4.5, code.rate());
     let mut source = FrameSource::random(&code, 55).unwrap();
     let frames = 6;

@@ -419,8 +419,9 @@ fn assert_honest(code: &QcCode, what: &str, out: &DecodeOutput) {
 /// Runs every adversarial frame through `decode_into` and, among noisy
 /// frames, through `decode_batch` (which must agree with `decode_into`),
 /// then checks the all-erasure frames: hard decisions all zero, so the
-/// syndrome holds and `parity_satisfied` is true, but only after the full
-/// iteration budget and without early termination. An erasure carries no
+/// syndrome holds and `parity_satisfied` is true, without early
+/// termination: after the first iteration under the zero-syndrome stop,
+/// after the full iteration budget otherwise. An erasure carries no
 /// information, so this is "syndrome holds", not "decoded correctly". Returns
 /// every case with its `decode_into` output.
 fn adversarial_sweep<D: Decoder + Sync>(
@@ -454,66 +455,88 @@ fn adversarial_sweep<D: Decoder + Sync>(
         if frame.iter().all(|&x| x == 0.0) {
             assert!(out.hard_bits.iter().all(|&b| b == 0), "{what}");
             assert!(out.parity_satisfied && !out.early_terminated, "{what}");
-            assert_eq!(out.iterations, decoder.config().max_iterations, "{what}");
+            let config = decoder.config();
+            let stop = if config.stop_on_zero_syndrome {
+                1
+            } else {
+                config.max_iterations
+            };
+            assert_eq!(out.iterations, stop, "{what}");
         }
         outputs.push((case, frame, out));
     }
     outputs
 }
 
-/// Every decoder, through every entry point, on finite adversarial inputs:
-/// no NaN posterior, no parity flag the hard decisions do not earn, and the
-/// layered decoders' lane path (fused for the default fixed-point datapath)
-/// equal to the row-serial reference.
+/// [`adversarial_sweep`] through a layered decoder of `config`, plus the
+/// row-serial reference, which must equal the lane path frame for frame.
+fn with_reference<A: LaneKernel + Clone + Sync>(
+    name: &str,
+    arith: A,
+    config: DecoderConfig,
+    code: &QcCode,
+    compiled: &CompiledCode,
+) {
+    let decoder = LayeredDecoder::new(arith, config).unwrap();
+    let mut ws = decoder.workspace_for(compiled);
+    for (case, frame, lane) in adversarial_sweep(name, &decoder, code) {
+        let mut out = DecodeOutput::empty();
+        decoder
+            .decode_into_reference(compiled, &frame, &mut ws, &mut out)
+            .unwrap();
+        assert_eq!(out, lane, "{name}, {case}: lane path vs reference");
+    }
+}
+
+/// Every decoder, through every entry point, on finite adversarial inputs
+/// under the paper's early-termination rule: no NaN posterior, no parity
+/// flag the hard decisions do not earn, and the layered decoders' lane path
+/// (fused for the default fixed-point datapath) equal to the row-serial
+/// reference.
 #[test]
 fn adversarial_finite_llrs_never_yield_nan_or_an_unearned_parity_flag() {
     let code = code();
     let compiled = code.compile();
-    let config = DecoderConfig::default();
-    fn with_reference<A: LaneKernel + Clone + Sync>(
-        name: &str,
-        arith: A,
-        code: &QcCode,
-        compiled: &CompiledCode,
-    ) {
-        let decoder = LayeredDecoder::new(arith, DecoderConfig::default()).unwrap();
-        let mut ws = decoder.workspace_for(compiled);
-        for (case, frame, lane) in adversarial_sweep(name, &decoder, code) {
-            let mut out = DecodeOutput::empty();
-            decoder
-                .decode_into_reference(compiled, &frame, &mut ws, &mut out)
-                .unwrap();
-            assert_eq!(out, lane, "{name}, {case}: lane path vs reference");
-        }
-    }
-    with_reference("float BP", FloatBpArithmetic::default(), &code, &compiled);
+    let config = DecoderConfig::paper_early_termination();
+    with_reference(
+        "float BP",
+        FloatBpArithmetic::default(),
+        config,
+        &code,
+        &compiled,
+    );
     with_reference(
         "fixed BP (argmin)",
         FixedBpArithmetic::default(),
+        config,
         &code,
         &compiled,
     );
     with_reference(
         "fixed BP (bare ⊟)",
         FixedBpArithmetic::with_mode(FixedFormat::default(), 3, CheckNodeMode::SumExtract),
+        config,
         &code,
         &compiled,
     );
     with_reference(
         "fixed BP (forward/backward)",
         FixedBpArithmetic::forward_backward(),
+        config,
         &code,
         &compiled,
     );
     with_reference(
         "float Min-Sum",
         FloatMinSumArithmetic::default(),
+        config,
         &code,
         &compiled,
     );
     with_reference(
         "fixed Min-Sum",
         FixedMinSumArithmetic::default(),
+        config,
         &code,
         &compiled,
     );
@@ -521,6 +544,42 @@ fn adversarial_finite_llrs_never_yield_nan_or_an_unearned_parity_flag() {
     adversarial_sweep(
         "flooding",
         &FloodingDecoder::new(FloatBpArithmetic::default(), config).unwrap(),
+        &code,
+    );
+}
+
+/// The same sweep under the default zero-syndrome stop, whose parity
+/// verdict comes from one pass per group per iteration: every parity flag
+/// must still equal the syndrome of the hard bits the output carries.
+#[test]
+fn adversarial_finite_llrs_under_the_default_stop() {
+    let code = code();
+    let compiled = code.compile();
+    let config = DecoderConfig::default();
+    with_reference(
+        "float BP",
+        FloatBpArithmetic::default(),
+        config,
+        &code,
+        &compiled,
+    );
+    with_reference(
+        "fixed BP (argmin)",
+        FixedBpArithmetic::default(),
+        config,
+        &code,
+        &compiled,
+    );
+    with_reference(
+        "fixed Min-Sum",
+        FixedMinSumArithmetic::default(),
+        config,
+        &code,
+        &compiled,
+    );
+    adversarial_sweep(
+        "flooding",
+        &FloodingDecoder::new(FixedBpArithmetic::default(), config).unwrap(),
         &code,
     );
 }

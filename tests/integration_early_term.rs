@@ -10,6 +10,8 @@
 //! The expected behaviour is derived independently of the drivers' check:
 //! runs without early termination give each frame's state after `k`
 //! iterations, and the rule is applied to those states in the LLR domain.
+//! The same construction pins the default stop: a frame ends at the first
+//! iteration whose hard decisions are a codeword.
 
 use ldpc::prelude::*;
 
@@ -35,7 +37,7 @@ fn config(threshold: f64) -> DecoderConfig {
     DecoderConfig {
         max_iterations: MAX_ITERATIONS,
         early_termination: Some(EarlyTermination { threshold }),
-        ..DecoderConfig::default()
+        ..DecoderConfig::paper_early_termination()
     }
 }
 
@@ -197,4 +199,65 @@ fn default_threshold_sits_on_a_code() {
     assert!(arith.exceeds(1, arith.termination_threshold(0.0)));
     assert!(!arith.exceeds(0, arith.termination_threshold(0.0)));
     assert!(!arith.exceeds(i16::MAX, arith.termination_threshold(1e6)));
+}
+
+/// The default configuration stops each frame at the first `k` for which a
+/// `fixed_iterations(k)` decode of that frame has a zero syndrome, and then
+/// returns exactly that decode's output (the budget's end when no `k` up to
+/// it does). Pinned through the batch engine (frame groups, several
+/// threads) on the default datapath, for WiMAX 576 and 2304 at 2, 4 and
+/// 6 dB.
+#[test]
+fn default_stop_is_the_first_zero_syndrome_iteration() {
+    let config = DecoderConfig::default();
+    assert!(config.stop_on_zero_syndrome && config.early_termination.is_none());
+    let decoder = LayeredDecoder::new(FixedBpArithmetic::default(), config).unwrap();
+    let (mut stopped, mut ran_out) = (0, 0);
+    for n in [576, 2304] {
+        let code = CodeId::new(Standard::Wimax80216e, CodeRate::R1_2, n)
+            .build()
+            .unwrap();
+        let compiled = code.compile();
+        let mut source = FrameSource::random(&code, 0x5709 + n as u64).unwrap();
+        for ebn0 in [2.0, 4.0, 6.0] {
+            let channel = AwgnChannel::from_ebn0_db(ebn0, code.rate());
+            let llrs: Vec<f64> = (0..12)
+                .flat_map(|_| {
+                    let frame = source.next_frame();
+                    channel.transmit(&frame.codeword, source.noise_rng())
+                })
+                .collect();
+            let outs = decoder
+                .decode_batch(&compiled, LlrBatch::new(&llrs, n).unwrap())
+                .unwrap();
+            for (f, out) in outs.iter().enumerate() {
+                let frame = &llrs[f * n..(f + 1) * n];
+                let mut expected = None;
+                for k in 1..=config.max_iterations {
+                    let fixed = LayeredDecoder::new(
+                        FixedBpArithmetic::default(),
+                        DecoderConfig::fixed_iterations(k),
+                    )
+                    .unwrap()
+                    .decode_compiled(&compiled, frame)
+                    .unwrap();
+                    if fixed.parity_satisfied || k == config.max_iterations {
+                        expected = Some(fixed);
+                        break;
+                    }
+                }
+                let expected = expected.unwrap();
+                assert_eq!(out, &expected, "n={n} {ebn0} dB frame {f}");
+                if expected.parity_satisfied {
+                    stopped += 1;
+                } else {
+                    ran_out += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        stopped > 0 && ran_out > 0,
+        "{stopped} stopped, {ran_out} ran out"
+    );
 }

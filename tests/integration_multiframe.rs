@@ -133,7 +133,7 @@ fn early_termination_drops_frames_out_independently() {
     let compiled = code.compile();
     let decoder = LayeredDecoder::new(
         FixedBpArithmetic::forward_backward(),
-        DecoderConfig::default(),
+        DecoderConfig::paper_early_termination(),
     )
     .unwrap();
     let n = compiled.n();

@@ -282,9 +282,11 @@ fn quantized_ingest_recovers_high_snr_fixed_point_traffic() {
     let mode = modes()[0];
     let code = mode.build().unwrap();
     let compiled = code.compile();
+    // The paper's early-termination rule: with the zero-syndrome stop, the
+    // decoder ends on the first codeword before saturation can walk it away.
     let decoder = LayeredDecoder::new(
         FixedBpArithmetic::forward_backward(),
-        DecoderConfig::default(),
+        DecoderConfig::paper_early_termination(),
     )
     .unwrap();
     let quantizer = LlrQuantizer::default();

@@ -246,11 +246,28 @@ fn channel_quantisation_matches_fixed_format_quantize() {
                 v.next_down(),
             ]);
         }
+        let finite: Vec<f64> = llrs.iter().copied().filter(|l| l.is_finite()).collect();
         for level in LEVELS {
             let bp = FixedBpArithmetic::new(format, 3).with_simd_level(level);
             let ms = FixedMinSumArithmetic::new(format).with_simd_level(level);
+            // The finiteness verdict of the same pass: one non-finite value
+            // anywhere (every vector lane, the scalar tail) refuses.
+            let mut out = vec![0i16; finite.len()];
+            assert!(
+                bp.from_channel_slice(&finite, &mut out),
+                "{format} at {level:?}"
+            );
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for at in 0..19 {
+                    let mut llrs = finite[..19].to_vec();
+                    llrs[at] = bad;
+                    let mut out = vec![0i16; llrs.len()];
+                    assert!(!bp.from_channel_slice(&llrs, &mut out), "{bad} at {at}");
+                    assert!(!ms.from_channel_slice(&llrs, &mut out), "{bad} at {at}");
+                }
+            }
             let mut out = vec![0i16; llrs.len()];
-            ms.from_channel_slice(&llrs, &mut out);
+            assert!(!ms.from_channel_slice(&llrs, &mut out));
             for (&l, &q) in llrs.iter().zip(&out) {
                 assert_eq!(
                     i32::from(q),
@@ -258,7 +275,7 @@ fn channel_quantisation_matches_fixed_format_quantize() {
                     "{format} {l:e} at {level:?}"
                 );
             }
-            bp.from_channel_slice(&llrs, &mut out);
+            assert!(!bp.from_channel_slice(&llrs, &mut out));
             for (&l, &q) in llrs.iter().zip(&out) {
                 let plain = format.quantize(l);
                 let want = if plain != 0 {
@@ -816,4 +833,120 @@ fn dispatch_levels_are_coherent() {
     // and a degradation everywhere else.
     let arith = FixedBpArithmetic::default().with_simd_level(SimdLevel::Avx2);
     assert!(arith.simd_level() <= SimdLevel::Avx2);
+}
+
+/// The row-serial syndrome of one frame's hard decisions, through the
+/// per-edge column table: the reference the group parity pass is pinned
+/// against.
+fn row_serial_ok(compiled: &CompiledCode, hard: &[u8]) -> bool {
+    (0..compiled.block_rows()).all(|layer| {
+        let entries = compiled.layer_entries(layer);
+        (0..compiled.z()).all(|r| {
+            entries.iter().fold(0u8, |p, e| {
+                p ^ hard[compiled.edge_col(e.edge_base as usize + r)]
+            }) == 0
+        })
+    })
+}
+
+/// Every standard mode, plus a `z = 600` code (panels wider than the scalar
+/// form's 256-lane stack panel) whose last block column is shifted past
+/// `z − 256`, so rotated spans wrap at the very end of the APP memory.
+fn verdict_codes() -> Vec<QcCode> {
+    let mut codes: Vec<QcCode> = Standard::ALL
+        .into_iter()
+        .flat_map(CodeId::all_modes)
+        .map(|id| id.build().unwrap())
+        .collect();
+    let wide = ldpc::codes::ConstructionParams::for_mode(Standard::Wimax80216e, CodeRate::R1_2)
+        .build_code(600)
+        .unwrap();
+    let mut base = wide.base().clone();
+    let last = base.cols() - 1;
+    for row in 0..base.rows() {
+        if base.get(row, last).is_some() {
+            base.set(row, last, Some(500 + row as u32)).unwrap();
+        }
+    }
+    codes.push(QcCode::from_parts(*wide.spec(), base).unwrap());
+    codes
+}
+
+/// The group parity pass (`DecoderArithmetic::parity_verdicts`) against the
+/// row-serial syndrome of each frame, at every kernel tier (the fixed-point
+/// override) and through the provided `hard_bit` body (float BP), for every
+/// standard mode and a `z > 256` code, at every group width 1..=16 — so
+/// ragged `z · width` panels (WiFi `z = 27` at width 5 is 135 lanes), panels
+/// narrower than two vectors and every lane-to-frame phase occur. Groups mix
+/// codewords, codewords with one bit flipped in each layer in turn, random
+/// words, and codewords whose codes XOR to a set bit 7 (the top bit of a
+/// low byte) while their signs XOR to zero in every row.
+#[test]
+fn parity_verdicts_match_the_row_serial_syndrome_at_every_tier_and_width() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(0x5E7D1C7);
+    // Magnitudes that set and clear bit 7 and bit 15's neighbours.
+    const MAGNITUDES: [i16; 8] = [1, 127, 128, 129, 255, 384, 16383, 32767];
+    for code in verdict_codes() {
+        let id = code.spec().id();
+        let compiled = code.compile();
+        let n = compiled.n();
+        let codeword = match Encoder::new(&code) {
+            Ok(encoder) => {
+                let info: Vec<u8> = (0..code.info_bits())
+                    .map(|_| rng.gen_range(0..=1u8))
+                    .collect();
+                encoder.encode(&info).unwrap()
+            }
+            Err(_) => vec![0u8; n],
+        };
+        assert!(row_serial_ok(&compiled, &codeword), "{id}: codeword");
+        let widths: Vec<usize> = if n > 4000 {
+            vec![1, 2, 3, 5, 16]
+        } else {
+            (1..=MAX_GROUP_WIDTH).collect()
+        };
+        let mut flip_layer = 0;
+        for width in widths {
+            let mut words = Vec::with_capacity(width);
+            for slot in 0..width {
+                let mut word = codeword.clone();
+                match (slot + width) % 4 {
+                    0 => {}
+                    1 => {
+                        // One bit of a block column of layer `flip_layer`.
+                        let entries = compiled.layer_entries(flip_layer % compiled.block_rows());
+                        let e = entries[rng.gen_range(0..entries.len())];
+                        let r = rng.gen_range(0..compiled.z());
+                        word[compiled.edge_col(e.edge_base as usize + r)] ^= 1;
+                        flip_layer += 1;
+                    }
+                    2 => word.iter_mut().for_each(|b| *b = rng.gen_range(0..=1u8)),
+                    _ => word.iter_mut().for_each(|b| *b = 0),
+                }
+                words.push(word);
+            }
+            let mut app = vec![0i16; n * width];
+            for (slot, word) in words.iter().enumerate() {
+                for (i, &b) in word.iter().enumerate() {
+                    let m = MAGNITUDES[rng.gen_range(0..MAGNITUDES.len())];
+                    app[i * width + slot] = if b == 1 { -m } else { m };
+                }
+            }
+            let expected: Vec<u8> = words
+                .iter()
+                .map(|w| u8::from(!row_serial_ok(&compiled, w)))
+                .collect();
+            let mut failed = vec![7u8; width];
+            for level in LEVELS {
+                let arith = FixedBpArithmetic::default().with_simd_level(level);
+                arith.parity_verdicts(&compiled, width, &app, &mut failed);
+                assert_eq!(failed, expected, "{id}: width {width} at {level:?}");
+            }
+            let float: Vec<f64> = app.iter().map(|&m| f64::from(m)).collect();
+            FloatBpArithmetic::default().parity_verdicts(&compiled, width, &float, &mut failed);
+            assert_eq!(failed, expected, "{id}: width {width}, provided body");
+        }
+    }
 }
