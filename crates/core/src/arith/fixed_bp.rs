@@ -5,7 +5,8 @@
 //! the bit-accurate software model of the hardware SISO datapath: the R2/R4
 //! SISO decoder models in [`crate::siso`] produce identical messages. The
 //! codes travel through the decoder as `i16` (messages of up to 14 bits, the
-//! APP memory two bits wider), 16 lanes per AVX2 operation.
+//! APP memory two bits wider), 16 lanes per AVX2 operation; the fused layer
+//! pass runs the 8-bit check node itself in `i8` lanes, 32 per operation.
 
 use super::lanes::{layer_update_unfused, LaneKernel, LaneScratch};
 use super::simd::{self, SimdLevel};
@@ -422,12 +423,13 @@ impl LaneKernel for FixedBpArithmetic {
         simd::add_lanes_clamp(self.simd_level(), -hi, hi, lam, upd, out);
     }
 
-    /// The argmin-excluded mode with both tables in `pshufb` form (the
-    /// paper's 3-bit tables) runs the whole layer as one fused pass,
-    /// [`simd::layer_update_argmin`], at every kernel tier: L and Λ are read
-    /// and written once per lane-edge, and on the SIMD tiers `λ` and the
-    /// row state stay in registers. Every other mode and format, and layers
-    /// of degree 1 or above [`simd::MAX_FUSED_DEGREE`], take the three-call
+    /// The argmin-excluded mode with both tables in `pshufb` form and
+    /// messages of at most 8 bits (the paper's Q6.2 3-bit datapath) runs
+    /// the whole layer as one fused pass, [`simd::layer_update_argmin`], at
+    /// every kernel tier: L and Λ are read and written once per lane-edge,
+    /// and on the SIMD tiers `λ` and the row state stay in registers, the
+    /// check node in `i8` lanes. Every other mode and format, and layers of
+    /// degree 1 or above [`simd::MAX_FUSED_DEGREE`], take the three-call
     /// body.
     fn layer_update_lanes(
         &self,
@@ -438,18 +440,21 @@ impl LaneKernel for FixedBpArithmetic {
         lambda: &mut [i16],
         scratch: &mut LaneScratch<i16>,
     ) {
+        let max_code = self.format.max_code() as i16;
         let fused = (2..=simd::MAX_FUSED_DEGREE).contains(&layer.degree());
         match (
             self.mode,
             self.lut_plus.shuffle_table(),
             self.lut_minus.shuffle_table(),
         ) {
-            (CheckNodeMode::SumExtractArgmin, Some(plus), Some(minus)) if fused => {
+            (CheckNodeMode::SumExtractArgmin, Some(plus), Some(minus))
+                if fused && simd::fits_byte_lanes(max_code, plus, minus) =>
+            {
                 simd::layer_update_argmin(
                     self.simd_level(),
                     plus,
                     minus,
-                    self.format.max_code() as i16,
+                    max_code,
                     self.app_format.max_code() as i16,
                     layer,
                     z,

@@ -22,11 +22,18 @@
 //!   and extraction is one ⊟ pass blended with `S'` at the argmin
 //!   ([`boxminus_select_panel`]).
 //!   [`layer_update_argmin`] fuses the whole layer update around them: per
-//!   vector of lanes it reads `L` (through the rotation) and `Λ` of every
-//!   slot once, forms `λ = L − Λ`, folds `S`, `S'`, `|min|` and the argmin
-//!   in registers, then writes `Λ′` and `L′ = λ + Λ′` once. `λ` of the
-//!   chunk's slots is the only thing that may spill, to a stack array.
-//! * **SSE4.1** — the same kernels on 8-lane `epi16` vectors; `pshufb`
+//!   pair of vectors of lanes it reads `L` (through the rotation) and `Λ` of
+//!   every slot once, forms `λ = L − Λ`, and runs the paper's 8-bit check
+//!   node in **`i8` lanes**, 32 rows per vector: `λ` packs into bytes
+//!   exactly, the fold of `|S|`, `|S'|`, `|min|` and the argmin runs on
+//!   unsigned byte magnitudes with the signs carried apart as one XOR
+//!   parity, and `Λ′` and `λ` widen back to `i16` for the one write of `Λ′`
+//!   and `L′ = λ + Λ′`. `λ` of the chunk's slots is the only thing that may
+//!   spill, to a stack array. The byte lanes need messages of at most
+//!   8 bits and corrections of at most 128 ([`fits_byte_lanes`]); wider
+//!   formats take the unfused panels.
+//! * **SSE4.1** — the same kernels on 8-lane `epi16` vectors (16-lane
+//!   `epi8` vectors in the fused check node); `pshufb`
 //!   ([`_mm_shuffle_epi8`]) is available here too, so this tier fuses as
 //!   well.
 //! * **Scalar** — the universal fallback: branch-free loops that mirror
@@ -34,8 +41,9 @@
 //!   bit-identity reference), used on non-x86 targets, on CPUs without
 //!   SSE4.1, and whenever `LDPC_FORCE_SCALAR` is set. The fused layer
 //!   update has a scalar twin that runs the same passes a chunk of lanes
-//!   at a time through these loops; the vector tiers hand it the lanes
-//!   past their last whole vector.
+//!   at a time through these loops, in `i16` (the reference the byte lanes
+//!   are pinned against); the vector tiers hand it the lanes past their
+//!   last whole vector.
 //!
 //! Formats whose dense table is larger than 16 entries (and the scalar
 //! tier) keep the three-pass structure: magnitude split, clamped-index
@@ -78,7 +86,8 @@
 //!    splits is read and written through a `2 · WIDTH` stack window over
 //!    the column's last and first `WIDTH` lanes (the vector path runs only
 //!    when `zw ≥ 2 · WIDTH`, so the two are disjoint), and lanes past the
-//!    last whole vector go to the safe scalar twin.
+//!    last whole vector go to the safe scalar twin. A last single vector of
+//!    the byte pass is packed with itself and stored once.
 //!
 //! `pshufb` never reads memory: each lane's shuffle index is clamped with
 //! an **unsigned** 16-bit min against 15 and its high byte forced to `0x80`
@@ -88,7 +97,8 @@
 //! `dense[min(x, dense.len() − 1)]`). Inside the fused ⊞/⊟ core the two
 //! lookups skip the `0x80` byte: each then carries the same `table[0] << 8`
 //! in its high byte, and only their wrapping difference is used, where it
-//! cancels.
+//! cancels. In the byte lanes every index is `min(·, 15)` of an unsigned
+//! byte, so its high bit is clear and it selects a table byte directly.
 //!
 //! # Bit-identity contract
 //!
@@ -97,8 +107,23 @@
 //! vector instructions (wrapping adds, saturating `L − Λ`, unsigned index
 //! clamps, the same first-wins tie rule in the minima tracking). On the
 //! decoder's domain (message codes up to 14 bits, APP codes up to 16) they
-//! also equal the `i32` row-serial arithmetic. The contract is pinned by the
-//! unit tests below, by `tests/integration_simd.rs` (an exhaustive sweep of
+//! also equal the `i32` row-serial arithmetic.
+//!
+//! The byte lanes of the fused check node are exact where they are used
+//! (messages of at most 8 bits, so `|λ| ≤ max ≤ 127`, and corrections of at
+//! most 128, asserted on entry): the saturating pack of `L − Λ` clamps to
+//! `±max` exactly like the `i16` clamp and keeps the sign of `L` for the
+//! zero remap; in ⊞, `min + c_sum ≤ 127 + 128` fits a `u8`, and the
+//! saturating subtraction of `c_diff` followed by the `[1, max]` clamp
+//! equals the `i16` clamp; in ⊟, `min + c_diff ≤ 255` never saturates and
+//! the subtraction of `c_sum` floors at 0 exactly like `clamp(·, 0, max)`.
+//! Every ⊞ magnitude is ≥ 1 and every `λ` ≠ 0 (the zero remap), so the sign
+//! of `S` is the XOR of all `λ` signs and that of `S'` is that XOR with the
+//! argmin's sign; a ⊟ magnitude of 0 stays 0 under the sign.
+//!
+//! The contract is pinned by the
+//! unit tests below (including every pair of codes of every ≤ 8-bit format
+//! through the byte ⊞/⊟), by `tests/integration_simd.rs` (an exhaustive sweep of
 //! the code domain per format, boundary/saturation sweeps, ragged tails,
 //! full-decoder bit-identity across levels) and by the
 //! `LDPC_FORCE_SCALAR=1` CI leg running the whole suite on the fallback
@@ -312,7 +337,12 @@ pub(crate) mod scalar {
     /// correction. `MINUS` selects ⊟ (corrections swapped, floor 0, the
     /// correction difference added with saturation).
     #[inline(always)]
-    fn box_lane<const MINUS: bool>(max_code: i16, a: i16, b: i16, lut: impl Fn(i16) -> i16) -> i16 {
+    pub(super) fn box_lane<const MINUS: bool>(
+        max_code: i16,
+        a: i16,
+        b: i16,
+        lut: impl Fn(i16) -> i16,
+    ) -> i16 {
         let (aa, ab) = (a.wrapping_abs(), b.wrapping_abs());
         let mn = aa.min(ab);
         let sm = aa.wrapping_add(ab).min(max_code);
@@ -437,7 +467,7 @@ pub(crate) mod scalar {
 
     /// One lane of the 16-byte shuffle-table lookup.
     #[inline(always)]
-    fn shuffle_lane(table: &[u8; 16], x: i16) -> i16 {
+    pub(super) fn shuffle_lane(table: &[u8; 16], x: i16) -> i16 {
         i16::from(table[usize::from((x as u16).min(15))])
     }
 
@@ -662,6 +692,9 @@ pub(crate) mod scalar {
         app: &mut [i16],
         lambda: &mut [i16],
     ) {
+        if lanes.is_empty() {
+            return;
+        }
         let (slots, zw) = (spans.slots(), spans.zw);
         let mut lam = [[0i16; CHUNK]; MAX_FUSED_DEGREE];
         let mut state = [[0i16; CHUNK]; 5];
@@ -862,7 +895,11 @@ macro_rules! x86_panel_kernels {
         $cmpeq:ident, $cmpgt:ident, $blendv:ident, $sign:ident, $shuffle:ident,
         $table:expr,
         $set1_32:ident, $add32:ident, $min32:ident, $max32:ident,
-        $movemask:ident, $and:ident
+        $movemask:ident, $and:ident,
+        $set1_8:ident, $abs8:ident, $minu8:ident, $maxu8:ident,
+        $min8:ident, $max8:ident, $addsu8:ident, $subsu8:ident,
+        $cmpeq8:ident, $cmpgt8:ident, $sign8:ident,
+        $packs:ident, $unpacklo8:ident, $unpackhi8:ident
     ) => {
         mod $modname {
             use super::{scalar, LayerSpans, SlotSpan, MAX_FUSED_DEGREE};
@@ -976,41 +1013,6 @@ macro_rules! x86_panel_kernels {
                 st(out, n - WIDTH, tail);
             }
 
-            /// One argmin-tracking slot on loaded vectors (lane-for-lane the
-            /// scalar `dual_select_lane` around two `box_lane` ⊞s): returns
-            /// the updated `(S, S', |min|, argmin)`. `SEED` is slot 1, where
-            /// `vs` still holds `λ_0` and `ve`/`vm`/`vam` are ignored.
-            ///
-            /// # Safety
-            /// The CPU must support the module's target feature.
-            #[target_feature(enable = $feature)]
-            unsafe fn dual_step<const SEED: bool>(
-                t: $vec,
-                vmax: $vec,
-                vslot: $vec,
-                l: $vec,
-                vs: $vec,
-                ve: $vec,
-                vm: $vec,
-                vam: $vec,
-            ) -> ($vec, $vec, $vec, $vec) {
-                let a = $abs(l);
-                let (vm, vam, kept) = if SEED {
-                    ($abs(vs), $setzero(), l)
-                } else {
-                    (vm, vam, box_core::<false>(t, vmax, ve, l))
-                };
-                // `a < m`: a strictly weaker λ displaces the argmin (ties
-                // keep the earlier one) and takes the old S as S'.
-                let displaces = $cmpgt(vm, a);
-                (
-                    box_core::<false>(t, vmax, vs, l),
-                    $blendv(kept, vs, displaces),
-                    $min(a, vm),
-                    $blendv(vam, vslot, displaces),
-                )
-            }
-
             /// `λ = L − Λ` clamped to `[vlo, vhi]` with the ±1-LSB zero
             /// remap, on loaded vectors (lane-for-lane the scalar
             /// `sub_remap_lane`).
@@ -1024,7 +1026,10 @@ macro_rules! x86_panel_kernels {
                 $blendv(r, zero_remap, $cmpeq(r, $setzero()))
             }
 
-            /// The slot loop of [`boxplus_dual_shuffle`]; `SEED` is slot 1.
+            /// The slot loop of [`boxplus_dual_shuffle`]; `SEED` is slot 1,
+            /// where `total` still holds `λ_0` and the other state panels
+            /// are write-only. Lane-for-lane the scalar `dual_select_lane`
+            /// around two `box_lane` ⊞s.
             ///
             /// # Safety
             /// The CPU must support the module's target feature, and every
@@ -1046,12 +1051,21 @@ macro_rules! x86_panel_kernels {
                 // span of the state is loaded before it is stored.
                 let op = |s: &[i16], e: &[i16], m: &[i16], am: &[i16], i| {
                     let (l, vs) = (ld(inc, i), ld(s, i));
-                    if SEED {
-                        let zero = $setzero();
-                        dual_step::<true>(t, vmax, vslot, l, vs, zero, zero, zero)
+                    let a = $abs(l);
+                    let (vm, vam, kept) = if SEED {
+                        ($abs(vs), $setzero(), l)
                     } else {
-                        dual_step::<false>(t, vmax, vslot, l, vs, ld(e, i), ld(m, i), ld(am, i))
-                    }
+                        (ld(m, i), ld(am, i), box_core::<false>(t, vmax, ld(e, i), l))
+                    };
+                    // `a < m`: a strictly weaker λ displaces the argmin (ties
+                    // keep the earlier one) and takes the old S as S'.
+                    let displaces = $cmpgt(vm, a);
+                    (
+                        box_core::<false>(t, vmax, vs, l),
+                        $blendv(kept, vs, displaces),
+                        $min(a, vm),
+                        $blendv(vam, vslot, displaces),
+                    )
                 };
                 let tail = op(total, excl, min, argmin, n - WIDTH);
                 let mut i = 0;
@@ -1138,8 +1152,9 @@ macro_rules! x86_panel_kernels {
             ///
             /// # Safety
             /// The CPU must support the module's target feature; `span`
-            /// comes from a [`LayerSpans`] built for `app`, and
-            /// `i + WIDTH ≤ zw` with `zw ≥ 2 · WIDTH`.
+            /// addresses a `zw`-lane block column inside `app` (as a
+            /// [`LayerSpans`] built for `app` does), `rot < zw`, and
+            /// `i + WIDTH ≤ zw`.
             #[target_feature(enable = $feature)]
             unsafe fn ld_rotated(app: &[i16], span: &SlotSpan, zw: usize, i: usize) -> $vec {
                 let o = span.rotated(i, zw);
@@ -1164,8 +1179,8 @@ macro_rules! x86_panel_kernels {
             /// their own values back.
             ///
             /// # Safety
-            /// As [`ld_rotated`]; `zw ≥ 2 · WIDTH` keeps the two windows
-            /// disjoint.
+            /// As [`ld_rotated`], and `zw ≥ 2 · WIDTH`, which keeps the two
+            /// windows disjoint.
             #[target_feature(enable = $feature)]
             unsafe fn st_rotated(app: &mut [i16], span: &SlotSpan, zw: usize, i: usize, x: $vec) {
                 let o = span.rotated(i, zw);
@@ -1182,14 +1197,109 @@ macro_rules! x86_panel_kernels {
                 st(app, first, ld(&seam, WIDTH));
             }
 
+            /// Lanes of one byte vector: two `i16` vectors packed.
+            const BYTES: usize = 2 * WIDTH;
+
+            /// The ⊞ (`MINUS`: ⊟) magnitude core in unsigned byte lanes:
+            /// lane-for-lane the magnitude of the scalar `box_lane` on
+            /// operands of magnitudes `x`, `y ≤ max`, for `max ≤ 127` and
+            /// table entries ≤ 128. `mn + c ≤ 127 + 128` fits a byte, so
+            /// the saturating subtraction of the other correction floors at
+            /// 0 exactly where the `i16` difference goes negative, and the
+            /// clamp to `[1, max]` (⊟: `[0, max]`) then agrees with the
+            /// `i16` one. The lookup indices are `min(·, 15)`: in-table,
+            /// high bit clear.
+            ///
+            /// # Safety
+            /// The CPU must support the module's target feature.
+            #[target_feature(enable = $feature)]
+            unsafe fn box_mag<const MINUS: bool>(
+                table: $vec,
+                vmax: $vec,
+                x: $vec,
+                y: $vec,
+            ) -> $vec {
+                let mn = $minu8(x, y);
+                let df = $subsu8($maxu8(x, y), mn);
+                // The sum's index `min(min(x + y, max), 15)` in one min.
+                let cap = $minu8(vmax, $set1_8(15));
+                let cs = $shuffle(table, $minu8($addsu8(x, y), cap));
+                let cd = $shuffle(table, $minu8(df, $set1_8(15)));
+                if MINUS {
+                    $minu8($subsu8($addsu8(mn, cd), cs), vmax)
+                } else {
+                    $maxu8($minu8($subsu8($addsu8(mn, cs), cd), vmax), $set1_8(1))
+                }
+            }
+
+            /// `x ⊞ y` (`MINUS`: `x ⊟ y`) over byte panels in the byte
+            /// lanes of the fused pass: [`box_mag`] of the magnitudes, with
+            /// the sign of `x ^ y`. Whole vectors only; the unit tests pin
+            /// it against the scalar `box_lane`.
+            ///
+            /// # Safety
+            /// The CPU must support the module's target feature.
+            #[cfg(test)]
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn box_bytes<const MINUS: bool>(
+                table: &[u8; 16],
+                max_code: i8,
+                x: &[i8],
+                y: &[i8],
+                out: &mut [i8],
+            ) {
+                assert_same_len!(x, y, out);
+                assert!(x.len().is_multiple_of(BYTES), "whole byte vectors only");
+                let (t, vmax, one) = (load_table(table), $set1_8(max_code), $set1_8(1));
+                for i in (0..x.len()).step_by(BYTES) {
+                    // SAFETY: `i + BYTES ≤ len` for every slice.
+                    let (a, b) = (ld(x, i), ld(y, i));
+                    let mag = box_mag::<MINUS>(t, vmax, $abs8(a), $abs8(b));
+                    st(out, i, $sign8(mag, $or($xor(a, b), one)));
+                }
+            }
+
+            /// Sign-extends the `i8` lanes of a `packs_epi16(lo, hi)`
+            /// result back to the `i16` vector `lo` (`HIGH`: `hi`), undoing
+            /// the pack's lane order.
+            ///
+            /// # Safety
+            /// The CPU must support the module's target feature.
+            #[target_feature(enable = $feature)]
+            unsafe fn widen<const HIGH: bool>(x: $vec) -> $vec {
+                let pairs = if HIGH {
+                    $unpackhi8(x, x)
+                } else {
+                    $unpacklo8(x, x)
+                };
+                $srai::<8>(pairs)
+            }
+
             /// The fused argmin-excluded layer update (see
-            /// [`super::layer_update_argmin`]): one chunk of `WIDTH` lanes at
-            /// a time, every slot's `λ` and the fold state in registers (the
-            /// `λ` array is a stack spill at most), the lanes past the last
-            /// whole vector by the scalar twin (all lanes when `zw < 2 ·
-            /// WIDTH`). Chunks are disjoint and each reads all of its inputs
-            /// before it writes, so the in-place update needs no overlapping
-            /// tail vector.
+            /// [`super::layer_update_argmin`]), `BYTES` lanes at a time with
+            /// the check node in `i8` lanes. Per chunk, every slot's
+            /// `L − Λ` of two `i16` vectors (saturating) is packed to bytes
+            /// with saturation and clamped to `±max` there, which equals the
+            /// `i16` clamp for `max ≤ 127`; the zero remap reads the sign of
+            /// `L` from its own saturating pack. The fold runs on unsigned
+            /// magnitudes (`|S|`, `|S'|`, `|min|`, argmin); the signs travel
+            /// apart as the XOR parity `P` of every `λ`. Every ⊞ magnitude
+            /// is ≥ 1 and every `λ` ≠ 0, so `sign(S) = P` and
+            /// `sign(S') = P ⊕ sign(λ_argmin)`, and
+            /// `Λ′_s = sign(P ⊕ λ_s) · (s = argmin ? |S'| : |S ⊟ λ_s|)` —
+            /// a ⊟ magnitude of 0 stays 0 under the sign. `Λ′` and `λ` are
+            /// widened back to `i16` for the stores of `Λ′` and
+            /// `L′ = clamp(λ + Λ′)`.
+            ///
+            /// A last single `i16` vector is a half chunk, packed with
+            /// itself; lanes past the last whole vector go to the scalar
+            /// twin (all lanes when `zw < 2 · WIDTH`). Chunks are disjoint
+            /// and each reads all of its inputs before it writes, so the
+            /// in-place update needs no overlapping tail vector.
+            ///
+            /// The format must fit the byte lanes
+            /// ([`super::fits_byte_lanes`], asserted by the dispatch
+            /// wrapper).
             ///
             /// # Safety
             /// The CPU must support the module's target feature.
@@ -1209,42 +1319,78 @@ macro_rules! x86_panel_kernels {
                 let (slots, zw) = (spans.slots(), spans.zw);
                 let vectors = if zw < 2 * WIDTH { 0 } else { zw - zw % WIDTH };
                 let (tp, tm) = (load_table(plus), load_table(minus));
-                let (vmax, vmin) = ($set1(max_code), $set1(-max_code));
                 let (vapp_max, vapp_min) = ($set1(app_max), $set1(-app_max));
-                let (zero, vone) = ($setzero(), $set1(1));
+                let (zero, one) = ($setzero(), $set1_8(1));
+                let (bmax, bmin) = ($set1_8(max_code as i8), $set1_8(-max_code as i8));
                 let mut lam = [zero; MAX_FUSED_DEGREE];
                 let lam = &mut lam[..slots.len()];
-                let mut i = 0;
-                // SAFETY (all accesses): i + WIDTH ≤ zw, and every slot's
+                // `L − Λ` (saturating) and `L` of lanes `lo` and `hi`,
+                // each packed to bytes with saturation.
+                //
+                // SAFETY (all accesses): every vector is at `i` or
+                // `i + WIDTH` with its end ≤ vectors ≤ zw, and every slot's
                 // APP block column and Λ panel hold zw lanes
                 // (`LayerSpans::new`).
+                let pair = |app: &[i16], lambda: &[i16], span: &SlotSpan, lo, hi| {
+                    let (l0, l1) = (ld_rotated(app, span, zw, lo), ld_rotated(app, span, zw, hi));
+                    let d0 = $subs(l0, ld(lambda, span.lambda + lo));
+                    let d1 = $subs(l1, ld(lambda, span.lambda + hi));
+                    ($packs(d0, d1), $packs(l0, l1))
+                };
+                let mut i = 0;
                 while i < vectors {
-                    // Pass 1: λ = L − Λ of every slot, folded into S, S',
-                    // |min| and the argmin.
+                    let half = i + BYTES > vectors;
+                    // Pass 1: λ of every slot in bytes — the saturating
+                    // pack keeps the clamp to ±max and the sign of L exact,
+                    // and the zero remap is ±1 by that sign — and their
+                    // sign parity, then the magnitude fold.
+                    let mut parity = zero;
                     for (l, span) in lam.iter_mut().zip(slots) {
-                        let va = ld_rotated(app, span, zw, i);
-                        *l = sub_remap(va, ld(lambda, span.lambda + i), vmin, vmax);
+                        let (d, big) = pair(app, lambda, span, i, if half { i } else { i + WIDTH });
+                        let r = $min8($max8(d, bmin), bmax);
+                        let remap = $or($cmpgt8(zero, big), one);
+                        *l = $blendv(r, remap, $cmpeq8(r, zero));
+                        parity = $xor(parity, *l);
                     }
-                    // The slot index rides along as a vector.
-                    let mut vslot = vone;
-                    let (mut s, mut e, mut m, mut am) =
-                        dual_step::<true>(tp, vmax, vslot, lam[1], lam[0], zero, zero, zero);
+                    // Slot 1 seeds the fold: S' is whichever of |λ_0|,
+                    // |λ_1| is not the minimum (ties keep slot 0).
+                    let (a0, a1) = ($abs8(lam[0]), $abs8(lam[1]));
+                    let displaces = $cmpgt8(a0, a1);
+                    let mut s = box_mag::<false>(tp, bmax, a0, a1);
+                    let mut e = $blendv(a1, a0, displaces);
+                    let mut m = $minu8(a0, a1);
+                    let mut am = $blendv(zero, one, displaces);
+                    let mut vslot = one;
                     for &l in &lam[2..] {
-                        vslot = $add(vslot, vone);
-                        (s, e, m, am) = dual_step::<false>(tp, vmax, vslot, l, s, e, m, am);
+                        vslot = $addsu8(vslot, one);
+                        let a = $abs8(l);
+                        // `a < m`: a strictly weaker λ displaces the argmin
+                        // and takes the old |S| as |S'|.
+                        let displaces = $cmpgt8(m, a);
+                        e = $blendv(box_mag::<false>(tp, bmax, e, a), s, displaces);
+                        am = $blendv(am, vslot, displaces);
+                        m = $minu8(a, m);
+                        s = box_mag::<false>(tp, bmax, s, a);
                     }
-                    // Pass 2: Λ′ = S' at the argmin, S ⊟ λ elsewhere, and
+                    // Pass 2: Λ′ with its sign, back to i16, and
                     // L′ = λ + Λ′ clamped to the APP range.
                     vslot = zero;
                     for (&l, span) in lam.iter().zip(slots) {
-                        let r = box_core::<true>(tm, vmax, s, l);
-                        let upd = $blendv(r, e, $cmpeq(am, vslot));
-                        vslot = $add(vslot, vone);
-                        st(lambda, span.lambda + i, upd);
-                        let sum = $min($max($adds(l, upd), vapp_min), vapp_max);
-                        st_rotated(app, span, zw, i, sum);
+                        let r = box_mag::<true>(tm, bmax, s, $abs8(l));
+                        let mag = $blendv(r, e, $cmpeq8(am, vslot));
+                        vslot = $addsu8(vslot, one);
+                        let upd = $sign8(mag, $or($xor(parity, l), one));
+                        let mut put = |at, lam, upd| {
+                            st(lambda, span.lambda + at, upd);
+                            let sum = $min($max($adds(lam, upd), vapp_min), vapp_max);
+                            st_rotated(app, span, zw, at, sum);
+                        };
+                        put(i, widen::<false>(l), widen::<false>(upd));
+                        if !half {
+                            put(i + WIDTH, widen::<true>(l), widen::<true>(upd));
+                        }
                     }
-                    i += WIDTH;
+                    i += BYTES;
                 }
                 scalar::layer_update_argmin_lanes(
                     plus,
@@ -1696,7 +1842,21 @@ x86_panel_kernels!(
     _mm256_min_epi32,
     _mm256_max_epi32,
     _mm256_movemask_epi8,
-    _mm256_and_si256
+    _mm256_and_si256,
+    _mm256_set1_epi8,
+    _mm256_abs_epi8,
+    _mm256_min_epu8,
+    _mm256_max_epu8,
+    _mm256_min_epi8,
+    _mm256_max_epi8,
+    _mm256_adds_epu8,
+    _mm256_subs_epu8,
+    _mm256_cmpeq_epi8,
+    _mm256_cmpgt_epi8,
+    _mm256_sign_epi8,
+    _mm256_packs_epi16,
+    _mm256_unpacklo_epi8,
+    _mm256_unpackhi_epi8
 );
 
 #[cfg(target_arch = "x86_64")]
@@ -1732,7 +1892,21 @@ x86_panel_kernels!(
     _mm_min_epi32,
     _mm_max_epi32,
     _mm_movemask_epi8,
-    _mm_and_si128
+    _mm_and_si128,
+    _mm_set1_epi8,
+    _mm_abs_epi8,
+    _mm_min_epu8,
+    _mm_max_epu8,
+    _mm_min_epi8,
+    _mm_max_epi8,
+    _mm_adds_epu8,
+    _mm_subs_epu8,
+    _mm_cmpeq_epi8,
+    _mm_cmpgt_epi8,
+    _mm_sign_epi8,
+    _mm_packs_epi16,
+    _mm_unpacklo_epi8,
+    _mm_unpackhi_epi8
 );
 
 /// AVX2 channel quantisation: four `f64` LLRs per step, lane-for-lane
@@ -2018,17 +2192,19 @@ pub fn boxminus_select_panel(
 /// `Λ′_s` as [`boxminus_select_panel`] would and `L′_s = λ_s + Λ′_s` clamped
 /// to `±app_max`. Bit-identical to the three-call layer update built from
 /// [`sub_lanes_remap`], those two panels and [`add_lanes_clamp`]; `plus` and
-/// `minus` are the 16-byte `pshufb` forms of the ⊞ and ⊟ tables. On a SIMD
-/// tier each vector of lanes reads its L and Λ once and writes them once;
-/// the scalar tier and the lanes past the last whole vector run the
-/// lane-for-lane scalar twin. The slots must address pairwise distinct
+/// `minus` are the 16-byte `pshufb` forms of the ⊞ and ⊟ tables, and the
+/// format must fit the byte lanes ([`fits_byte_lanes`]). On a SIMD tier each
+/// pair of `i16` vectors of lanes reads its L and Λ once and writes them
+/// once, with the check node in `i8` lanes (32 rows per AVX2 vector); the
+/// scalar tier and the lanes past the last whole vector run the
+/// lane-for-lane `i16` scalar twin. The slots must address pairwise distinct
 /// block columns (one circulant per block column per layer).
 ///
 /// # Panics
 ///
-/// Panics unless the layer degree is in `2..=`[`MAX_FUSED_DEGREE`], every
-/// shift is below `z`, and every slot's block column and Λ panel lie inside
-/// `app` and `lambda`.
+/// Panics unless the format fits the byte lanes, the layer degree is in
+/// `2..=`[`MAX_FUSED_DEGREE`], every shift is below `z`, and every slot's
+/// block column and Λ panel lie inside `app` and `lambda`.
 pub fn layer_update_argmin(
     level: SimdLevel,
     plus: &[u8; 16],
@@ -2041,10 +2217,24 @@ pub fn layer_update_argmin(
     app: &mut [i16],
     lambda: &mut [i16],
 ) {
+    assert!(
+        fits_byte_lanes(max_code, plus, minus),
+        "fused layer update needs messages of at most 8 bits and corrections ≤ 128"
+    );
     dispatch!(
         level,
         layer_update_argmin(plus, minus, max_code, app_max, layer, z, width, app, lambda)
     )
+}
+
+/// Whether a message format fits the byte lanes of [`layer_update_argmin`]:
+/// messages of at most 8 bits (`max_code ≤ 127`, so every `λ` packs into an
+/// `i8` exactly) and every correction of both tables at most 128 (so a
+/// magnitude plus a correction fits a `u8`). The paper's Q6.2 3-bit tables
+/// fit; every format with a wider message takes the three-call body.
+#[must_use]
+pub fn fits_byte_lanes(max_code: i16, plus: &[u8; 16], minus: &[u8; 16]) -> bool {
+    (1..=127).contains(&max_code) && plus.iter().chain(minus).all(|&c| c <= 128)
 }
 
 /// The parity verdict of every frame of a `width`-frame group of `i16`
@@ -2466,6 +2656,111 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The byte lanes of the fused layer pass, exhaustively: for every
+    /// message format of 3 to 8 bits (every fractional width, 1- to 3-bit
+    /// tables) whose tables fit one `pshufb` and the byte lanes, the byte
+    /// ⊞ and ⊟ of every pair of codes in `[−max, max]²` equal the scalar
+    /// `box_lane` in magnitude and sign, at SSE4.1 and AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn byte_lane_box_ops_match_the_scalar_lane_for_every_small_format() {
+        let mut checked = 0;
+        for w in 3..=8 {
+            for f in 0..w {
+                for bits in 1..=3 {
+                    let format = FixedFormat::new(w, f);
+                    let [plus, minus] = [CorrectionKind::Plus, CorrectionKind::Minus]
+                        .map(|kind| CorrectionLut::new(kind, format, bits));
+                    let (Some(tp), Some(tm)) = (plus.shuffle_table(), minus.shuffle_table()) else {
+                        continue;
+                    };
+                    let max = format.max_code() as i16;
+                    if !fits_byte_lanes(max, tp, tm) {
+                        continue;
+                    }
+                    checked += 1;
+                    let (mut a, mut b): (Vec<i16>, Vec<i16>) = (-max..=max)
+                        .flat_map(|x| (-max..=max).map(move |y| (x, y)))
+                        .unzip();
+                    // Whole byte vectors at either tier; the padding pairs
+                    // (0, 0) are in the domain too.
+                    let n = a.len().next_multiple_of(32);
+                    a.resize(n, 0);
+                    b.resize(n, 0);
+                    let (x, y): (Vec<i8>, Vec<i8>) =
+                        a.iter().zip(&b).map(|(&p, &q)| (p as i8, q as i8)).unzip();
+                    for (minus, table) in [(false, tp), (true, tm)] {
+                        let lut = |v| scalar::shuffle_lane(table, v);
+                        let want: Vec<i8> = a
+                            .iter()
+                            .zip(&b)
+                            .map(|(&p, &q)| {
+                                let r = if minus {
+                                    scalar::box_lane::<true>(max, p, q, lut)
+                                } else {
+                                    scalar::box_lane::<false>(max, p, q, lut)
+                                };
+                                r as i8
+                            })
+                            .collect();
+                        for level in [SimdLevel::Sse41, SimdLevel::Avx2] {
+                            if level.effective() != level {
+                                continue;
+                            }
+                            let mut got = vec![0i8; n];
+                            let m = max as i8;
+                            // SAFETY: the level is one the CPU reported.
+                            unsafe {
+                                match (level, minus) {
+                                    (SimdLevel::Avx2, false) => {
+                                        avx2::box_bytes::<false>(table, m, &x, &y, &mut got)
+                                    }
+                                    (SimdLevel::Avx2, true) => {
+                                        avx2::box_bytes::<true>(table, m, &x, &y, &mut got)
+                                    }
+                                    (_, false) => {
+                                        sse41::box_bytes::<false>(table, m, &x, &y, &mut got)
+                                    }
+                                    (_, true) => {
+                                        sse41::box_bytes::<true>(table, m, &x, &y, &mut got)
+                                    }
+                                }
+                            }
+                            let at = format!("{format} {bits}-bit minus={minus} {level:?}");
+                            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                                assert_eq!(g, w, "{at}: ({}, {})", a[k], b[k]);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The paper's Q6.2 3-bit datapath is among the formats checked.
+        let paper = CorrectionLut::new(CorrectionKind::Plus, FixedFormat::default(), 3);
+        let minus = CorrectionLut::new(CorrectionKind::Minus, FixedFormat::default(), 3);
+        assert!(fits_byte_lanes(
+            127,
+            paper.shuffle_table().unwrap(),
+            minus.shuffle_table().unwrap()
+        ));
+        assert!(checked >= 20, "only {checked} formats fit the byte lanes");
+    }
+
+    /// Formats wider than 8 bits never fit the byte lanes.
+    #[test]
+    fn wide_messages_do_not_fit_the_byte_lanes() {
+        let format = FixedFormat::new(10, 2);
+        let [plus, minus] = [CorrectionKind::Plus, CorrectionKind::Minus]
+            .map(|kind| CorrectionLut::new(kind, format, 3));
+        let (tp, tm) = (
+            plus.shuffle_table().unwrap(),
+            minus.shuffle_table().unwrap(),
+        );
+        assert!(fits_byte_lanes(127, tp, tm));
+        assert!(!fits_byte_lanes(format.max_code() as i16, tp, tm));
+        assert!(!fits_byte_lanes(127, tp, &[129; 16]));
     }
 
     #[test]

@@ -670,19 +670,28 @@ fn fused_modes() -> Vec<(QcCode, f64)> {
     .collect()
 }
 
-/// Per layer, on identical `(L, Λ)` state, the fused
-/// `FixedBpArithmetic::layer_update_lanes` must write exactly the APP and Λ
-/// memory of `layer_update_unfused` (`sub_lanes`, `check_node_update_lanes`,
-/// `add_lanes`) — at every tier and every group width, so every rotation
-/// split inside a vector, every ragged remainder and every panel narrower
-/// than two vectors occurs. The state is drawn from small pools dense in the
-/// edge cases: APP codes at `±app_max`, Λ at `±max`, and `L = Λ` (so
-/// `L − Λ` is exactly 0 and takes the ±1-LSB remap). One sweep over the
-/// layers (every fourth of DMB-T's 48, degrees 2 and 3 alike) keeps the
-/// debug-build test short.
-#[test]
-fn fused_layer_update_matches_the_three_call_body_at_every_tier_and_width() {
-    let reference = FixedBpArithmetic::default();
+/// The formats of the fused-layer sweep, as (word bits, fractional bits,
+/// LUT address bits): the paper's Q6.2 3-bit datapath, a 2-bit-table and a
+/// Q5.1 variant (all in the byte lanes), and a 10-bit format whose tables
+/// still fit `pshufb` but whose messages do not fit a byte, so it takes the
+/// three-call body.
+const FUSED_FORMATS: [(u32, u32, u32); 4] = [(8, 2, 3), (8, 2, 2), (6, 1, 3), (10, 2, 3)];
+
+/// Runs every `stride`-th layer of `compiled` on a `width`-frame group
+/// through the fused `FixedBpArithmetic::layer_update_lanes` and through
+/// `layer_update_unfused` (`sub_lanes`, `check_node_update_lanes`,
+/// `add_lanes`) on identical `(L, Λ)` state, at every tier, and asserts
+/// that they write exactly the same APP and Λ memory. The state is drawn
+/// from small pools dense in the edge cases: APP codes at `±app_max`, Λ at
+/// `±max`, and `L = Λ` (so `L − Λ` is exactly 0 and takes the ±1-LSB
+/// remap).
+fn assert_fused_layers_match(
+    (w, f, bits): (u32, u32, u32),
+    compiled: &CompiledCode,
+    width: usize,
+    stride: usize,
+) {
+    let reference = FixedBpArithmetic::new(FixedFormat::new(w, f), bits);
     let max = reference.format().max_code() as i16;
     let app_max = reference.app_format().max_code() as i16;
     let app_pool = [
@@ -701,63 +710,98 @@ fn fused_layer_update_matches_the_three_call_body_at_every_tier_and_width() {
         -90,
     ];
     let lambda_pool = [max, -max, 1, -1, 2, -2, 5, -7, 40, -90, 0];
-    for (code, _) in fused_modes() {
-        let compiled = code.compile();
-        let z = compiled.z();
-        let stride = compiled.block_rows().div_ceil(12);
-        for width in 1..=MAX_GROUP_WIDTH {
-            let app0: Vec<i16> = (0..compiled.n() * width)
-                .map(|i| app_pool[(i * 7 + i / 5) % app_pool.len()])
-                .collect();
-            let lambda0: Vec<i16> = (0..compiled.num_edges() * width)
-                .map(|i| lambda_pool[(i * 3 + i / 11) % lambda_pool.len()])
-                .collect();
-            // The first layer alone meets every edge case.
-            let lanes = compiled.layer_lanes(0);
-            let (mut zero_diff, mut app_sat, mut lambda_sat) = (0, 0, 0);
-            for slot in 0..lanes.degree() {
-                let (cb, eb) = (
-                    lanes.col_base[slot] as usize,
-                    lanes.edge_base[slot] as usize,
-                );
-                for r in 0..z {
-                    let col = cb + (r + lanes.shift[slot] as usize) % z;
-                    for f in 0..width {
-                        let (l, m) = (app0[col * width + f], lambda0[(eb + r) * width + f]);
-                        zero_diff += usize::from(l == m);
-                        app_sat += usize::from(l.abs() == app_max);
-                        lambda_sat += usize::from(m.abs() == max);
-                    }
-                }
-            }
-            assert!(
-                zero_diff > 0 && app_sat > 0 && lambda_sat > 0,
-                "n={} width {width}: state misses an edge case",
-                compiled.n()
-            );
-            for level in LEVELS {
-                let arith = FixedBpArithmetic::default().with_simd_level(level);
-                let (mut app, mut lambda) = (app0.clone(), lambda0.clone());
-                let (mut app_ref, mut lambda_ref) = (app0.clone(), lambda0.clone());
-                let mut scratch = LaneScratch::new();
-                for layer in (0..compiled.block_rows()).step_by(stride) {
-                    let lanes = compiled.layer_lanes(layer);
-                    arith.layer_update_lanes(&lanes, z, width, &mut app, &mut lambda, &mut scratch);
-                    layer_update_unfused(
-                        &arith,
-                        &lanes,
-                        z,
-                        width,
-                        &mut app_ref,
-                        &mut lambda_ref,
-                        &mut scratch,
-                    );
-                    let at = format!("n={} width {width} {level:?} layer {layer}", compiled.n());
-                    assert_eq!(app, app_ref, "APP memory diverged: {at}");
-                    assert_eq!(lambda, lambda_ref, "Λ memory diverged: {at}");
-                }
+    let z = compiled.z();
+    let app0: Vec<i16> = (0..compiled.n() * width)
+        .map(|i| app_pool[(i * 7 + i / 5) % app_pool.len()])
+        .collect();
+    let lambda0: Vec<i16> = (0..compiled.num_edges() * width)
+        .map(|i| lambda_pool[(i * 3 + i / 11) % lambda_pool.len()])
+        .collect();
+    // The first layer alone meets every edge case.
+    let lanes = compiled.layer_lanes(0);
+    let (mut zero_diff, mut app_sat, mut lambda_sat) = (0, 0, 0);
+    for slot in 0..lanes.degree() {
+        let (cb, eb) = (
+            lanes.col_base[slot] as usize,
+            lanes.edge_base[slot] as usize,
+        );
+        for r in 0..z {
+            let col = cb + (r + lanes.shift[slot] as usize) % z;
+            for f in 0..width {
+                let (l, m) = (app0[col * width + f], lambda0[(eb + r) * width + f]);
+                zero_diff += usize::from(l == m);
+                app_sat += usize::from(l.abs() == app_max);
+                lambda_sat += usize::from(m.abs() == max);
             }
         }
+    }
+    assert!(
+        zero_diff > 0 && app_sat > 0 && lambda_sat > 0,
+        "n={} width {width}: state misses an edge case",
+        compiled.n()
+    );
+    for level in LEVELS {
+        let arith = reference.clone().with_simd_level(level);
+        let (mut app, mut lambda) = (app0.clone(), lambda0.clone());
+        let (mut app_ref, mut lambda_ref) = (app0.clone(), lambda0.clone());
+        let mut scratch = LaneScratch::new();
+        for layer in (0..compiled.block_rows()).step_by(stride) {
+            let lanes = compiled.layer_lanes(layer);
+            arith.layer_update_lanes(&lanes, z, width, &mut app, &mut lambda, &mut scratch);
+            layer_update_unfused(
+                &arith,
+                &lanes,
+                z,
+                width,
+                &mut app_ref,
+                &mut lambda_ref,
+                &mut scratch,
+            );
+            let at = format!(
+                "Q{w}.{f} {bits}-bit n={} width {width} {level:?} layer {layer}",
+                compiled.n()
+            );
+            assert_eq!(app, app_ref, "APP memory diverged: {at}");
+            assert_eq!(lambda, lambda_ref, "Λ memory diverged: {at}");
+        }
+    }
+}
+
+/// Per layer, the fused layer update must write exactly the APP and Λ
+/// memory of the three-call body ([`assert_fused_layers_match`]) — for
+/// every format of [`FUSED_FORMATS`], at every tier and every group width,
+/// so every rotation split inside a vector, every ragged remainder and
+/// every panel narrower than two vectors occurs. One sweep over the layers
+/// (every fourth of DMB-T's 48, degrees 2 and 3 alike) keeps the
+/// debug-build test short.
+#[test]
+fn fused_layer_update_matches_the_three_call_body_at_every_tier_and_width() {
+    for (code, _) in fused_modes() {
+        let compiled = code.compile();
+        let stride = compiled.block_rows().div_ceil(12);
+        for width in 1..=MAX_GROUP_WIDTH {
+            for format in FUSED_FORMATS {
+                assert_fused_layers_match(format, &compiled, width, stride);
+            }
+        }
+    }
+}
+
+/// A group whose lanes end in a half chunk of the byte lanes: WiMAX-576 at
+/// width 2 has `zw = 48` lanes, one whole AVX2 byte vector of 32 rows and
+/// one `i16` vector of 16 packed with itself (at SSE4.1, three byte vectors
+/// of 16). Every layer, every format, every tier.
+#[test]
+fn fused_layer_update_covers_a_half_byte_chunk() {
+    let code = CodeId::new(Standard::Wimax80216e, CodeRate::R1_2, 576)
+        .build()
+        .unwrap();
+    let compiled = code.compile();
+    let width = 2;
+    let zw = compiled.z() * width;
+    assert!((16..32).contains(&(zw % 32)), "zw = {zw} has no half chunk");
+    for format in FUSED_FORMATS {
+        assert_fused_layers_match(format, &compiled, width, 1);
     }
 }
 
